@@ -15,7 +15,7 @@ from . import exhaustive, predictor, scoring
 from .isr import SHIFT, format_isr_actions, is_legal_stack, isr_apply, translate_sequence
 from .oracle import oracle_action_sequence
 from .transition import apply_sequence, format_actions
-from .tree import node_equal, tree_equal
+from .tree import Internal, iter_nodes, node_equal, tree_equal
 from .treebank import (
     TreebankFormatError,
     load_corpus,
@@ -78,7 +78,7 @@ def cmd_translate_isr(args) -> int:
                 ):
                     raise ValueError("replayed stack does not hold the gold tree")
                 n = entry.tree.length
-                m = _internal_count(entry.tree.root)
+                m = sum(isinstance(node, Internal) for node in iter_nodes(entry.tree.root))
                 if len(isr_actions) != n + 2 * m:
                     raise ValueError(
                         f"length {len(isr_actions)} != n + 2m = {n + 2 * m}"
@@ -103,12 +103,6 @@ def _replay_checked(isr_actions, tokens):
         if not is_legal_stack(stack):
             raise ValueError("illegal intermediate stack during replay")
     return stack
-
-
-def _internal_count(node) -> int:
-    if not hasattr(node, "children"):
-        return 0
-    return 1 + sum(_internal_count(c) for c in node.children)
 
 
 def cmd_enumerate_check(args) -> int:

@@ -29,7 +29,7 @@ from .isr import (
 )
 from .oracle import oracle_action_sequence
 from .transition import INITIAL_STATE, apply_action, legal_actions
-from .tree import ConstituencyTree, Internal, Leaf, Token, node_equal
+from .tree import ConstituencyTree, Internal, Leaf, Token, node_equal, rightmost_chain
 
 MAX_LEAVES = 6
 MAX_VOCAB = 3
@@ -157,12 +157,7 @@ def enumerate_augmented(n_max: int, labels, unary_budget: int = 1):
     yield AugmentedTree(Leaf(_token(0), 0), -1)
     for n in range(1, n_max + 1):
         for tree in enumerate_trees(n, labels, unary_budget):
-            depth = 0
-            node = tree.root
-            while isinstance(node, Internal):
-                depth += 1
-                node = node.children[-1]
-            for mark in range(-1, depth):
+            for mark in range(-1, len(rightmost_chain(tree))):
                 yield AugmentedTree(tree.root, mark)
 
 

@@ -19,6 +19,7 @@ from .tree import (
     Leaf,
     Node,
     Token,
+    iter_leaves,
     rightmost_chain,
 )
 
@@ -114,11 +115,7 @@ class AugmentedTree:
     mark: int
 
     def __post_init__(self):
-        depth = 0
-        node = self.root
-        while isinstance(node, Internal):
-            depth += 1
-            node = node.children[-1]
+        depth = len(rightmost_chain(self.root))
         if self.mark < -1 or self.mark >= depth:
             raise ValueError(f"mark {self.mark} out of range for chain length {depth}")
         if self.root is None and self.mark != -1:
@@ -216,16 +213,7 @@ def gamma(aug: AugmentedTree) -> IsrStack:
             node = node.children[-1]
             depth += 1
         elems.append(node)
-    # Iterative leaf count; recursive generators are too slow on the hot
-    # path of the exhaustive checks.
-    consumed = 0
-    pending = [aug.root] if aug.root is not None else []
-    while pending:
-        node = pending.pop()
-        if isinstance(node, Leaf):
-            consumed += 1
-        else:
-            pending.extend(node.children)
+    consumed = sum(1 for _ in iter_leaves(aug.root))
     return IsrStack(tuple(elems), consumed)
 
 

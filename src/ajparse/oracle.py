@@ -16,6 +16,7 @@ from .tree import (
     Internal,
     has_unary_chains,
     replace_on_rightmost_chain,
+    rightmost_chain,
 )
 
 # Branch identifiers from the last-action decision table. "1-1" (a leaf that
@@ -43,16 +44,10 @@ def _last_action(root: Internal):
     Returns (action, predecessor root or None, case id). Assumes the tree
     is well-formed and free of unary chains.
     """
-    # Path of internal nodes from the root to the last leaf's parent; this
-    # is exactly the rightmost chain, so list indices are chain depths.
-    chain = []
-    node = root
-    while isinstance(node, Internal):
-        chain.append(node)
-        node = node.children[-1]
-    last_leaf = node
-
+    # List indices are chain depths; the chain ends at the last leaf's parent.
+    chain = rightmost_chain(root)
     parent = chain[-1]
+    last_leaf = parent.children[-1]
     if len(parent.children) > 1:
         branch = "1"
         parent_label = None

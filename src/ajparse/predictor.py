@@ -25,7 +25,7 @@ from .transition import (
     attach,
     juxtapose,
 )
-from .tree import ConstituencyTree, Internal, Token, rightmost_chain
+from .tree import ConstituencyTree, Internal, Token, iter_nodes, rightmost_chain
 from .treebank import tokens_of
 
 MODEL_MAGIC = "ajparse-model"
@@ -194,10 +194,18 @@ class ActionScorer:
                 if current is None:
                     raise ModelFormatError(f"{path}: weight line outside a section")
                 parts = line.split("\t")
+                width = 2 if current == "target" else 3
+                if len(parts) != width:
+                    raise ModelFormatError(
+                        f"{path}: [{current}] weight line has {len(parts)}"
+                        f" tab-separated fields, expected {width}"
+                    )
                 if current == "target":
                     tables[current][parts[0]] = float(parts[1])
                 else:
                     tables[current][(parts[0], parts[1])] = float(parts[2])
+            else:
+                raise ModelFormatError(f"{path}: file ends before [end]")
         return cls(labels, tables["target"], tables["parent"], tables["new"])
 
 
@@ -211,16 +219,15 @@ def _tree_of(item) -> ConstituencyTree:
     return item if isinstance(item, ConstituencyTree) else item.tree
 
 
-def collect_labels(corpus) -> list:
-    seen = set()
+def _internal_labels(corpus):
     for item in corpus:
-        def walk(node):
+        for node in iter_nodes(_tree_of(item).root):
             if isinstance(node, Internal):
-                seen.add(node.label)
-                for c in node.children:
-                    walk(c)
-        walk(_tree_of(item).root)
-    return sorted(seen)
+                yield node.label
+
+
+def collect_labels(corpus) -> list:
+    return sorted(set(_internal_labels(corpus)))
 
 
 def _teacher_steps(tree: ConstituencyTree):
@@ -415,14 +422,7 @@ def decode_greedy(scorer: ActionScorer, tokens) -> ConstituencyTree:
 
 
 def majority_label(corpus) -> str:
-    counts = Counter()
-    for item in corpus:
-        def walk(node):
-            if isinstance(node, Internal):
-                counts[node.label] += 1
-                for c in node.children:
-                    walk(c)
-        walk(_tree_of(item).root)
+    counts = Counter(_internal_labels(corpus))
     if not counts:
         raise ValueError("corpus has no internal nodes")
     return min(counts, key=lambda l: (-counts[l], l))

@@ -11,7 +11,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 
-from .tree import ConstituencyTree, Internal, Leaf, restore_unary_chains
+from .tree import ConstituencyTree, Internal, fold, restore_unary_chains
 
 
 @dataclass(frozen=True)
@@ -30,19 +30,14 @@ def extract_brackets(tree: ConstituencyTree) -> Counter:
     tree = restore_unary_chains(tree)
     brackets = Counter()
 
-    def walk(node):
-        if isinstance(node, Leaf):
-            return node.index, node.index
-        start, end = None, None
-        for child in node.children:
-            s, e = walk(child)
-            start = s if start is None else min(start, s)
-            end = e if end is None else max(end, e)
+    def span(node: Internal, spans: list) -> tuple:
+        starts, ends = zip(*spans)
+        start, end = min(starts), max(ends)
         brackets[(node.label, start, end)] += 1
         return start, end
 
     if tree.root is not None:
-        walk(tree.root)
+        fold(tree.root, lambda leaf: (leaf.index, leaf.index), span)
     return brackets
 
 

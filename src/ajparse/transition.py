@@ -1,9 +1,9 @@
 """The attach-juxtapose transition system.
 
-A parser state is a partial tree plus the number of consumed tokens. Each
-action integrates exactly one new token, either by attaching it under a node
-on the rightmost chain or by juxtaposing it next to such a node beneath a
-freshly created parent.
+A parser state is a partial tree, whose leaf count is the number of
+consumed tokens. Each action integrates exactly one new token, either by
+attaching it under a node on the rightmost chain or by juxtaposing it next
+to such a node beneath a freshly created parent.
 """
 
 from __future__ import annotations
@@ -104,10 +104,13 @@ def parse_actions(text: str) -> list:
 @dataclass(frozen=True)
 class ParserState:
     tree: ConstituencyTree
-    consumed: int
+
+    @property
+    def consumed(self) -> int:
+        return self.tree.length
 
 
-INITIAL_STATE = ParserState(EMPTY_TREE, 0)
+INITIAL_STATE = ParserState(EMPTY_TREE)
 
 
 def apply_action(state: ParserState, token: Token, action: AjAction) -> ParserState:
@@ -124,7 +127,7 @@ def apply_action(state: ParserState, token: Token, action: AjAction) -> ParserSt
                 "the empty tree only admits attach(0, <label>)", action
             )
         root = Internal(action.parent_label, (leaf,))
-        return ParserState(ConstituencyTree(root), state.consumed + 1)
+        return ParserState(ConstituencyTree(root))
 
     chain = rightmost_chain(state.tree)
     if not 0 <= action.target < len(chain):
@@ -143,7 +146,7 @@ def apply_action(state: ParserState, token: Token, action: AjAction) -> ParserSt
     else:
         replacement = Internal(action.new_label, (target_node, new_child))
     root = replace_on_rightmost_chain(chain, action.target, replacement)
-    return ParserState(ConstituencyTree(root), state.consumed + 1)
+    return ParserState(ConstituencyTree(root))
 
 
 def legal_actions(state: ParserState, label_vocabulary) -> list:

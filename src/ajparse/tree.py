@@ -2,13 +2,16 @@
 
 Trees are immutable values: leaves carry tokens (word + optional POS tag),
 internal nodes carry a category label and an ordered, non-empty child tuple.
-All tree-producing operations return new trees.
+All tree-producing operations return new trees. Every tree walk in the
+package goes through the iterative traversals here (``iter_nodes``,
+``iter_leaves``, ``fold``, ``rightmost_chain``), so tree depth is not bounded
+by Python's recursion limit.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterator, Optional, Union
+from typing import Callable, Iterator, Optional, Union
 
 # Joins the labels of a collapsed unary chain, e.g. "S+NP".
 LABEL_SEPARATOR = "+"
@@ -49,6 +52,57 @@ class Internal:
 Node = Union[Leaf, Internal]
 
 
+def iter_nodes(root: Optional[Node]) -> Iterator[Node]:
+    """Every node under ``root`` (itself included), pre-order, left to right."""
+    stack = [root] if root is not None else []
+    while stack:
+        node = stack.pop()
+        yield node
+        if isinstance(node, Internal):
+            stack.extend(node.children[::-1])
+
+
+def iter_leaves(root: Optional[Node]) -> Iterator[Leaf]:
+    """The leaves under ``root``, left to right.
+
+    A walk of its own rather than a filter over ``iter_nodes``: leaf walks
+    run on every tree build, and skipping the internal yields pays there.
+    """
+    stack = [root] if root is not None else []
+    while stack:
+        node = stack.pop()
+        if isinstance(node, Leaf):
+            yield node
+        else:
+            stack.extend(node.children[::-1])
+
+
+def fold(root: Node, on_leaf: Callable, on_internal: Callable):
+    """Post-order rebuild: ``on_leaf(leaf)`` for each leaf and
+    ``on_internal(node, values)`` for each internal node, where ``values``
+    lists the children's results in order. Leaves are visited left to
+    right. Returns the result for ``root``."""
+    # A pre-order walk that takes the last child first, reversed, is
+    # post-order with children left to right.
+    order = []
+    stack = [root]
+    while stack:
+        node = stack.pop()
+        order.append(node)
+        if isinstance(node, Internal):
+            stack.extend(node.children)
+    values = []
+    for node in reversed(order):
+        if isinstance(node, Leaf):
+            values.append(on_leaf(node))
+        else:
+            n = len(node.children)
+            result = on_internal(node, values[-n:])
+            del values[-n:]
+            values.append(result)
+    return values[0]
+
+
 @dataclass(frozen=True)
 class ConstituencyTree:
     """A rooted tree over a token sequence; ``root is None`` means the
@@ -60,8 +114,7 @@ class ConstituencyTree:
     def __post_init__(self):
         if self.root is not None and not isinstance(self.root, Internal):
             raise ValueError("non-empty tree must have an internal root")
-        n = sum(1 for _ in iter_leaves(self.root)) if self.root is not None else 0
-        object.__setattr__(self, "length", n)
+        object.__setattr__(self, "length", sum(1 for _ in iter_leaves(self.root)))
 
     @property
     def is_empty(self) -> bool:
@@ -71,32 +124,16 @@ class ConstituencyTree:
 EMPTY_TREE = ConstituencyTree(None)
 
 
-def iter_leaves(node: Optional[Node]) -> Iterator[Leaf]:
-    if node is None:
-        return
-    if isinstance(node, Leaf):
-        yield node
-    else:
-        for child in node.children:
-            yield from iter_leaves(child)
-
-
-def leaf_tokens(tree: ConstituencyTree) -> list:
-    return [leaf.token for leaf in iter_leaves(tree.root)]
-
-
-def rightmost_chain(tree: ConstituencyTree) -> list:
-    """Internal nodes from the root down along last-child links."""
+def rightmost_chain(tree) -> list:
+    """Internal nodes from the root down along last-child links. ``tree`` is
+    a ``ConstituencyTree`` or a root node (a bare leaf or None has no
+    chain)."""
+    node = tree.root if isinstance(tree, ConstituencyTree) else tree
     chain = []
-    node = tree.root
     while isinstance(node, Internal):
         chain.append(node)
         node = node.children[-1]
     return chain
-
-
-def chain_length(tree: ConstituencyTree) -> int:
-    return len(rightmost_chain(tree))
 
 
 def replace_on_rightmost_chain(chain: list, depth: int, new_node: Node) -> Internal:
@@ -112,15 +149,12 @@ def replace_on_rightmost_chain(chain: list, depth: int, new_node: Node) -> Inter
 def has_unary_chains(tree: ConstituencyTree) -> bool:
     """True iff some internal node's only child is another internal node.
     An internal node whose sole child is a leaf does not count."""
-
-    def walk(node: Node) -> bool:
-        if isinstance(node, Leaf):
-            return False
-        if len(node.children) == 1 and isinstance(node.children[0], Internal):
-            return True
-        return any(walk(c) for c in node.children)
-
-    return tree.root is not None and walk(tree.root)
+    return any(
+        isinstance(node, Internal)
+        and len(node.children) == 1
+        and isinstance(node.children[0], Internal)
+        for node in iter_nodes(tree.root)
+    )
 
 
 def collapse_unary_chains(tree: ConstituencyTree) -> ConstituencyTree:
@@ -128,20 +162,19 @@ def collapse_unary_chains(tree: ConstituencyTree) -> ConstituencyTree:
     label joins the chain's labels with ``LABEL_SEPARATOR``."""
     if tree.root is None:
         return tree
+    return ConstituencyTree(
+        fold(tree.root, lambda leaf: leaf, lambda node, kids: collapsed_node(node.label, kids))
+    )
 
-    def walk(node: Node) -> Node:
-        if isinstance(node, Leaf):
-            return node
-        labels = [node.label]
-        cur = node
-        while len(cur.children) == 1 and isinstance(cur.children[0], Internal):
-            cur = cur.children[0]
-            labels.append(cur.label)
-        return Internal(
-            LABEL_SEPARATOR.join(labels), tuple(walk(c) for c in cur.children)
-        )
 
-    return ConstituencyTree(walk(tree.root))
+def collapsed_node(label: str, children: list) -> Internal:
+    """An internal node over already-collapsed ``children``, merged with its
+    only child when that child is internal. Built bottom-up, this joins a
+    whole chain's labels in top-down order."""
+    if len(children) == 1 and isinstance(children[0], Internal):
+        child = children[0]
+        return Internal(label + LABEL_SEPARATOR + child.label, child.children)
+    return Internal(label, tuple(children))
 
 
 def restore_unary_chains(tree: ConstituencyTree) -> ConstituencyTree:
@@ -149,36 +182,35 @@ def restore_unary_chains(tree: ConstituencyTree) -> ConstituencyTree:
     if tree.root is None:
         return tree
 
-    def walk(node: Node) -> Node:
-        if isinstance(node, Leaf):
-            return node
-        children = tuple(walk(c) for c in node.children)
+    def expand(node: Internal, children: list) -> Internal:
         parts = node.label.split(LABEL_SEPARATOR)
         if any(not p for p in parts):
             raise LabelFormatError(f"malformed collapsed label: {node.label!r}")
-        out = Internal(parts[-1], children)
+        out = Internal(parts[-1], tuple(children))
         for part in reversed(parts[:-1]):
             out = Internal(part, (out,))
         return out
 
-    return ConstituencyTree(walk(tree.root))
+    return ConstituencyTree(fold(tree.root, lambda leaf: leaf, expand))
 
 
 def node_equal(a: Optional[Node], b: Optional[Node]) -> bool:
+    # Equal pre-order sequences with equal child counts at every position
+    # describe the same shape, so a pairwise walk decides equality.
     if a is None or b is None:
         return a is None and b is None
-    if isinstance(a, Leaf) != isinstance(b, Leaf):
-        return False
-    if isinstance(a, Leaf):
-        if a.token.word != b.token.word or a.index != b.index:
+    for x, y in zip(iter_nodes(a), iter_nodes(b)):
+        if isinstance(x, Leaf) != isinstance(y, Leaf):
             return False
-        # POS tags only count when both sides carry them.
-        if a.token.pos and b.token.pos and a.token.pos != b.token.pos:
+        if isinstance(x, Leaf):
+            if x.token.word != y.token.word or x.index != y.index:
+                return False
+            # POS tags only count when both sides carry them.
+            if x.token.pos and y.token.pos and x.token.pos != y.token.pos:
+                return False
+        elif x.label != y.label or len(x.children) != len(y.children):
             return False
-        return True
-    if a.label != b.label or len(a.children) != len(b.children):
-        return False
-    return all(node_equal(x, y) for x, y in zip(a.children, b.children))
+    return True
 
 
 def tree_equal(a: ConstituencyTree, b: ConstituencyTree) -> bool:

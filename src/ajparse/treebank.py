@@ -16,10 +16,11 @@ from .tree import (
     ConstituencyTree,
     Internal,
     Leaf,
-    Node,
     Token,
-    collapse_unary_chains,
+    collapsed_node,
+    fold,
     iter_leaves,
+    iter_nodes,
 )
 
 logger = logging.getLogger(__name__)
@@ -32,6 +33,7 @@ _TRACE_TAG = "-NONE-"
 
 class TreebankFormatError(ValueError):
     def __init__(self, message: str, offset: Optional[int] = None, entry: Optional[int] = None):
+        self.reason = message
         self.offset = offset
         self.entry = entry
         where = ""
@@ -72,31 +74,8 @@ def _tokenize(text: str):
     return tokens
 
 
-def _parse_node(tokens, pos, counter):
-    tok, off = tokens[pos]
-    if tok != "(":
-        raise TreebankFormatError(f"expected '(' but found {tok!r}", off)
-    pos += 1
-    if pos >= len(tokens):
-        raise TreebankFormatError("unbalanced parentheses", off)
-    label = ""
-    if tokens[pos][0] not in "()":
-        label = tokens[pos][0]
-        pos += 1
-    atoms = []
-    children = []
-    while pos < len(tokens) and tokens[pos][0] != ")":
-        tok, toff = tokens[pos]
-        if tok == "(":
-            node, pos = _parse_node(tokens, pos, counter)
-            children.append(node)
-        else:
-            atoms.append((tok, toff))
-            pos += 1
-    if pos >= len(tokens):
-        raise TreebankFormatError("unbalanced parentheses", off)
-    pos += 1  # consume ')'
-
+def _close_bracket(off, label, atoms, children, index):
+    """The node for one bracket pair; ``index`` numbers a new leaf."""
     if atoms and children:
         raise TreebankFormatError(
             "token outside a preterminal pair", atoms[0][1]
@@ -106,17 +85,14 @@ def _parse_node(tokens, pos, counter):
             raise TreebankFormatError("multiple tokens in one preterminal", atoms[1][1])
         if not label:
             raise TreebankFormatError("preterminal without a POS tag", off)
-        word = atoms[0][0]
-        leaf = Leaf(Token(word, label), counter[0])
-        counter[0] += 1
-        return leaf, pos
+        return Leaf(Token(atoms[0][0], label), index)
     if not children:
         raise TreebankFormatError("empty constituent", off)
     if not label:
         if len(children) == 1:
-            return children[0], pos  # label-less wrapper
+            return children[0]  # label-less wrapper
         raise TreebankFormatError("unlabeled constituent with several children", off)
-    return Internal(label, tuple(children)), pos
+    return Internal(label, tuple(children))
 
 
 def parse_bracketed(text: str) -> ConstituencyTree:
@@ -124,9 +100,33 @@ def parse_bracketed(text: str) -> ConstituencyTree:
     tokens = _tokenize(text)
     if not tokens:
         raise TreebankFormatError("no tree found", 0)
-    counter = [0]
-    node, pos = _parse_node(tokens, 0, counter)
-    if pos != len(tokens):
+    if tokens[0][0] != "(":
+        raise TreebankFormatError(f"expected '(' but found {tokens[0][0]!r}", tokens[0][1])
+    frames = []  # open brackets, innermost last: (offset, label, atoms, children)
+    leaves = 0
+    pos, n = 0, len(tokens)
+    while True:
+        tok, off = tokens[pos]
+        pos += 1
+        if tok == "(":
+            label = ""
+            if pos < n and tokens[pos][0] not in "()":
+                label = tokens[pos][0]
+                pos += 1
+            frames.append((off, label, [], []))
+        elif tok == ")":
+            off, label, atoms, children = frames.pop()
+            node = _close_bracket(off, label, atoms, children, leaves)
+            if atoms:
+                leaves += 1
+            if not frames:
+                break
+            frames[-1][3].append(node)
+        else:
+            frames[-1][2].append((tok, off))
+        if pos >= n:
+            raise TreebankFormatError("unbalanced parentheses", frames[-1][0])
+    if pos != n:
         raise TreebankFormatError("trailing content after tree", tokens[pos][1])
     while (
         isinstance(node, Internal)
@@ -143,13 +143,11 @@ def write_bracketed(tree: ConstituencyTree) -> str:
     """Canonical one-line form; the empty tree serializes to ''."""
     if tree.root is None:
         return ""
-
-    def emit(node: Node) -> str:
-        if isinstance(node, Leaf):
-            return f"({node.token.pos or 'XX'} {node.token.word})"
-        return f"({node.label} " + " ".join(emit(c) for c in node.children) + ")"
-
-    return emit(tree.root)
+    return fold(
+        tree.root,
+        lambda leaf: f"({leaf.token.pos or 'XX'} {leaf.token.word})",
+        lambda node, parts: f"({node.label} " + " ".join(parts) + ")",
+    )
 
 
 def _strip_label(label: str) -> str:
@@ -165,34 +163,27 @@ def _strip_label(label: str) -> str:
 
 def normalize(tree: ConstituencyTree) -> ConstituencyTree:
     """Remove trace elements, strip functional tags, collapse unary chains."""
+    if tree.root is None:
+        return tree
+    kept = 0
 
-    def strip(node: Node) -> Optional[Node]:
-        if isinstance(node, Leaf):
-            return None if node.token.pos == _TRACE_TAG else node
-        children = tuple(c for c in map(strip, node.children) if c is not None)
+    def reindex(leaf: Leaf) -> Optional[Leaf]:
+        nonlocal kept
+        if leaf.token.pos == _TRACE_TAG:
+            return None
+        kept += 1
+        return Leaf(leaf.token, kept - 1)
+
+    def rebuild(node: Internal, children: list) -> Optional[Internal]:
+        children = [c for c in children if c is not None]
         if not children:
             return None
-        return Internal(_strip_label(node.label), children)
+        return collapsed_node(_strip_label(node.label), children)
 
-    root = strip(tree.root) if tree.root is not None else None
-    if tree.root is not None and root is None:
+    root = fold(tree.root, reindex, rebuild)
+    if root is None:
         raise DegenerateSentenceError("normalization removed the entire sentence")
-    if root is not None:
-        root = _reindex(root)
-    return collapse_unary_chains(ConstituencyTree(root))
-
-
-def _reindex(root: Internal) -> Internal:
-    counter = [0]
-
-    def walk(node: Node) -> Node:
-        if isinstance(node, Leaf):
-            leaf = Leaf(node.token, counter[0])
-            counter[0] += 1
-            return leaf
-        return Internal(node.label, tuple(walk(c) for c in node.children))
-
-    return walk(root)
+    return ConstituencyTree(root)
 
 
 def split_trees(text: str):
@@ -216,19 +207,12 @@ def split_trees(text: str):
         raise TreebankFormatError("unbalanced '('", start or 0)
 
 
-def _check_plain_labels(tree: ConstituencyTree, entry: int) -> None:
-    for node in _iter_internal(tree.root):
-        if LABEL_SEPARATOR in node.label:
+def _check_plain_labels(tree: ConstituencyTree) -> None:
+    for node in iter_nodes(tree.root):
+        if isinstance(node, Internal) and LABEL_SEPARATOR in node.label:
             raise TreebankFormatError(
-                f"label {node.label!r} contains the reserved separator", entry=entry
+                f"label {node.label!r} contains the reserved separator"
             )
-
-
-def _iter_internal(node):
-    if isinstance(node, Internal):
-        yield node
-        for c in node.children:
-            yield from _iter_internal(c)
 
 
 def load_corpus(
@@ -251,14 +235,16 @@ def load_corpus(
         try:
             tree = parse_bracketed(raw)
             if plain_labels:
-                _check_plain_labels(tree, i)
+                _check_plain_labels(tree)
             if normalization:
                 tree = normalize(tree)
-        except (TreebankFormatError, DegenerateSentenceError, ValueError) as err:
+        except ValueError as err:
             if strict:
-                if isinstance(err, TreebankFormatError) and err.entry is None:
-                    err.entry = i
-                raise TreebankFormatError(str(err), offset=offset, entry=i) from err
+                # Offsets inside the entry are relative to its start.
+                reason, where = str(err), offset
+                if isinstance(err, TreebankFormatError):
+                    reason, where = err.reason, offset + (err.offset or 0)
+                raise TreebankFormatError(reason, offset=where, entry=i) from err
             logger.warning("skipping malformed entry %d: %s", i, err)
             continue
         entries.append(CorpusEntry(len(entries), tree, raw))

@@ -1,8 +1,10 @@
 import pytest
 
 from ajparse.cli import main
+from ajparse.predictor import ActionScorer, ModelFormatError, decode_right_branching
 from ajparse.synth import generate_corpus
-from ajparse.treebank import write_corpus
+from ajparse.tree import rightmost_chain, tree_equal
+from ajparse.treebank import parse_bracketed, tokens_of, write_bracketed, write_corpus
 
 
 @pytest.fixture
@@ -148,3 +150,69 @@ def test_score_mismatched_corpora(capsys, tmp_path, corpus_file, sample_path):
     code, out, err = run(capsys, "score", corpus_file, sample_path)
     assert code == 1
     assert "RESULT ok=0 fail=1" in out
+
+
+def _trained_model(capsys, tmp_path, corpus_file):
+    model = tmp_path / "m.model"
+    run(capsys, "train", corpus_file, "--model", str(model), "--epochs", "1")
+    sents = tmp_path / "sents.txt"
+    sents.write_text("Arthur_NNP sees_VBZ the_DT grail_NN\n")
+    return model, sents
+
+
+def test_parse_rejects_model_cut_before_end(capsys, tmp_path, corpus_file):
+    model, sents = _trained_model(capsys, tmp_path, corpus_file)
+    text = model.read_text()
+    model.write_text(text[: text.index("[parent]")])
+    with pytest.raises(ModelFormatError):
+        ActionScorer.load(str(model))
+    code, out, err = run(capsys, "parse", str(sents), str(tmp_path / "o.mrg"),
+                         "--model", str(model))
+    assert code == 1
+    assert result_line(out) == "RESULT ok=0 fail=1"
+    assert "ends before [end]" in err
+
+
+def test_parse_rejects_short_weight_line(capsys, tmp_path, corpus_file):
+    model, sents = _trained_model(capsys, tmp_path, corpus_file)
+    lines = model.read_text().splitlines(keepends=True)
+    i = lines.index("[parent]\n") + 1
+    lines[i] = lines[i].split("\t", 1)[1]  # drop the feature field
+    model.write_text("".join(lines))
+    with pytest.raises(ModelFormatError):
+        ActionScorer.load(str(model))
+    code, out, err = run(capsys, "parse", str(sents), str(tmp_path / "o.mrg"),
+                         "--model", str(model))
+    assert code == 1
+    assert result_line(out) == "RESULT ok=0 fail=1"
+    assert "expected 3" in err
+
+
+def _right_branching(levels):
+    """``(S (T w0) (S (T w1) ... (S (T wN))...))``, ``levels`` S nodes deep."""
+    opens = "".join(f"(S (T w{i}) " for i in range(levels - 1))
+    return opens + f"(S (T w{levels - 1}))" + ")" * (levels - 1)
+
+
+def test_deeper_than_recursion_limit(capsys, tmp_path):
+    levels = 1100  # CPython's default recursion limit is 1000 frames
+    text = _right_branching(levels)
+    tree = parse_bracketed(text)
+    assert tree.length == levels
+    assert len(rightmost_chain(tree)) == levels
+    assert write_bracketed(tree) == text
+    assert tree_equal(parse_bracketed(write_bracketed(tree)), tree)
+    baseline = decode_right_branching(tokens_of(tree), "S")
+    assert baseline.length == levels
+
+    gold = str(tmp_path / "deep.mrg")
+    write_corpus([tree], gold)
+    for argv in (
+        ["oracle", gold, str(tmp_path / "actions.tsv")],
+        ["verify", gold],
+        ["translate-isr", gold, str(tmp_path / "isr.txt")],
+        ["stats", gold],
+        ["score", gold, gold],
+    ):
+        code, out, _ = run(capsys, *argv)
+        assert (code, result_line(out)) == (0, "RESULT ok=1 fail=0"), argv

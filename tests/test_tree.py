@@ -8,15 +8,16 @@ from ajparse.tree import (
     LabelFormatError,
     Leaf,
     Token,
-    chain_length,
     collapse_unary_chains,
+    iter_nodes,
     has_unary_chains,
-    leaf_tokens,
     replace_on_rightmost_chain,
     restore_unary_chains,
     rightmost_chain,
     tree_equal,
 )
+from ajparse.scoring import extract_brackets
+from ajparse.treebank import normalize, parse_bracketed, tokens_of, write_bracketed
 
 
 def leaf(word, index, pos="T"):
@@ -49,7 +50,7 @@ def test_leaf_root_rejected():
 def test_length_counts_leaves():
     t = ConstituencyTree(Internal("S", (leaf("a", 0), Internal("B", (leaf("b", 1),)))))
     assert t.length == 2
-    assert [tok.word for tok in leaf_tokens(t)] == ["a", "b"]
+    assert [tok.word for tok in tokens_of(t)] == ["a", "b"]
 
 
 def test_rightmost_chain_follows_last_children():
@@ -57,7 +58,7 @@ def test_rightmost_chain_follows_last_children():
     mid = Internal("B", (leaf("b", 0), inner))
     t = ConstituencyTree(Internal("A", (mid,)))
     assert [n.label for n in rightmost_chain(t)] == ["A", "B", "C"]
-    assert chain_length(t) == 3
+    assert len(rightmost_chain(t)) == 3
 
 
 def test_replace_on_rightmost_chain_rebuilds_ancestors():
@@ -158,3 +159,22 @@ def test_collapse_restore_roundtrip(t):
 def test_collapse_is_identity_without_chains(t):
     if not has_unary_chains(t):
         assert tree_equal(collapse_unary_chains(t), t)
+
+
+@given(trees())
+def test_write_parse_roundtrip(t):
+    assert tree_equal(parse_bracketed(write_bracketed(t)), t)
+
+
+@given(trees())
+def test_normalize_is_idempotent(t):
+    once = normalize(t)
+    assert tree_equal(normalize(once), once)
+
+
+@given(trees())
+def test_one_bracket_per_restored_internal_node(t):
+    for u in (t, collapse_unary_chains(t)):
+        restored = restore_unary_chains(u)
+        internal = sum(isinstance(n, Internal) for n in iter_nodes(restored.root))
+        assert sum(extract_brackets(u).values()) == internal

@@ -136,6 +136,21 @@ def test_load_corpus_strict_names_entry(tmp_path):
         load_corpus(str(p))
 
 
+def test_load_corpus_strict_error_gives_file_offset(tmp_path):
+    p = tmp_path / "bad.mrg"
+    p.write_text("(S (NN a))\n(S (NN b c))\n")
+    with pytest.raises(TreebankFormatError) as info:
+        load_corpus(str(p))
+    assert str(info.value) == "multiple tokens in one preterminal (entry 1) (offset 20)"
+    # An error without a position inside the entry points at the entry.
+    p.write_text("(S (NN a))\n(S+NP (NN b))\n")
+    with pytest.raises(TreebankFormatError) as info:
+        load_corpus(str(p))
+    assert str(info.value) == (
+        "label 'S+NP' contains the reserved separator (entry 1) (offset 11)"
+    )
+
+
 def test_load_corpus_lenient_skips(tmp_path):
     p = tmp_path / "bad.mrg"
     p.write_text("(S (NN a))\n(S (NN b) ())\n(S (NN c))\n")
