@@ -15,7 +15,7 @@ from . import exhaustive, predictor, scoring
 from .isr import SHIFT, format_isr_actions, is_legal_stack, isr_apply, translate_sequence
 from .oracle import oracle_action_sequence
 from .transition import apply_sequence, format_actions
-from .tree import Internal, iter_nodes, node_equal, tree_equal
+from .tree import Internal, Token, iter_nodes, node_equal, tree_equal
 from .treebank import (
     TreebankFormatError,
     load_corpus,
@@ -138,34 +138,41 @@ def cmd_train(args) -> int:
     return _result(len(entries), 0)
 
 
-def _read_sentences(path):
-    from .tree import Token
+# PTB tokens for a bare parenthesis, which bracketed output cannot hold.
+_PTB_PARENS = {"(": "-LRB-", ")": "-RRB-"}
 
-    sentences = []
-    with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            parts = line.split()
-            if not parts:
-                continue
-            tokens = []
-            for part in parts:
-                word, _, pos = part.rpartition("_")
-                tokens.append(Token(word, pos) if word else Token(part))
-            sentences.append(tokens)
-    return sentences
+
+def _ptb_text(text: str) -> str:
+    text = _PTB_PARENS.get(text, text)
+    if "(" in text or ")" in text:
+        raise ValueError(f"token text {text!r} holds a parenthesis")
+    return text
+
+
+def _sentence_tokens(line: str) -> list:
+    """``token[_POS]`` items of one input line as tokens; a word or tag that
+    is a bare ``(``/``)`` becomes ``-LRB-``/``-RRB-``."""
+    tokens = []
+    for part in line.split():
+        word, _, pos = part.rpartition("_")
+        if not word:
+            word, pos = part, ""
+        tokens.append(Token(_ptb_text(word), _ptb_text(pos)))
+    return tokens
 
 
 def cmd_parse(args) -> int:
     scorer = predictor.ActionScorer.load(args.model)
-    sentences = _read_sentences(args.input)
+    with open(args.input, encoding="utf-8") as fh:
+        lines = [line for line in fh if line.split()]
     ok = fail = 0
     with open(args.output, "w", encoding="utf-8") as out:
-        for tokens in sentences:
+        for i, line in enumerate(lines):
             try:
-                tree = predictor.decode_beam(scorer, tokens, args.beam)
+                tree = predictor.decode_beam(scorer, _sentence_tokens(line), args.beam)
             except ValueError as err:
                 fail += 1
-                print(f"sentence {ok + fail - 1}: {err}", file=sys.stderr)
+                print(f"sentence {i}: {err}", file=sys.stderr)
                 out.write("\n")
                 continue
             out.write(write_bracketed(tree) + "\n")
@@ -200,19 +207,26 @@ def cmd_score(args) -> int:
 def cmd_stats(args) -> int:
     entries = load_corpus(args.input, normalization=not args.no_normalize, strict=args.strict)
     kind_hist = Counter()
-    aj_total = isr_total = 0
+    aj_total = isr_total = fail = 0
     for entry in entries:
-        tokens = tokens_of(entry.tree)
-        actions = oracle_action_sequence(entry.tree)
+        try:
+            tokens = tokens_of(entry.tree)
+            actions = oracle_action_sequence(entry.tree)
+            isr_actions = translate_sequence(tokens, actions)
+        except ValueError as err:
+            fail += 1
+            print(f"entry {entry.id}: {err}", file=sys.stderr)
+            continue
         aj_total += len(actions)
-        isr_total += len(translate_sequence(tokens, actions))
+        isr_total += len(isr_actions)
         kind_hist.update(a.kind for a in actions)
-    print(f"sentences: {len(entries)}")
+    ok = len(entries) - fail
+    print(f"sentences: {ok}")
     print(f"aj actions: {aj_total}")
     print(f"isr actions: {isr_total}")
     for kind in sorted(kind_hist):
         print(f"action {kind}: {kind_hist[kind]}")
-    return _result(len(entries), 0)
+    return _result(ok, fail)
 
 
 def build_parser() -> argparse.ArgumentParser:

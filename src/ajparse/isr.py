@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Union
 
-from .transition import ATTACH, AjAction, IllegalActionError, apply_action
+from .transition import ATTACH, INITIAL_STATE, AjAction, apply_action, check_action
 from .tree import (
     ConstituencyTree,
     Internal,
@@ -229,17 +229,9 @@ def translate_action(state_tree: ConstituencyTree, action: AjAction) -> list:
     juxtapose(i, X, Y): (L - i) reduces, pj:Y, shift, then pj:X when given.
     The degenerate first attach on the empty tree uses zero reduces.
     """
-    depth = len(rightmost_chain(state_tree))
-    if state_tree.root is None:
-        if action.kind != ATTACH or action.target != 0 or action.parent_label is None:
-            raise IllegalActionError(
-                "the empty tree only admits attach(0, <label>)", action
-            )
+    depth = len(check_action(state_tree, action))
+    if depth == 0:
         n_reduce = 0
-    elif not 0 <= action.target < depth:
-        raise IllegalActionError(
-            f"target {action.target} outside rightmost chain of length {depth}", action
-        )
     elif action.kind == ATTACH:
         n_reduce = depth - action.target - 1
     else:
@@ -257,8 +249,6 @@ def translate_action(state_tree: ConstituencyTree, action: AjAction) -> list:
 def translate_sequence(tokens, actions) -> list:
     """Translate a full action sequence, closing all open projections with
     terminal reduces so the final stack holds a single subtree."""
-    from .transition import INITIAL_STATE  # local to avoid cycle at import time
-
     state = INITIAL_STATE
     out = []
     for token, action in zip(tokens, actions):

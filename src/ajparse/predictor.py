@@ -23,7 +23,7 @@ from .transition import (
     ParserState,
     apply_action,
     attach,
-    juxtapose,
+    legal_actions,
 )
 from .tree import ConstituencyTree, Internal, Token, iter_nodes, rightmost_chain
 from .treebank import tokens_of
@@ -107,10 +107,6 @@ class _AveragedWeights:
         self._totals = {}
         self._stamps = {}
         self.steps = 0
-
-    def score(self, keys) -> float:
-        w = self.w
-        return sum(w.get(k, 0.0) for k in keys)
 
     def tick(self):
         self.steps += 1
@@ -209,9 +205,32 @@ class ActionScorer:
         return cls(labels, tables["target"], tables["parent"], tables["new"])
 
 
+def _label_key(label: Optional[str]) -> str:
+    return label if label is not None else _NONE_KEY
+
+
 def _label_keys(feats, label: Optional[str]):
-    key = label if label is not None else _NONE_KEY
+    key = _label_key(label)
     return [(f, key) for f in feats]
+
+
+def _factor_scores(target_w, parent_w, new_w, feats, chain, token, choices):
+    """Score the three factors of one step over plain weight dicts.
+
+    Returns the target score of each chain depth (``[0.0]`` on the empty
+    tree, whose only target is 0) and, for the parent and new factors, a
+    map from each label in ``choices`` (None first) to its score.
+    """
+    targets = [
+        sum(target_w.get(f, 0.0) for f in _target_features(chain, d, token))
+        for d in range(len(chain))
+    ] or [0.0]
+    keyed = [(c, _label_key(c)) for c in choices]
+    parent, new = (
+        {c: sum(w.get((f, k), 0.0) for f in feats) for c, k in keyed}
+        for w in (parent_w, new_w)
+    )
+    return targets, parent, new
 
 
 def _tree_of(item) -> ConstituencyTree:
@@ -256,11 +275,8 @@ def train(corpus, epochs: int, seed: int) -> ActionScorer:
     if epochs < 1:
         raise ValueError("epochs must be >= 1")
     labels = collect_labels(corpus)
-    target_w = _AveragedWeights()
-    parent_w = _AveragedWeights()
-    new_w = _AveragedWeights()
-    parent_choices = [None] + labels
-    new_choices = [None] + labels
+    factors = target_w, parent_w, new_w = [_AveragedWeights() for _ in range(3)]
+    choices = [None] + labels
 
     examples = [_teacher_steps(_tree_of(item)) for item in corpus]
     rng = random.Random(seed)
@@ -274,16 +290,15 @@ def train(corpus, epochs: int, seed: int) -> ActionScorer:
             for state, token, context, prev_kind, action in examples[idx]:
                 feats = featurize(state, token, context, prev_kind)
                 chain = rightmost_chain(state.tree)
-                target_w.tick()
-                parent_w.tick()
-                new_w.tick()
-
+                for w in factors:
+                    w.tick()
+                targets, parent_scores, new_scores = _factor_scores(
+                    target_w.w, parent_w.w, new_w.w, feats, chain, token, choices
+                )
+                # First-max argmaxes: ties go to the smallest depth, then to
+                # None, then to the first label in sorted order.
                 if len(chain) > 1:
-                    scored = [
-                        (target_w.score(_target_features(chain, d, token)), -d)
-                        for d in range(len(chain))
-                    ]
-                    pred_d = -max(scored)[1]
+                    pred_d = max(range(len(targets)), key=targets.__getitem__)
                     totals["target"] += 1
                     if pred_d == action.target:
                         hits["target"] += 1
@@ -292,44 +307,26 @@ def train(corpus, epochs: int, seed: int) -> ActionScorer:
                             _target_features(chain, action.target, token), 1.0
                         )
                         target_w.update(_target_features(chain, pred_d, token), -1.0)
-
-                pred_p = _best_label(parent_w, feats, parent_choices)
-                totals["parent"] += 1
-                if pred_p == action.parent_label:
-                    hits["parent"] += 1
-                else:
-                    parent_w.update(_label_keys(feats, action.parent_label), 1.0)
-                    parent_w.update(_label_keys(feats, pred_p), -1.0)
-
-                gold_new = action.new_label
-                pred_n = _best_label(new_w, feats, new_choices)
-                totals["new"] += 1
-                if pred_n == gold_new:
-                    hits["new"] += 1
-                else:
-                    new_w.update(_label_keys(feats, gold_new), 1.0)
-                    new_w.update(_label_keys(feats, pred_n), -1.0)
+                for factor, w, scores, gold in (
+                    ("parent", parent_w, parent_scores, action.parent_label),
+                    ("new", new_w, new_scores, action.new_label),
+                ):
+                    pred = max(scores, key=scores.__getitem__)
+                    totals[factor] += 1
+                    if pred == gold:
+                        hits[factor] += 1
+                    else:
+                        w.update(_label_keys(feats, gold), 1.0)
+                        w.update(_label_keys(feats, pred), -1.0)
         history.append(
             {
                 factor: (hits[factor] / totals[factor] if totals[factor] else 1.0)
                 for factor in ("target", "parent", "new")
             }
         )
-    scorer = ActionScorer(
-        labels, target_w.averaged(), parent_w.averaged(), new_w.averaged()
-    )
+    scorer = ActionScorer(labels, *(w.averaged() for w in factors))
     scorer.epoch_accuracy = history
     return scorer
-
-
-def _best_label(weights: _AveragedWeights, feats, choices):
-    best = None
-    best_score = None
-    for choice in choices:
-        s = weights.score(_label_keys(feats, choice))
-        if best_score is None or s > best_score:
-            best, best_score = choice, s
-    return best  # ties resolve to the earliest choice (None, then sorted labels)
 
 
 def _label_sort_key(label: Optional[str]):
@@ -346,35 +343,17 @@ def _action_sort_key(action: AjAction):
 
 
 def _step_candidates(scorer: ActionScorer, state: ParserState, token: Token, context, prev_kind):
-    """Every legal action with its summed factor score."""
-    feats = featurize(state, token, context, prev_kind)
-    parent_scores = {
-        lbl: sum(scorer.parent_weights.get((f, lbl if lbl is not None else _NONE_KEY), 0.0) for f in feats)
-        for lbl in [None] + scorer.labels
-    }
-    new_scores = {
-        lbl: sum(scorer.new_weights.get((f, lbl if lbl is not None else _NONE_KEY), 0.0) for f in feats)
-        for lbl in [None] + scorer.labels
-    }
-    if state.tree.root is None:
-        # Degenerate first step: attach(0, X) only.
-        return [
-            (parent_scores[lbl] + new_scores[None], attach(0, lbl))
-            for lbl in scorer.labels
-        ]
-    chain = rightmost_chain(state.tree)
-    target_scores = [
-        sum(scorer.target_weights.get(f, 0.0) for f in _target_features(chain, d, token))
-        for d in range(len(chain))
+    """Every legal action with its summed factor score, in ``legal_actions``
+    order."""
+    t, p, n = _factor_scores(
+        scorer.target_weights, scorer.parent_weights, scorer.new_weights,
+        featurize(state, token, context, prev_kind), rightmost_chain(state.tree),
+        token, [None] + scorer.labels,
+    )
+    return [
+        (t[a.target] + p[a.parent_label] + n[a.new_label], a)
+        for a in legal_actions(state, scorer.labels)
     ]
-    out = []
-    for d, ts in enumerate(target_scores):
-        for p, ps in parent_scores.items():
-            base = ts + ps
-            out.append((base + new_scores[None], attach(d, p)))
-            for q in scorer.labels:
-                out.append((base + new_scores[q], juxtapose(d, p, q)))
-    return out
 
 
 def _log_softmax(scores):

@@ -11,7 +11,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 
-from .tree import ConstituencyTree, Internal, fold, restore_unary_chains
+from .tree import ConstituencyTree, Internal, fold, iter_leaves, restore_unary_chains
 
 
 @dataclass(frozen=True)
@@ -52,6 +52,13 @@ def score(gold, predicted) -> ScoreReport:
             raise ValueError(
                 f"sentence {i}: gold has {g.length} tokens, predicted has {p.length}"
             )
+        # Words must agree; POS tags are not compared.
+        for j, (gl, pl) in enumerate(zip(iter_leaves(g.root), iter_leaves(p.root))):
+            if gl.token.word != pl.token.word:
+                raise ValueError(
+                    f"sentence {i}: token {j} is {gl.token.word!r} in gold"
+                    f" but {pl.token.word!r} in predicted"
+                )
         gb = extract_brackets(g)
         pb = extract_brackets(p)
         matched += sum((gb & pb).values())

@@ -113,28 +113,31 @@ class ParserState:
 INITIAL_STATE = ParserState(EMPTY_TREE)
 
 
-def apply_action(state: ParserState, token: Token, action: AjAction) -> ParserState:
-    """Execute one action, integrating ``token`` into the partial tree."""
-    leaf = Leaf(token, state.consumed)
-    if state.tree.root is None:
-        # Degenerate first action: parent_label becomes the new root.
-        if (
-            action.kind != ATTACH
-            or action.target != 0
-            or action.parent_label is None
-        ):
+def check_action(tree: ConstituencyTree, action: AjAction) -> list:
+    """The legality rule shared by every consumer of actions: the empty tree
+    admits only ``attach(0, <label>)``, any other tree a target on its
+    rightmost chain. Returns that chain (empty for the empty tree)."""
+    chain = rightmost_chain(tree)
+    if tree.root is None:
+        if action.kind != ATTACH or action.target != 0 or action.parent_label is None:
             raise IllegalActionError(
                 "the empty tree only admits attach(0, <label>)", action
             )
-        root = Internal(action.parent_label, (leaf,))
-        return ParserState(ConstituencyTree(root))
-
-    chain = rightmost_chain(state.tree)
-    if not 0 <= action.target < len(chain):
+    elif not 0 <= action.target < len(chain):
         raise IllegalActionError(
             f"target {action.target} outside rightmost chain of length {len(chain)}",
             action,
         )
+    return chain
+
+
+def apply_action(state: ParserState, token: Token, action: AjAction) -> ParserState:
+    """Execute one action, integrating ``token`` into the partial tree."""
+    leaf = Leaf(token, state.consumed)
+    chain = check_action(state.tree, action)
+    if not chain:
+        # Degenerate first action: parent_label becomes the new root.
+        return ParserState(ConstituencyTree(Internal(action.parent_label, (leaf,))))
     new_child = (
         leaf
         if action.parent_label is None
@@ -152,18 +155,20 @@ def apply_action(state: ParserState, token: Token, action: AjAction) -> ParserSt
 def legal_actions(state: ParserState, label_vocabulary) -> list:
     """Enumerate the unrestricted action space for a state.
 
-    Empty tree: attach(0, X) for each label X. Otherwise every attach(d, p)
-    and juxtapose(d, p, q) with d on the chain, p in V + {None}, q in V.
+    Empty tree: attach(0, X) for each label X. Otherwise, for each depth d
+    on the chain and each p in None + sorted(V): attach(d, p), then
+    juxtapose(d, p, q) for each q in sorted(V). Decoding scores candidates
+    in this order, and ``_log_softmax`` sums in it, so changing the order
+    can change parses in the last bit.
     """
     labels = sorted(label_vocabulary)
     if state.tree.root is None:
         return [attach(0, lbl) for lbl in labels]
-    depth = len(rightmost_chain(state.tree))
-    parents = [None] + labels
-    actions = [attach(d, p) for d in range(depth) for p in parents]
-    actions += [
-        juxtapose(d, p, q) for d in range(depth) for p in parents for q in labels
-    ]
+    actions = []
+    for d in range(len(rightmost_chain(state.tree))):
+        for p in [None] + labels:
+            actions.append(attach(d, p))
+            actions += [juxtapose(d, p, q) for q in labels]
     return actions
 
 

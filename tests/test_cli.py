@@ -96,6 +96,50 @@ def test_stats(capsys, sample_path):
     assert "action attach:" in out
 
 
+def test_stats_counts_failures_per_entry(capsys, tmp_path, sample_path):
+    p = tmp_path / "mixed.mrg"
+    with open(sample_path) as fh:
+        good = fh.read().splitlines()
+    p.write_text("\n".join([good[0], "(S (NP (NN a)))", good[1]]) + "\n")
+    code, out, err = run(capsys, "stats", str(p), "--no-normalize")
+    assert code == 1
+    assert result_line(out) == "RESULT ok=2 fail=1"
+    assert "sentences: 2" in out
+    assert "entry 1:" in err
+    code, out, _ = run(capsys, "verify", str(p), "--no-normalize")
+    assert result_line(out) == "RESULT ok=2 fail=1"
+
+
+def test_parse_writes_parentheses_as_ptb_tokens(capsys, tmp_path):
+    gold_text = "(S (NP (DT the) (-LRB- -LRB-) (NN king) (-RRB- -RRB-)) (VP (VBZ waves)))"
+    gold = tmp_path / "gold.mrg"
+    gold.write_text((gold_text + "\n") * 3)
+    model = tmp_path / "m.model"
+    run(capsys, "train", str(gold), "--model", str(model), "--epochs", "3")
+    sents = tmp_path / "sents.txt"
+    sents.write_text("the_DT (_( king_NN )_) waves_VBZ\n")
+    predicted = tmp_path / "pred.mrg"
+    code, out, _ = run(capsys, "parse", str(sents), str(predicted), "--model", str(model))
+    assert (code, result_line(out)) == (0, "RESULT ok=1 fail=0")
+    text = predicted.read_text()
+    assert "(-LRB- -LRB-)" in text and "(-RRB- -RRB-)" in text
+    gold.write_text(gold_text + "\n")
+    code, out, _ = run(capsys, "score", str(gold), str(predicted))
+    assert (code, result_line(out)) == (0, "RESULT ok=1 fail=0")
+    assert "sentences=1" in out
+
+
+def test_parse_fails_only_the_sentence_with_a_parenthesis(capsys, tmp_path, corpus_file):
+    model, sents = _trained_model(capsys, tmp_path, corpus_file)
+    sents.write_text("Arthur_NNP sees_VBZ\nthe_DT gr(ail_NN\nArthur_NNP waves_V)BZ\n")
+    predicted = tmp_path / "pred.mrg"
+    code, out, err = run(capsys, "parse", str(sents), str(predicted), "--model", str(model))
+    assert (code, result_line(out)) == (1, "RESULT ok=1 fail=2")
+    assert "sentence 1:" in err and "sentence 2:" in err
+    assert "Traceback" not in err
+    assert predicted.read_text().splitlines()[1:] == ["", ""]
+
+
 def test_train_parse_score_pipeline(capsys, tmp_path, corpus_file):
     model = tmp_path / "m.model"
     code, out, err = run(

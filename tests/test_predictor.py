@@ -1,3 +1,5 @@
+import hashlib
+
 import pytest
 
 from ajparse.predictor import (
@@ -13,7 +15,7 @@ from ajparse.predictor import (
 from ajparse.scoring import score
 from ajparse.synth import generate_corpus
 from ajparse.tree import tree_equal
-from ajparse.treebank import tokens_of
+from ajparse.treebank import tokens_of, write_bracketed
 
 
 @pytest.fixture(scope="module")
@@ -140,3 +142,25 @@ def test_model_load_validates_format(tmp_path):
     p.write_text("ajparse-model\t999\nlabels\tS\n[end]\n")
     with pytest.raises(ModelFormatError):
         ActionScorer.load(str(p))
+
+
+# sha256 of the model file and of the parses of small_corpus[100:], one
+# bracketed tree per line. Refactors of training or decoding must keep
+# model files and parses byte-identical.
+GOLDEN_MODEL = "acaa2d877f09e06e2f7c0659f17e85610dfcd1d6324507c0e841b1163383e969"
+GOLDEN_PARSES = {
+    1: "905f86b74b04ff57b2f4165d6037927405cc48c9e008f02f969ee5e9191043ec",
+    10: "905f86b74b04ff57b2f4165d6037927405cc48c9e008f02f969ee5e9191043ec",
+}
+
+
+def test_golden_model_and_parses(trained, small_corpus, tmp_path):
+    p = tmp_path / "golden.model"
+    trained.save(str(p))
+    assert hashlib.sha256(p.read_bytes()).hexdigest() == GOLDEN_MODEL
+    for beam, digest in GOLDEN_PARSES.items():
+        text = "".join(
+            write_bracketed(decode_beam(trained, tokens_of(t), beam)) + "\n"
+            for t in small_corpus[100:]
+        )
+        assert hashlib.sha256(text.encode()).hexdigest() == digest, beam

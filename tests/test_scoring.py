@@ -56,6 +56,16 @@ def test_score_length_mismatch_names_sentence():
         score(gold, pred)
 
 
+def test_score_word_mismatch_names_sentence_and_token():
+    gold = [parse_bracketed("(S (NP (NNP Arthur)) (VP (VBZ is) (NP (DT the) (NN king))))")]
+    pred = [parse_bracketed("(S (NP (NNP Bob)) (VP (VBZ is) (NP (DT a) (NN king))))")]
+    with pytest.raises(ValueError, match=r"sentence 0: token 0 is 'Arthur'"):
+        score(gold, pred)
+    # POS tags are not compared.
+    retagged = [parse_bracketed("(S (NP (NN Arthur)) (VP (VB is) (NP (DT the) (NN king))))")]
+    assert score(gold, retagged).f1 == 100.0
+
+
 def test_score_corpus_size_mismatch():
     gold = [parse_bracketed("(S (T a))")]
     with pytest.raises(ValueError):

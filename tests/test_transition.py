@@ -1,5 +1,8 @@
 import pytest
+from hypothesis import given, settings
 
+from ajparse.isr import SHIFT, translate_action
+from ajparse.oracle import oracle_action_sequence
 from ajparse.transition import (
     INITIAL_STATE,
     AjAction,
@@ -12,7 +15,10 @@ from ajparse.transition import (
     legal_actions,
     parse_actions,
 )
-from ajparse.tree import Internal, Token, rightmost_chain
+from ajparse.tree import Internal, Token, collapse_unary_chains, rightmost_chain
+from ajparse.treebank import tokens_of
+
+from test_tree import trees
 
 
 def tok(word, pos="T"):
@@ -126,16 +132,48 @@ def test_legal_actions_empty_tree():
     assert acts == [attach(0, "NP"), attach(0, "S")]
 
 
-def test_legal_actions_counts():
+def test_legal_actions_grouped_order():
     state = apply_action(INITIAL_STATE, tok("a"), attach(0, "S"))
-    state = apply_action(state, tok("b"), attach(0, "NP"))
-    depth = len(rightmost_chain(state.tree))
-    acts = legal_actions(state, {"A", "B"})
-    # depth * (|V|+1) attaches + depth * (|V|+1) * |V| juxtaposes
-    assert len(acts) == depth * 3 + depth * 3 * 2
-    assert len(set(acts)) == len(acts)
-    for a in acts:
-        apply_action(state, tok("c"), a)  # all must be applicable
+    assert legal_actions(state, {"A"}) == [
+        attach(0, None),
+        juxtapose(0, None, "A"),
+        attach(0, "A"),
+        juxtapose(0, "A", "A"),
+    ]
+
+
+@settings(max_examples=60)
+@given(trees())
+def test_legal_actions_counts(t):
+    # At every oracle-prefix state, legal_actions, apply_action and
+    # translate_action agree on which actions are legal.
+    t = collapse_unary_chains(t)
+    vocab = {"A", "B"}
+    state = INITIAL_STATE
+    for token, gold in zip(tokens_of(t), oracle_action_sequence(t)):
+        depth = len(rightmost_chain(state.tree))
+        acts = legal_actions(state, vocab)
+        if depth == 0:
+            assert len(acts) == len(vocab)
+            illegal = [
+                attach(0, None),
+                attach(1, "A"),
+                juxtapose(0, None, "A"),
+                juxtapose(0, "A", "B"),
+            ]
+        else:
+            assert len(acts) == depth * (len(vocab) + 1) ** 2
+            illegal = [attach(depth, None), attach(depth, "A"), juxtapose(depth, "A", "B")]
+        assert len(set(acts)) == len(acts)
+        for a in acts:
+            assert apply_action(state, token, a).tree.length == state.tree.length + 1
+            assert translate_action(state.tree, a).count(SHIFT) == 1
+        for a in illegal:
+            with pytest.raises(IllegalActionError):
+                apply_action(state, token, a)
+            with pytest.raises(IllegalActionError):
+                translate_action(state.tree, a)
+        state = apply_action(state, token, gold)
 
 
 def test_apply_sequence_length_mismatch():
