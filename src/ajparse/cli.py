@@ -306,6 +306,11 @@ def main(argv=None) -> int:
         print(str(err), file=sys.stderr)
         print("RESULT ok=0 fail=1")
         return 1
+    except Exception as err:
+        # Last resort, so that every input still ends in a RESULT line.
+        print(f"internal error: {type(err).__name__}: {err}", file=sys.stderr)
+        print("RESULT ok=0 fail=1")
+        return 1
 
 
 if __name__ == "__main__":

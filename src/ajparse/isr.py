@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Union
 
-from .transition import ATTACH, INITIAL_STATE, AjAction, apply_action, check_action
+from .transition import ATTACH, AjAction, check_action, check_depth
 from .tree import (
     ConstituencyTree,
     Internal,
@@ -229,7 +229,12 @@ def translate_action(state_tree: ConstituencyTree, action: AjAction) -> list:
     juxtapose(i, X, Y): (L - i) reduces, pj:Y, shift, then pj:X when given.
     The degenerate first attach on the empty tree uses zero reduces.
     """
-    depth = len(check_action(state_tree, action))
+    return _translate(len(check_action(state_tree, action)), action)
+
+
+def _translate(depth: int, action: AjAction) -> list:
+    """``translate_action`` on a state with a legal action and a rightmost
+    chain of ``depth`` nodes."""
     if depth == 0:
         n_reduce = 0
     elif action.kind == ATTACH:
@@ -248,13 +253,19 @@ def translate_action(state_tree: ConstituencyTree, action: AjAction) -> list:
 
 def translate_sequence(tokens, actions) -> list:
     """Translate a full action sequence, closing all open projections with
-    terminal reduces so the final stack holds a single subtree."""
-    state = INITIAL_STATE
+    terminal reduces so the final stack holds a single subtree.
+
+    Only the rightmost chain's length matters, so no tree is built: after
+    the first action it is 1, and after any other it is the target depth
+    plus one, plus one more for a parent label.
+    """
+    depth = 0
     out = []
-    for token, action in zip(tokens, actions):
-        out.extend(translate_action(state.tree, action))
-        state = apply_action(state, token, action)
-    out.extend([REDUCE] * len(rightmost_chain(state.tree)))
+    for _, action in zip(tokens, actions):
+        check_depth(depth, action)
+        out.extend(_translate(depth, action))
+        depth = 1 if depth == 0 else action.target + 1 + (action.parent_label is not None)
+    out.extend([REDUCE] * depth)
     return out
 
 

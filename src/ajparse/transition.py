@@ -113,21 +113,28 @@ class ParserState:
 INITIAL_STATE = ParserState(EMPTY_TREE)
 
 
-def check_action(tree: ConstituencyTree, action: AjAction) -> list:
-    """The legality rule shared by every consumer of actions: the empty tree
+def check_depth(depth: int, action: AjAction) -> None:
+    """The legality rule shared by every consumer of actions, on a state
+    whose rightmost chain has ``depth`` nodes: the empty tree (depth 0)
     admits only ``attach(0, <label>)``, any other tree a target on its
-    rightmost chain. Returns that chain (empty for the empty tree)."""
-    chain = rightmost_chain(tree)
-    if tree.root is None:
+    rightmost chain."""
+    if depth == 0:
         if action.kind != ATTACH or action.target != 0 or action.parent_label is None:
             raise IllegalActionError(
                 "the empty tree only admits attach(0, <label>)", action
             )
-    elif not 0 <= action.target < len(chain):
+    elif not 0 <= action.target < depth:
         raise IllegalActionError(
-            f"target {action.target} outside rightmost chain of length {len(chain)}",
+            f"target {action.target} outside rightmost chain of length {depth}",
             action,
         )
+
+
+def check_action(tree: ConstituencyTree, action: AjAction) -> list:
+    """``check_depth`` on ``tree``; returns its rightmost chain (empty for
+    the empty tree)."""
+    chain = rightmost_chain(tree)
+    check_depth(len(chain), action)
     return chain
 
 
@@ -172,16 +179,60 @@ def legal_actions(state: ParserState, label_vocabulary) -> list:
     return actions
 
 
+# An open rightmost chain is a list of ``[label, children]`` frames, root
+# first. A frame's children are finished nodes; the node of the next frame
+# is its implicit last child. Whole-sequence operations edit the frames in
+# place and build each ``Internal`` once, when it leaves the chain, so a
+# sentence costs O(n) instead of one tree rebuild per action.
+
+
+def open_chain(chain: list, node) -> None:
+    """Push ``node`` and the internal nodes along its last-child links as
+    frames; a leaf pushes nothing."""
+    while isinstance(node, Internal):
+        children = list(node.children)
+        chain.append([node.label, children])
+        node = children.pop() if isinstance(children[-1], Internal) else None
+
+
+def close_chain(chain: list, depth: int):
+    """Pop the frames at ``depth`` and below, building their nodes deepest
+    first; returns the node of the frame at ``depth`` (None if there is
+    none)."""
+    node = None
+    while len(chain) > depth:
+        label, children = chain.pop()
+        if node is not None:
+            children.append(node)
+        node = Internal(label, tuple(children))
+    return node
+
+
 def apply_sequence(tokens, actions) -> ConstituencyTree:
-    """Fold ``apply_action`` over a full action sequence from the empty tree."""
+    """The tree that a full action sequence builds from the empty tree: the
+    ``apply_action`` fold, run forward on an open chain."""
     if len(tokens) != len(actions):
         raise ValueError(
             f"{len(tokens)} tokens but {len(actions)} actions; lengths must match"
         )
-    state = INITIAL_STATE
+    chain = []
     for i, (token, action) in enumerate(zip(tokens, actions)):
         try:
-            state = apply_action(state, token, action)
+            check_depth(len(chain), action)
         except IllegalActionError as err:
             raise IllegalActionError(err.reason, action, step=i) from err
-    return state.tree
+        leaf = Leaf(token, i)
+        if not chain:
+            chain.append([action.parent_label, [leaf]])
+            continue
+        if action.kind == ATTACH:
+            below = close_chain(chain, action.target + 1)
+            if below is not None:
+                chain[-1][1].append(below)
+        else:
+            chain.append([action.new_label, [close_chain(chain, action.target)]])
+        if action.parent_label is None:
+            chain[-1][1].append(leaf)
+        else:
+            chain.append([action.parent_label, [leaf]])
+    return ConstituencyTree(close_chain(chain, 0))

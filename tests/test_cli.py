@@ -260,3 +260,37 @@ def test_deeper_than_recursion_limit(capsys, tmp_path):
     ):
         code, out, _ = run(capsys, *argv)
         assert (code, result_line(out)) == (0, "RESULT ok=1 fail=0"), argv
+
+
+def _flat(leaves):
+    """``(S (T w0) (T w1) ... (T wN))``, one node over ``leaves`` leaves."""
+    return "(S " + " ".join(f"(T w{i})" for i in range(leaves)) + ")"
+
+
+@pytest.mark.parametrize("text", [_right_branching(5000), _flat(5000)], ids=["deep", "flat"])
+def test_long_sentence_through_every_corpus_command(capsys, tmp_path, text):
+    # At 5,000 tokens a command that rebuilds the tree per action, O(n^2),
+    # takes about a minute on the deep sentence.
+    gold = tmp_path / "long.mrg"
+    gold.write_text(text + "\n")
+    gold = str(gold)
+    for argv in (
+        ["oracle", gold, str(tmp_path / "actions.tsv")],
+        ["verify", gold],
+        ["translate-isr", gold, str(tmp_path / "isr.txt")],
+        ["stats", gold],
+        ["score", gold, gold],
+    ):
+        code, out, _ = run(capsys, *argv)
+        assert (code, result_line(out)) == (0, "RESULT ok=1 fail=0"), argv
+
+
+def test_unexpected_error_ends_in_result_line(capsys, monkeypatch, sample_path):
+    def broken(args):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr("ajparse.cli.cmd_stats", broken)
+    code, out, err = run(capsys, "stats", sample_path)
+    assert code == 1
+    assert result_line(out) == "RESULT ok=0 fail=1"
+    assert err.strip() == "internal error: RuntimeError: boom"
