@@ -24,11 +24,12 @@ from .isr import (
     isr_apply,
     phi,
     project,
+    translate_action,
     xi,
     SHIFT,
 )
 from .oracle import oracle_action_sequence
-from .transition import INITIAL_STATE, apply_action, legal_actions
+from .transition import INITIAL_STATE, apply_action, apply_sequence, legal_actions
 from .tree import ConstituencyTree, Internal, Leaf, Token, node_equal, rightmost_chain
 
 MAX_LEAVES = 6
@@ -117,13 +118,13 @@ def _enumerate_final_trees(n_max: int, labels):
     frontier = deque([INITIAL_STATE])
     while frontier:
         state = frontier.pop()
-        if state.consumed >= n_max:
+        if state.length >= n_max:
             continue
-        token = _token(state.consumed)
+        token = _token(state.length)
         for action in legal_actions(state, labels):
             succ = apply_action(state, token, action)
             sequences += 1
-            results[succ.tree] += 1
+            results[succ] += 1
             frontier.append(succ)
     return results, sequences
 
@@ -143,10 +144,8 @@ def check_oracle_uniqueness(n_max: int, labels, report: CheckReport) -> None:
                 )
                 continue
             actions = oracle_action_sequence(tree, case_tally=report.case_tally)
-            rebuilt = INITIAL_STATE
-            for i, action in enumerate(actions):
-                rebuilt = apply_action(rebuilt, _token(i), action)
-            if not node_equal(rebuilt.tree.root, tree.root):
+            rebuilt = apply_sequence([_token(i) for i in range(len(actions))], actions)
+            if not node_equal(rebuilt.root, tree.root):
                 report.failures.append(f"oracle failed to rebuild {tree!r}")
 
 
@@ -235,15 +234,13 @@ def enumerate_legal_stacks(max_tokens: int, labels, max_internal: int = None):
 
 def check_translation(n_max: int, labels, report: CheckReport) -> None:
     """Per-step translation soundness over every enumerated oracle step."""
-    from .isr import translate_action
-
     for n in range(1, n_max + 1):
         for tree in enumerate_trees(n, labels):
             state = INITIAL_STATE
             stack = EMPTY_STACK
             for i, action in enumerate(oracle_action_sequence(tree)):
                 token = _token(i)
-                for isr_action in translate_action(state.tree, action):
+                for isr_action in translate_action(state, action):
                     tok = token if isr_action == SHIFT else None
                     stack = isr_apply(stack, isr_action, tok)
                     if not is_legal_stack(stack):
@@ -251,7 +248,7 @@ def check_translation(n_max: int, labels, report: CheckReport) -> None:
                             f"illegal intermediate stack for {tree!r} step {i}"
                         )
                 state = apply_action(state, token, action)
-                expected = gamma(xi(state.tree))
+                expected = gamma(xi(state))
                 if stack.elements != expected.elements:
                     report.failures.append(
                         f"translated replay diverged for {tree!r} at step {i}"
@@ -261,10 +258,10 @@ def check_translation(n_max: int, labels, report: CheckReport) -> None:
 
 
 def run_all_checks(n_max: int, vocab_size: int) -> CheckReport:
-    if n_max > MAX_LEAVES:
-        raise ValueError(f"n_max must be <= {MAX_LEAVES}")
-    if vocab_size > MAX_VOCAB:
-        raise ValueError(f"vocab_size must be <= {MAX_VOCAB}")
+    if not 1 <= n_max <= MAX_LEAVES:
+        raise ValueError(f"n_max must be between 1 and {MAX_LEAVES}")
+    if not 1 <= vocab_size <= MAX_VOCAB:
+        raise ValueError(f"vocab_size must be between 1 and {MAX_VOCAB}")
     labels = [chr(ord("A") + i) for i in range(vocab_size)]
     report = CheckReport()
     # The searches allocate heavily and build no reference cycles; pausing

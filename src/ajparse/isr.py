@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Union
 
-from .transition import ATTACH, AjAction, check_action, check_depth
+from .transition import ATTACH, AjAction, check_depth
 from .tree import (
     ConstituencyTree,
     Internal,
@@ -229,7 +229,9 @@ def translate_action(state_tree: ConstituencyTree, action: AjAction) -> list:
     juxtapose(i, X, Y): (L - i) reduces, pj:Y, shift, then pj:X when given.
     The degenerate first attach on the empty tree uses zero reduces.
     """
-    return _translate(len(check_action(state_tree, action)), action)
+    depth = len(rightmost_chain(state_tree))
+    check_depth(depth, action)
+    return _translate(depth, action)
 
 
 def _translate(depth: int, action: AjAction) -> list:

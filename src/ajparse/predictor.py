@@ -20,8 +20,8 @@ from .transition import (
     ATTACH,
     INITIAL_STATE,
     AjAction,
-    ParserState,
     apply_action,
+    apply_sequence,
     attach,
     legal_actions,
 )
@@ -42,7 +42,7 @@ def _node_tag(node) -> str:
     return node.label if isinstance(node, Internal) else (node.token.pos or node.token.word)
 
 
-def featurize(state: ParserState, token: Token, context=(), prev_kind: str = "none"):
+def featurize(state: ConstituencyTree, token: Token, context=(), prev_kind: str = "none"):
     """Sparse state features shared by the label factors.
 
     ``context`` holds up to the two preceding tokens, oldest first. Output
@@ -50,7 +50,7 @@ def featurize(state: ParserState, token: Token, context=(), prev_kind: str = "no
     """
     w = token.word
     p = token.pos or "~"
-    chain = rightmost_chain(state.tree)
+    chain = rightmost_chain(state)
     depth = len(chain)
     feats = [
         f"w={w}",
@@ -289,7 +289,7 @@ def train(corpus, epochs: int, seed: int) -> ActionScorer:
         for idx in order:
             for state, token, context, prev_kind, action in examples[idx]:
                 feats = featurize(state, token, context, prev_kind)
-                chain = rightmost_chain(state.tree)
+                chain = rightmost_chain(state)
                 for w in factors:
                     w.tick()
                 targets, parent_scores, new_scores = _factor_scores(
@@ -342,12 +342,12 @@ def _action_sort_key(action: AjAction):
     )
 
 
-def _step_candidates(scorer: ActionScorer, state: ParserState, token: Token, context, prev_kind):
+def _step_candidates(scorer: ActionScorer, state: ConstituencyTree, token: Token, context, prev_kind):
     """Every legal action with its summed factor score, in ``legal_actions``
     order."""
     t, p, n = _factor_scores(
         scorer.target_weights, scorer.parent_weights, scorer.new_weights,
-        featurize(state, token, context, prev_kind), rightmost_chain(state.tree),
+        featurize(state, token, context, prev_kind), rightmost_chain(state),
         token, [None] + scorer.labels,
     )
     return [
@@ -393,7 +393,7 @@ def decode_beam(scorer: ActionScorer, tokens, beam: int) -> ConstituencyTree:
             (total, rank, apply_action(state, token, action), action.kind)
             for rank, (total, _, _, state, action) in enumerate(candidates[:beam])
         ]
-    return items[0][2].tree
+    return items[0][2]
 
 
 def decode_greedy(scorer: ActionScorer, tokens) -> ConstituencyTree:
@@ -410,8 +410,5 @@ def majority_label(corpus) -> str:
 def decode_right_branching(tokens, label: str) -> ConstituencyTree:
     """Deterministic baseline: each token attaches at the deepest chain node
     under a single label."""
-    state = INITIAL_STATE
-    for token in tokens:
-        depth = len(rightmost_chain(state.tree))
-        state = apply_action(state, token, attach(max(depth - 1, 0), label))
-    return state.tree
+    # Before token i the chain has i nodes.
+    return apply_sequence(tokens, [attach(max(i - 1, 0), label) for i in range(len(tokens))])

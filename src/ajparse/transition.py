@@ -18,7 +18,6 @@ from .tree import (
     Internal,
     Leaf,
     Token,
-    replace_on_rightmost_chain,
     rightmost_chain,
 )
 
@@ -101,16 +100,7 @@ def parse_actions(text: str) -> list:
     return actions
 
 
-@dataclass(frozen=True)
-class ParserState:
-    tree: ConstituencyTree
-
-    @property
-    def consumed(self) -> int:
-        return self.tree.length
-
-
-INITIAL_STATE = ParserState(EMPTY_TREE)
+INITIAL_STATE = EMPTY_TREE
 
 
 def check_depth(depth: int, action: AjAction) -> None:
@@ -130,36 +120,7 @@ def check_depth(depth: int, action: AjAction) -> None:
         )
 
 
-def check_action(tree: ConstituencyTree, action: AjAction) -> list:
-    """``check_depth`` on ``tree``; returns its rightmost chain (empty for
-    the empty tree)."""
-    chain = rightmost_chain(tree)
-    check_depth(len(chain), action)
-    return chain
-
-
-def apply_action(state: ParserState, token: Token, action: AjAction) -> ParserState:
-    """Execute one action, integrating ``token`` into the partial tree."""
-    leaf = Leaf(token, state.consumed)
-    chain = check_action(state.tree, action)
-    if not chain:
-        # Degenerate first action: parent_label becomes the new root.
-        return ParserState(ConstituencyTree(Internal(action.parent_label, (leaf,))))
-    new_child = (
-        leaf
-        if action.parent_label is None
-        else Internal(action.parent_label, (leaf,))
-    )
-    target_node = chain[action.target]
-    if action.kind == ATTACH:
-        replacement = Internal(target_node.label, target_node.children + (new_child,))
-    else:
-        replacement = Internal(action.new_label, (target_node, new_child))
-    root = replace_on_rightmost_chain(chain, action.target, replacement)
-    return ParserState(ConstituencyTree(root))
-
-
-def legal_actions(state: ParserState, label_vocabulary) -> list:
+def legal_actions(state: ConstituencyTree, label_vocabulary) -> list:
     """Enumerate the unrestricted action space for a state.
 
     Empty tree: attach(0, X) for each label X. Otherwise, for each depth d
@@ -169,10 +130,10 @@ def legal_actions(state: ParserState, label_vocabulary) -> list:
     can change parses in the last bit.
     """
     labels = sorted(label_vocabulary)
-    if state.tree.root is None:
+    if state.root is None:
         return [attach(0, lbl) for lbl in labels]
     actions = []
-    for d in range(len(rightmost_chain(state.tree))):
+    for d in range(len(rightmost_chain(state))):
         for p in [None] + labels:
             actions.append(attach(d, p))
             actions += [juxtapose(d, p, q) for q in labels]
@@ -181,9 +142,10 @@ def legal_actions(state: ParserState, label_vocabulary) -> list:
 
 # An open rightmost chain is a list of ``[label, children]`` frames, root
 # first. A frame's children are finished nodes; the node of the next frame
-# is its implicit last child. Whole-sequence operations edit the frames in
-# place and build each ``Internal`` once, when it leaves the chain, so a
-# sentence costs O(n) instead of one tree rebuild per action.
+# is its implicit last child. ``step`` edits the frames in place, and each
+# ``Internal`` is built when it leaves the chain. ``apply_action`` opens and
+# closes a tree's chain around one step; whole-sequence operations keep one
+# chain open, so a sentence costs O(n) instead of a tree rebuild per action.
 
 
 def open_chain(chain: list, node) -> None:
@@ -208,9 +170,38 @@ def close_chain(chain: list, depth: int):
     return node
 
 
+def step(chain: list, leaf: Leaf, action: AjAction) -> None:
+    """Apply a legal ``action`` to the open ``chain`` in place, integrating
+    ``leaf``: the one attach/juxtapose rule behind ``apply_action`` and
+    ``apply_sequence``."""
+    if not chain:
+        # Degenerate first action: parent_label becomes the new root.
+        chain.append([action.parent_label, [leaf]])
+        return
+    if action.kind == ATTACH:
+        below = close_chain(chain, action.target + 1)
+        if below is not None:
+            chain[-1][1].append(below)
+    else:
+        chain.append([action.new_label, [close_chain(chain, action.target)]])
+    if action.parent_label is None:
+        chain[-1][1].append(leaf)
+    else:
+        chain.append([action.parent_label, [leaf]])
+
+
+def apply_action(state: ConstituencyTree, token: Token, action: AjAction) -> ConstituencyTree:
+    """Execute one action, integrating ``token`` into the partial tree."""
+    chain = []
+    open_chain(chain, state.root)
+    check_depth(len(chain), action)
+    step(chain, Leaf(token, state.length), action)
+    return ConstituencyTree(close_chain(chain, 0))
+
+
 def apply_sequence(tokens, actions) -> ConstituencyTree:
     """The tree that a full action sequence builds from the empty tree: the
-    ``apply_action`` fold, run forward on an open chain."""
+    ``apply_action`` fold, run forward on one open chain."""
     if len(tokens) != len(actions):
         raise ValueError(
             f"{len(tokens)} tokens but {len(actions)} actions; lengths must match"
@@ -221,18 +212,5 @@ def apply_sequence(tokens, actions) -> ConstituencyTree:
             check_depth(len(chain), action)
         except IllegalActionError as err:
             raise IllegalActionError(err.reason, action, step=i) from err
-        leaf = Leaf(token, i)
-        if not chain:
-            chain.append([action.parent_label, [leaf]])
-            continue
-        if action.kind == ATTACH:
-            below = close_chain(chain, action.target + 1)
-            if below is not None:
-                chain[-1][1].append(below)
-        else:
-            chain.append([action.new_label, [close_chain(chain, action.target)]])
-        if action.parent_label is None:
-            chain[-1][1].append(leaf)
-        else:
-            chain.append([action.parent_label, [leaf]])
+        step(chain, Leaf(token, i), action)
     return ConstituencyTree(close_chain(chain, 0))

@@ -136,16 +136,6 @@ def rightmost_chain(tree) -> list:
     return chain
 
 
-def replace_on_rightmost_chain(chain: list, depth: int, new_node: Node) -> Internal:
-    """Rebuild the tree with ``chain[depth]`` replaced by ``new_node``;
-    ancestors above ``depth`` are recreated with their last child swapped."""
-    node = new_node
-    for d in range(depth - 1, -1, -1):
-        parent = chain[d]
-        node = Internal(parent.label, parent.children[:-1] + (node,))
-    return node
-
-
 def has_unary_chains(tree: ConstituencyTree) -> bool:
     """True iff some internal node's only child is another internal node.
     An internal node whose sole child is a leaf does not count."""

@@ -1,19 +1,60 @@
-"""Persistent-tree references for the whole-sequence operations.
+"""Persistent-tree references for the transition system.
 
-``ajparse`` runs the oracle, sequence replay and ISR translation on an open
-rightmost chain. These are the straightforward versions that rebuild the
-tree after every action; property tests require the two to agree.
+``ajparse`` runs every action, the oracle, sequence replay and ISR
+translation on an open rightmost chain. These are the straightforward
+versions that rebuild the changed chain ancestors after every action;
+property tests require the two to agree.
 """
 
 from ajparse.isr import REDUCE, translate_action
 from ajparse.transition import (
+    ATTACH,
     INITIAL_STATE,
     IllegalActionError,
-    apply_action,
     attach,
     juxtapose,
 )
-from ajparse.tree import Internal, replace_on_rightmost_chain, rightmost_chain
+from ajparse.tree import ConstituencyTree, Internal, Leaf, rightmost_chain
+
+
+def replace_on_rightmost_chain(chain: list, depth: int, new_node) -> Internal:
+    """Rebuild the tree with ``chain[depth]`` replaced by ``new_node``;
+    ancestors above ``depth`` are recreated with their last child swapped."""
+    node = new_node
+    for d in range(depth - 1, -1, -1):
+        parent = chain[d]
+        node = Internal(parent.label, parent.children[:-1] + (node,))
+    return node
+
+
+def reference_apply_action(state, token, action):
+    """Execute one action on a persistent tree, rebuilding the target and
+    its ancestors, with its own copy of the legality rule."""
+    leaf = Leaf(token, state.length)
+    chain = rightmost_chain(state)
+    depth = len(chain)
+    if depth == 0:
+        if action.kind != ATTACH or action.target != 0 or action.parent_label is None:
+            raise IllegalActionError(
+                "the empty tree only admits attach(0, <label>)", action
+            )
+        return ConstituencyTree(Internal(action.parent_label, (leaf,)))
+    if not 0 <= action.target < depth:
+        raise IllegalActionError(
+            f"target {action.target} outside rightmost chain of length {depth}",
+            action,
+        )
+    new_child = (
+        leaf
+        if action.parent_label is None
+        else Internal(action.parent_label, (leaf,))
+    )
+    target_node = chain[action.target]
+    if action.kind == ATTACH:
+        replacement = Internal(target_node.label, target_node.children + (new_child,))
+    else:
+        replacement = Internal(action.new_label, (target_node, new_child))
+    return ConstituencyTree(replace_on_rightmost_chain(chain, action.target, replacement))
 
 
 def reference_last_action(root: Internal):
@@ -61,14 +102,14 @@ def reference_oracle(tree, case_tally=None) -> list:
 
 
 def reference_apply_sequence(tokens, actions):
-    """Fold ``apply_action`` over the sequence from the empty tree."""
+    """Fold ``reference_apply_action`` over the sequence from the empty tree."""
     state = INITIAL_STATE
     for i, (token, action) in enumerate(zip(tokens, actions)):
         try:
-            state = apply_action(state, token, action)
+            state = reference_apply_action(state, token, action)
         except IllegalActionError as err:
             raise IllegalActionError(err.reason, action, step=i) from err
-    return state.tree
+    return state
 
 
 def reference_translate_sequence(tokens, actions) -> list:
@@ -76,7 +117,7 @@ def reference_translate_sequence(tokens, actions) -> list:
     state = INITIAL_STATE
     out = []
     for token, action in zip(tokens, actions):
-        out.extend(translate_action(state.tree, action))
-        state = apply_action(state, token, action)
-    out.extend([REDUCE] * len(rightmost_chain(state.tree)))
+        out.extend(translate_action(state, action))
+        state = reference_apply_action(state, token, action)
+    out.extend([REDUCE] * len(rightmost_chain(state)))
     return out

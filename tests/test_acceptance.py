@@ -135,17 +135,17 @@ def test_criterion_5_translation_soundness(bundled_corpus):
         state = INITIAL_STATE
         stack = EMPTY_STACK
         for token, action in zip(tokens, oracle_action_sequence(t)):
-            for a in translate_action(state.tree, action):
+            for a in translate_action(state, action):
                 stack = isr_apply(stack, a, token if a == SHIFT else None)
                 assert is_legal_stack(stack)
             state = apply_action(state, token, action)
-            assert stack.elements == gamma(xi(state.tree)).elements
+            assert stack.elements == gamma(xi(state)).elements
             steps += 1
         # Closing reduces land on the gold tree.
         for _ in range(_chain_len(state)):
             stack = isr_apply(stack, REDUCE)
         assert len(stack.elements) == 1
-        assert tree_equal(state.tree, t)
+        assert tree_equal(state, t)
         from ajparse.tree import node_equal
 
         assert node_equal(stack.elements[0], t.root)
@@ -155,7 +155,7 @@ def test_criterion_5_translation_soundness(bundled_corpus):
 def _chain_len(state):
     from ajparse.tree import rightmost_chain
 
-    return len(rightmost_chain(state.tree))
+    return len(rightmost_chain(state))
 
 
 def test_criterion_6_golden_example():
@@ -178,7 +178,7 @@ def test_criterion_6_golden_example():
     fragment = None
     for token, action in zip(tokens, actions):
         if action == juxtapose(2, "PP", "NP"):
-            fragment = translate_action(state.tree, action)
+            fragment = translate_action(state, action)
             break
         state = apply_action(state, token, action)
     assert fragment == [REDUCE, project("NP"), SHIFT, project("PP")]

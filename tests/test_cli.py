@@ -85,8 +85,10 @@ def test_enumerate_check_small(capsys):
 
 
 def test_enumerate_check_bounds(capsys):
-    code, out, err = run(capsys, "enumerate-check", "--n-max", "9")
-    assert code == 1
+    for bound in (["--n-max", "9"], ["--n-max", "0"], ["--n-max", "-2"], ["--vocab-size", "0"]):
+        code, out, err = run(capsys, "enumerate-check", *bound)
+        assert code == 1
+        assert result_line(out) == "RESULT ok=0 fail=1"
 
 
 def test_stats(capsys, sample_path):

@@ -43,10 +43,10 @@ def test_enumerated_stacks_are_legal():
 
 
 def test_bounds_enforced():
-    with pytest.raises(ValueError):
-        run_all_checks(7, 2)
-    with pytest.raises(ValueError):
-        run_all_checks(4, 4)
+    # Empty bounds would be a passing check over nothing.
+    for n_max, vocab_size in ((7, 2), (4, 4), (0, 2), (-2, 2), (2, 0)):
+        with pytest.raises(ValueError):
+            run_all_checks(n_max, vocab_size)
 
 
 def test_tiny_bounds_pass():

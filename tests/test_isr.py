@@ -187,13 +187,13 @@ def test_translate_degenerate_first_attach():
 def test_translate_attach_counts_reduces():
     state = apply_action(INITIAL_STATE, tok("a"), attach(0, "S"))
     # chain length 1: attach(0, None) -> zero reduces, shift only
-    assert translate_action(state.tree, attach(0, None)) == [SHIFT]
-    assert translate_action(state.tree, attach(0, "NP")) == [SHIFT, project("NP")]
+    assert translate_action(state, attach(0, None)) == [SHIFT]
+    assert translate_action(state, attach(0, "NP")) == [SHIFT, project("NP")]
 
 
 def test_translate_juxtapose_counts_reduces():
     state = apply_action(INITIAL_STATE, tok("a"), attach(0, "S"))
-    assert translate_action(state.tree, juxtapose(0, None, "X")) == [
+    assert translate_action(state, juxtapose(0, None, "X")) == [
         REDUCE,
         project("X"),
         SHIFT,
@@ -203,7 +203,7 @@ def test_translate_juxtapose_counts_reduces():
 def test_translate_rejects_bad_target():
     state = apply_action(INITIAL_STATE, tok("a"), attach(0, "S"))
     with pytest.raises(ValueError):
-        translate_action(state.tree, attach(3, None))
+        translate_action(state, attach(3, None))
 
 
 def test_golden_juxtapose_translation(fig_tree):
@@ -212,7 +212,7 @@ def test_golden_juxtapose_translation(fig_tree):
     state = INITIAL_STATE
     for token, action in zip(tokens, actions):
         if action == juxtapose(2, "PP", "NP"):
-            assert translate_action(state.tree, action) == [
+            assert translate_action(state, action) == [
                 REDUCE,
                 project("NP"),
                 SHIFT,
@@ -263,8 +263,8 @@ def test_per_step_translation_lands_on_gamma_xi(fig_tree):
     state = INITIAL_STATE
     stack = EMPTY_STACK
     for token, action in zip(tokens, oracle_action_sequence(fig_tree)):
-        for a in translate_action(state.tree, action):
+        for a in translate_action(state, action):
             stack = isr_apply(stack, a, token if a == SHIFT else None)
             assert is_legal_stack(stack)
         state = apply_action(state, token, action)
-        assert stack.elements == gamma(xi(state.tree)).elements
+        assert stack.elements == gamma(xi(state)).elements

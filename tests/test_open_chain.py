@@ -1,5 +1,5 @@
-"""The open-chain oracle, replay and translation agree with the persistent
-references in ``reference.py``."""
+"""The open-chain step, oracle, replay and translation agree with the
+persistent references in ``reference.py``."""
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -19,6 +19,7 @@ from ajparse.tree import Token, collapse_unary_chains, iter_leaves, rightmost_ch
 from ajparse.treebank import tokens_of
 
 from reference import (
+    reference_apply_action,
     reference_apply_sequence,
     reference_last_action,
     reference_oracle,
@@ -114,3 +115,22 @@ def test_illegal_step_matches_reference(walk, data):
     assert (str(err), err.reason, err.action, err.step) == (
         str(ref), ref.reason, ref.action, ref.step
     )
+
+
+@settings(max_examples=100)
+@given(legal_walks())
+def test_apply_action_matches_reference(walk):
+    # At every state of the walk, each legal action builds the reference's
+    # tree, and each out-of-range one fails with the reference's error.
+    tokens, actions = walk
+    state = INITIAL_STATE
+    for token, gold in zip(tokens, actions):
+        for action in legal_actions(state, VOCAB):
+            assert apply_action(state, token, action) == reference_apply_action(
+                state, token, action
+            )
+        for action in _illegal_actions(len(rightmost_chain(state))):
+            err = _raised(apply_action, state, token, action)
+            ref = _raised(reference_apply_action, state, token, action)
+            assert (str(err), err.reason, err.action) == (str(ref), ref.reason, ref.action)
+        state = reference_apply_action(state, token, gold)

@@ -54,9 +54,8 @@ def test_parse_actions_rejects_garbage():
 
 def test_first_action_creates_root():
     state = apply_action(INITIAL_STATE, tok("a"), attach(0, "S"))
-    assert state.tree.root.label == "S"
-    assert state.tree.length == 1
-    assert state.consumed == 1
+    assert state.root.label == "S"
+    assert state.length == 1
 
 
 def test_empty_tree_rejects_other_actions():
@@ -71,11 +70,11 @@ def test_empty_tree_rejects_other_actions():
 def test_attach_appends_rightmost_child():
     state = apply_action(INITIAL_STATE, tok("a"), attach(0, "S"))
     state = apply_action(state, tok("b"), attach(0, None))
-    root = state.tree.root
+    root = state.root
     assert [l.token.word for l in root.children] == ["a", "b"]
 
     state = apply_action(state, tok("c"), attach(0, "NP"))
-    wrapped = state.tree.root.children[-1]
+    wrapped = state.root.children[-1]
     assert isinstance(wrapped, Internal) and wrapped.label == "NP"
     assert wrapped.children[0].token.word == "c"
 
@@ -83,7 +82,7 @@ def test_attach_appends_rightmost_child():
 def test_juxtapose_replaces_target_with_new_node():
     state = apply_action(INITIAL_STATE, tok("a"), attach(0, "NP"))
     state = apply_action(state, tok("b"), juxtapose(0, "VP", "S"))
-    root = state.tree.root
+    root = state.root
     assert root.label == "S"
     assert root.children[0].label == "NP"
     assert root.children[1].label == "VP"
@@ -93,7 +92,7 @@ def test_juxtapose_replaces_target_with_new_node():
 def test_juxtapose_without_parent_label_places_bare_leaf():
     state = apply_action(INITIAL_STATE, tok("a"), attach(0, "NP"))
     state = apply_action(state, tok("b"), juxtapose(0, None, "S"))
-    root = state.tree.root
+    root = state.root
     assert root.label == "S"
     assert root.children[1].token.word == "b"
 
@@ -123,7 +122,7 @@ def test_leaf_indices_follow_consumption_order():
         else:
             leaves.append(n.index)
 
-    walk(state.tree.root)
+    walk(state.root)
     assert leaves == [0, 1, 2]
 
 
@@ -151,7 +150,7 @@ def test_legal_actions_counts(t):
     vocab = {"A", "B"}
     state = INITIAL_STATE
     for token, gold in zip(tokens_of(t), oracle_action_sequence(t)):
-        depth = len(rightmost_chain(state.tree))
+        depth = len(rightmost_chain(state))
         acts = legal_actions(state, vocab)
         if depth == 0:
             assert len(acts) == len(vocab)
@@ -166,13 +165,13 @@ def test_legal_actions_counts(t):
             illegal = [attach(depth, None), attach(depth, "A"), juxtapose(depth, "A", "B")]
         assert len(set(acts)) == len(acts)
         for a in acts:
-            assert apply_action(state, token, a).tree.length == state.tree.length + 1
-            assert translate_action(state.tree, a).count(SHIFT) == 1
+            assert apply_action(state, token, a).length == state.length + 1
+            assert translate_action(state, a).count(SHIFT) == 1
         for a in illegal:
             with pytest.raises(IllegalActionError):
                 apply_action(state, token, a)
             with pytest.raises(IllegalActionError):
-                translate_action(state.tree, a)
+                translate_action(state, a)
         state = apply_action(state, token, gold)
 
 

@@ -11,13 +11,14 @@ from ajparse.tree import (
     collapse_unary_chains,
     iter_nodes,
     has_unary_chains,
-    replace_on_rightmost_chain,
     restore_unary_chains,
     rightmost_chain,
     tree_equal,
 )
 from ajparse.scoring import extract_brackets
 from ajparse.treebank import normalize, parse_bracketed, tokens_of, write_bracketed
+
+from reference import replace_on_rightmost_chain
 
 
 def leaf(word, index, pos="T"):
