@@ -155,9 +155,10 @@ def enumerate_augmented(n_max: int, labels, unary_budget: int = 1):
     yield AugmentedTree(None, -1)
     yield AugmentedTree(Leaf(_token(0), 0), -1)
     for n in range(1, n_max + 1):
-        for tree in enumerate_trees(n, labels, unary_budget):
-            for mark in range(-1, len(rightmost_chain(tree))):
-                yield AugmentedTree(tree.root, mark)
+        for root in enumerate_subtrees(n, 0, labels, unary_budget):
+            if isinstance(root, Internal):
+                for mark in range(-1, len(rightmost_chain(root))):
+                    yield AugmentedTree(root, mark)
 
 
 def check_bijection(n_max: int, labels, report: CheckReport) -> None:
@@ -208,11 +209,12 @@ def enumerate_legal_stacks(max_tokens: int, labels, max_internal: int = None):
     queue = deque([(EMPTY_STACK, 0)])
     yield EMPTY_STACK
     projections = [project(lbl) for lbl in labels]
+    tokens = [_token(i) for i in range(max_tokens)]
     while queue:
         stack, weight = queue.popleft()
         moves = []
         if stack.buffer_consumed < max_tokens:
-            moves.append((SHIFT, _token(stack.buffer_consumed), weight + 1))
+            moves.append((SHIFT, tokens[stack.buffer_consumed], weight + 1))
         for pj in projections:
             moves.append((pj, None, weight + 1))
         moves.append((REDUCE, None, weight))
@@ -225,9 +227,12 @@ def enumerate_legal_stacks(max_tokens: int, labels, max_internal: int = None):
                 continue
             if not is_legal_stack(succ):
                 continue
-            if succ.elements in seen:
-                continue
+            # Tuples do not cache their hash, so membership test and insert
+            # in one call: the set grows only for an unseen stack.
+            size = len(seen)
             seen.add(succ.elements)
+            if len(seen) == size:
+                continue
             queue.append((succ, succ_weight))
             yield succ
 

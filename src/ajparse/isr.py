@@ -19,7 +19,6 @@ from .tree import (
     Leaf,
     Node,
     Token,
-    iter_leaves,
     rightmost_chain,
 )
 
@@ -115,11 +114,16 @@ class AugmentedTree:
     mark: int
 
     def __post_init__(self):
-        depth = len(rightmost_chain(self.root))
-        if self.mark < -1 or self.mark >= depth:
+        # Only the top mark + 1 chain nodes need to exist; the whole chain
+        # is measured for the error message alone.
+        node = self.root
+        depth = 0
+        while depth <= self.mark and isinstance(node, Internal):
+            node = node.children[-1]
+            depth += 1
+        if self.mark < -1 or depth <= self.mark:
+            depth = len(rightmost_chain(self.root))
             raise ValueError(f"mark {self.mark} out of range for chain length {depth}")
-        if self.root is None and self.mark != -1:
-            raise ValueError("empty tree requires mark -1")
 
 
 def isr_apply(stack: IsrStack, action: IsrAction, next_token: Optional[Token] = None) -> IsrStack:
@@ -135,7 +139,7 @@ def isr_apply(stack: IsrStack, action: IsrAction, next_token: Optional[Token] = 
             raise IllegalStackError("project requires a completed subtree on top")
         top = elems[-1]
         return IsrStack(
-            elems[:-1] + (Projected(action.label), top), stack.buffer_consumed
+            elems[:-1] + (_projected_cached(action.label), top), stack.buffer_consumed
         )
     # reduce: pop down to the nearest projected nonterminal.
     idx = _topmost_projected(elems)
@@ -156,15 +160,22 @@ def _topmost_projected(elems) -> Optional[int]:
 
 
 def _reduce_fully(elems):
-    """Greedily reduce; returns the final element list or None when stuck."""
-    elems = list(elems)
-    while True:
-        idx = _topmost_projected(elems)
-        if idx is None:
-            return elems
-        if idx == len(elems) - 1:
-            return None  # projection with nothing above it: stuck
-        elems[idx:] = [Internal(elems[idx].label, tuple(elems[idx + 1 :]))]
+    """Greedily reduce; returns the final element list or None when stuck.
+
+    One pass from the top folds the items above each projection as it meets
+    it, as repeated reduce at the topmost projection does. Only a projection
+    on top has nothing above it to fold."""
+    above = []  # the items above the current position, top first
+    for e in reversed(elems):
+        if isinstance(e, Projected):
+            if not above:
+                return None
+            above.reverse()
+            above = [Internal(e.label, tuple(above))]
+        else:
+            above.append(e)
+    above.reverse()
+    return above
 
 
 def is_legal_stack(stack: IsrStack) -> bool:
@@ -202,19 +213,23 @@ def gamma(aug: AugmentedTree) -> IsrStack:
     Rightmost-chain nodes with depth <= mark contribute a projected
     nonterminal followed by their non-final children as whole subtrees,
     recursing into the last child; every other subtree is pushed whole.
+
+    Requires the leaves of ``aug.root`` to be indexed 0..n-1 from left to
+    right, as every tree the package builds is: the consumed count is then
+    the rightmost leaf's index + 1, found by walking the chain to it.
     """
     elems = []
     node = aug.root
-    depth = 0
-    if node is not None:
-        while isinstance(node, Internal) and depth <= aug.mark:
-            elems.append(_projected_cached(node.label))
-            elems.extend(node.children[:-1])
-            node = node.children[-1]
-            depth += 1
-        elems.append(node)
-    consumed = sum(1 for _ in iter_leaves(aug.root))
-    return IsrStack(tuple(elems), consumed)
+    if node is None:
+        return IsrStack((), 0)
+    for _ in range(aug.mark + 1):
+        elems.append(_projected_cached(node.label))
+        elems.extend(node.children[:-1])
+        node = node.children[-1]
+    elems.append(node)
+    while isinstance(node, Internal):
+        node = node.children[-1]
+    return IsrStack(tuple(elems), node.index + 1)
 
 
 def xi(tree: ConstituencyTree) -> AugmentedTree:

@@ -148,12 +148,16 @@ def legal_actions(state: ConstituencyTree, label_vocabulary) -> list:
 # chain open, so a sentence costs O(n) instead of a tree rebuild per action.
 
 
-def open_chain(chain: list, node) -> None:
+def open_chain(chain: list, node, limit: Optional[int] = None) -> None:
     """Push ``node`` and the internal nodes along its last-child links as
-    frames; a leaf pushes nothing."""
+    frames, until the chain holds ``limit`` frames; a leaf pushes nothing.
+    The deepest frame keeps its last child when that is a leaf or when the
+    limit stopped the walk, so the nodes below the limit are reused as is."""
     while isinstance(node, Internal):
         children = list(node.children)
         chain.append([node.label, children])
+        if len(chain) == limit:
+            return
         node = children.pop() if isinstance(children[-1], Internal) else None
 
 
@@ -191,9 +195,13 @@ def step(chain: list, leaf: Leaf, action: AjAction) -> None:
 
 
 def apply_action(state: ConstituencyTree, token: Token, action: AjAction) -> ConstituencyTree:
-    """Execute one action, integrating ``token`` into the partial tree."""
+    """Execute one action, integrating ``token`` into the partial tree.
+
+    Only the chain down to the target is rebuilt. An opened chain shorter
+    than ``target + 1`` is the whole chain, so ``check_depth`` rules as on
+    the full one."""
     chain = []
-    open_chain(chain, state.root)
+    open_chain(chain, state.root, action.target + 1)
     check_depth(len(chain), action)
     step(chain, Leaf(token, state.length), action)
     return ConstituencyTree(close_chain(chain, 0))

@@ -1,12 +1,22 @@
-"""Persistent-tree references for the transition system.
+"""Straightforward references for the transition system and the ISR maps.
 
 ``ajparse`` runs every action, the oracle, sequence replay and ISR
 translation on an open rightmost chain. These are the straightforward
 versions that rebuild the changed chain ancestors after every action;
-property tests require the two to agree.
+property tests require the two to agree. The same holds for ``phi``, whose
+reduce is one pass in ``ajparse``, and ``gamma``, which reads the consumed
+count off the rightmost leaf: the versions here reduce at the topmost
+projection until none is left and count every leaf.
 """
 
-from ajparse.isr import REDUCE, translate_action
+from ajparse.isr import (
+    REDUCE,
+    AugmentedTree,
+    IllegalStackError,
+    IsrStack,
+    Projected,
+    translate_action,
+)
 from ajparse.transition import (
     ATTACH,
     INITIAL_STATE,
@@ -14,7 +24,7 @@ from ajparse.transition import (
     attach,
     juxtapose,
 )
-from ajparse.tree import ConstituencyTree, Internal, Leaf, rightmost_chain
+from ajparse.tree import ConstituencyTree, Internal, Leaf, iter_leaves, rightmost_chain
 
 
 def replace_on_rightmost_chain(chain: list, depth: int, new_node) -> Internal:
@@ -121,3 +131,43 @@ def reference_translate_sequence(tokens, actions) -> list:
         state = reference_apply_action(state, token, action)
     out.extend([REDUCE] * len(rightmost_chain(state)))
     return out
+
+
+def reference_reduce_fully(elems):
+    """Reduce at the topmost projection until none is left; returns the
+    final element list, or None when a projection has nothing above it."""
+    elems = list(elems)
+    while True:
+        idx = next(
+            (i for i in range(len(elems) - 1, -1, -1) if isinstance(elems[i], Projected)),
+            None,
+        )
+        if idx is None:
+            return elems
+        if idx == len(elems) - 1:
+            return None
+        elems[idx:] = [Internal(elems[idx].label, tuple(elems[idx + 1 :]))]
+
+
+def reference_phi(stack):
+    final = reference_reduce_fully(stack.elements)
+    if final is None or len(final) > 1:
+        raise IllegalStackError("phi is only defined on legal stacks")
+    n_proj = sum(1 for e in stack.elements if isinstance(e, Projected))
+    root = final[0] if final else None
+    return AugmentedTree(root, n_proj - 1)
+
+
+def reference_gamma(aug):
+    """``gamma`` with the consumed count taken by counting every leaf."""
+    elems = []
+    node = aug.root
+    depth = 0
+    if node is not None:
+        while isinstance(node, Internal) and depth <= aug.mark:
+            elems.append(Projected(node.label))
+            elems.extend(node.children[:-1])
+            node = node.children[-1]
+            depth += 1
+        elems.append(node)
+    return IsrStack(tuple(elems), sum(1 for _ in iter_leaves(aug.root)))

@@ -95,6 +95,11 @@ def test_criterion_2_oracle_uniqueness_exhaustive(enumeration_report):
     for case in ("1-2", "1-3", "2-1", "2-2", "2-3"):
         assert report.case_tally.get(case, 0) > 0, f"case {case} never taken"
     assert report.case_tally.get("1-1", 0) == 0
+    assert report.trees_checked == 5312
+    assert report.augmented_checked == 970394
+    assert report.stacks_checked == 758362
+    assert report.reduce_lemma_checked == 735736
+    assert report.translations_checked == 20936
     assert elapsed < 60.0, f"enumeration took {elapsed:.2f}s"
     print(f"PASS criterion 2: uniqueness over {report.trees_checked} trees,"
           f" cases {dict(sorted(report.case_tally.items()))}, {elapsed:.1f}s")

@@ -84,6 +84,22 @@ def test_enumerate_check_small(capsys):
     assert result_line(out).endswith("fail=0")
 
 
+def test_enumerate_check_counts(capsys):
+    # Pins every count of the exhaustive check at the benchmark's bounds.
+    code, out, _ = run(capsys, "enumerate-check", "--n-max", "3", "--vocab-size", "2")
+    assert code == 0
+    assert out.splitlines() == [
+        "trees checked: 290",
+        "action sequences enumerated: 290",
+        "case tally: 1-1=0 1-2=100 1-3=50 2-1=290 2-2=272 2-3=136",
+        "augmented trees checked: 19894",
+        "legal stacks checked: 28822",
+        "reduce-lemma states checked: 14774",
+        "translated steps checked: 848",
+        "RESULT ok=49854 fail=0",
+    ]
+
+
 def test_enumerate_check_bounds(capsys):
     for bound in (["--n-max", "9"], ["--n-max", "0"], ["--n-max", "-2"], ["--vocab-size", "0"]):
         code, out, err = run(capsys, "enumerate-check", *bound)

@@ -1,4 +1,5 @@
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ajparse.isr import (
     EMPTY_STACK,
@@ -29,10 +30,14 @@ from ajparse.tree import (
     Internal,
     Leaf,
     Token,
+    iter_leaves,
     node_equal,
+    rightmost_chain,
 )
 from ajparse.treebank import parse_bracketed, tokens_of
 from ajparse.synth import generate_corpus
+
+from reference import reference_gamma, reference_phi, reference_reduce_fully
 
 
 def tok(word, pos="T"):
@@ -268,3 +273,79 @@ def test_per_step_translation_lands_on_gamma_xi(fig_tree):
             assert is_legal_stack(stack)
         state = apply_action(state, token, action)
         assert stack.elements == gamma(xi(state)).elements
+
+
+@st.composite
+def isr_walks(draw, keep_legal=True, max_steps=14, max_tokens=6):
+    """The stack after a random walk of shift, project and reduce from the
+    empty stack. Every move is one ``isr_apply`` accepts; with
+    ``keep_legal`` each intermediate stack is also legal."""
+    stack = EMPTY_STACK
+    for _ in range(draw(st.integers(0, max_steps))):
+        moves = [project("A"), project("B"), REDUCE]
+        if stack.buffer_consumed < max_tokens:
+            moves.append(SHIFT)
+        succs = []
+        for move in moves:
+            token = tok(f"w{stack.buffer_consumed}") if move == SHIFT else None
+            try:
+                succ = isr_apply(stack, move, token)
+            except IllegalStackError:
+                continue
+            if is_legal_stack(succ) or not keep_legal:
+                succs.append(succ)
+        if not succs:
+            break
+        stack = draw(st.sampled_from(succs))
+    return stack
+
+
+@st.composite
+def any_stacks(draw):
+    """Stacks from unrestricted walks, some with a projection pushed on
+    top, which no ``isr_apply`` move produces and no reduce can fold."""
+    stack = draw(isr_walks(keep_legal=False))
+    if draw(st.booleans()):
+        stack = IsrStack(stack.elements + (Projected("A"),), stack.buffer_consumed)
+    return stack
+
+
+def _phi_outcome(fn, stack):
+    try:
+        return fn(stack)
+    except IllegalStackError as err:
+        return ("IllegalStackError", str(err))
+
+
+@settings(max_examples=300)
+@given(st.one_of(isr_walks(), any_stacks()))
+def test_phi_matches_reference(stack):
+    outcome = _phi_outcome(phi, stack)
+    assert outcome == _phi_outcome(reference_phi, stack)
+    assert isinstance(outcome, AugmentedTree) == is_legal_stack(stack)
+
+
+@settings(max_examples=300)
+@given(st.one_of(isr_walks(), any_stacks()))
+def test_reduce_fully_is_the_reduce_fold(stack):
+    folded = stack
+    try:
+        while any(isinstance(e, Projected) for e in folded.elements):
+            folded = isr_apply(folded, REDUCE)
+        expected = list(folded.elements)
+    except IllegalStackError:
+        expected = None
+    assert _reduce_fully(stack.elements) == expected
+    assert reference_reduce_fully(stack.elements) == expected
+
+
+@settings(max_examples=300)
+@given(isr_walks())
+def test_gamma_consumed_is_the_leaf_count(stack):
+    aug = phi(stack)
+    assert gamma(aug) == stack
+    for mark in range(-1, len(rightmost_chain(aug.root))):
+        marked = AugmentedTree(aug.root, mark)
+        rebuilt = gamma(marked)
+        assert rebuilt.buffer_consumed == sum(1 for _ in iter_leaves(aug.root))
+        assert rebuilt == reference_gamma(marked)

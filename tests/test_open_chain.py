@@ -134,3 +134,15 @@ def test_apply_action_matches_reference(walk):
             ref = _raised(reference_apply_action, state, token, action)
             assert (str(err), err.reason, err.action) == (str(ref), ref.reason, ref.action)
         state = reference_apply_action(state, token, gold)
+
+
+def test_apply_action_reuses_nodes_below_target():
+    # A deep right-branching tree: only the chain down to the target is
+    # rebuilt, and the subtree below it is shared with the old tree.
+    n = 2000
+    tokens = [Token(f"w{i}", "T") for i in range(n + 1)]
+    t = apply_sequence(tokens[:n], [attach(max(i - 1, 0), "A") for i in range(n)])
+    below = t.root.children[-1]
+    assert apply_action(t, tokens[n], attach(0, None)).root.children[-2] is below
+    juxtaposed = apply_action(t, tokens[n], juxtapose(0, None, "B")).root
+    assert juxtaposed.children[0].children[-1] is below
