@@ -9,6 +9,8 @@ greedy or beam search with legality masking.
 
 from __future__ import annotations
 
+import heapq
+import itertools
 import math
 import random
 from collections import Counter
@@ -23,7 +25,7 @@ from .transition import (
     apply_action,
     apply_sequence,
     attach,
-    legal_actions,
+    juxtapose,
 )
 from .tree import ConstituencyTree, Internal, Token, iter_nodes, rightmost_chain
 from .treebank import tokens_of
@@ -196,10 +198,19 @@ class ActionScorer:
                         f"{path}: [{current}] weight line has {len(parts)}"
                         f" tab-separated fields, expected {width}"
                     )
+                try:
+                    weight = float(parts[-1])
+                except ValueError:
+                    weight = math.nan
+                if not math.isfinite(weight):
+                    # Decoding needs a total order on scores.
+                    raise ModelFormatError(
+                        f"{path}: [{current}] weight {parts[-1]!r} is not a finite number"
+                    )
                 if current == "target":
-                    tables[current][parts[0]] = float(parts[1])
+                    tables[current][parts[0]] = weight
                 else:
-                    tables[current][(parts[0], parts[1])] = float(parts[2])
+                    tables[current][(parts[0], parts[1])] = weight
             else:
                 raise ModelFormatError(f"{path}: file ends before [end]")
         return cls(labels, tables["target"], tables["parent"], tables["new"])
@@ -342,52 +353,65 @@ def _action_sort_key(action: AjAction):
     )
 
 
-def _step_candidates(scorer: ActionScorer, state: ConstituencyTree, token: Token, context, prev_kind):
-    """Every legal action with its summed factor score, in ``legal_actions``
-    order."""
-    t, p, n = _factor_scores(
-        scorer.target_weights, scorer.parent_weights, scorer.new_weights,
-        featurize(state, token, context, prev_kind), rightmost_chain(state),
-        token, [None] + scorer.labels,
-    )
-    return [
-        (t[a.target] + p[a.parent_label] + n[a.new_label], a)
-        for a in legal_actions(state, scorer.labels)
-    ]
-
-
-def _log_softmax(scores):
-    """Per-step normalization so path scores are comparable across beams.
-
-    Monotone within one step, so the argmax (and hence beam = 1 decoding)
-    is unchanged; without it, raw perceptron margins accumulate
-    incomparably across alternative prefixes and wide beams degrade.
-    """
-    m = max(scores)
-    lse = m + math.log(sum(math.exp(s - m) for s in scores))
-    return [s - lse for s in scores]
+def _action_at(index: int, chain, choices) -> AjAction:
+    """The action at ``index`` of ``legal_actions`` on a state with rightmost
+    ``chain``, where ``choices`` is None followed by the sorted labels."""
+    if not chain:
+        return attach(0, choices[index + 1])
+    width = len(choices)
+    d, rest = divmod(index, width * width)
+    p, j = divmod(rest, width)
+    return attach(d, choices[p]) if j == 0 else juxtapose(d, choices[p], choices[j])
 
 
 def decode_beam(scorer: ActionScorer, tokens, beam: int) -> ConstituencyTree:
     """Beam search over summed, per-step-normalized factor scores;
     beam = 1 is greedy decoding.
 
-    Ties break lexicographically: attach before juxtapose, then target
-    depth, then parent and new label order (None first).
+    Each item scores its step as plain floats, one joint score per action at
+    its ``legal_actions`` index, and subtracts their log-sum-exp so that path
+    scores are comparable across items; without it, raw perceptron margins
+    accumulate incomparably across alternative prefixes and wide beams
+    degrade. Only candidates whose total reaches the beam-th best total
+    become actions. Float rounding is monotone, so they include the whole
+    beam. Ties break lexicographically: attach before juxtapose, then target
+    depth, then parent and new label order (None first), then item rank.
     """
     if not tokens:
         raise ValueError("cannot decode an empty sentence")
     if beam < 1:
         raise ValueError("beam must be >= 1")
+    choices = [None] + sorted(scorer.labels)
     items = [(0.0, 0, INITIAL_STATE, "none")]  # (score, rank, state, prev_kind)
     for i, token in enumerate(tokens):
         context = tuple(tokens[max(0, i - 2) : i])
-        candidates = []
+        stepped = []
         for score, rank, state, prev_kind in items:
-            cands = _step_candidates(scorer, state, token, context, prev_kind)
-            normed = _log_softmax([s for s, _ in cands])
-            for s, (_, action) in zip(normed, cands):
-                candidates.append((score + s, _action_sort_key(action), rank, state, action))
+            chain = rightmost_chain(state)
+            t, parent, new = _factor_scores(
+                scorer.target_weights, scorer.parent_weights, scorer.new_weights,
+                featurize(state, token, context, prev_kind), chain, token, choices,
+            )
+            p = [parent[c] for c in choices]
+            n = [new[c] for c in choices]
+            if chain:
+                # (t[d] + p[i]) + n[j] at index d*(L+1)**2 + i*(L+1) + j.
+                scores = [tp + nj for tp in [td + pi for td in t for pi in p] for nj in n]
+            else:
+                scores = [t[0] + pi + n[0] for pi in p[1:]]
+            m = max(scores)
+            lse = m + math.log(sum(map(math.exp, [s - m for s in scores])))
+            if not math.isfinite(lse):
+                # The cut needs a total order; a sum of finite weights can
+                # still overflow to inf, and inf - inf is nan.
+                raise ValueError("step scores overflow the float range")
+            stepped.append(([score + (s - lse) for s in scores], rank, state, chain))
+        cut = heapq.nlargest(beam, itertools.chain.from_iterable(s[0] for s in stepped))[-1]
+        candidates = []
+        for totals, rank, state, chain in stepped:
+            for k in itertools.compress(range(len(totals)), map(cut.__le__, totals)):
+                action = _action_at(k, chain, choices)
+                candidates.append((totals[k], _action_sort_key(action), rank, state, action))
         candidates.sort(key=lambda c: (-c[0], c[1], c[2]))
         items = [
             (total, rank, apply_action(state, token, action), action.kind)

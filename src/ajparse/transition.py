@@ -125,9 +125,13 @@ def legal_actions(state: ConstituencyTree, label_vocabulary) -> list:
 
     Empty tree: attach(0, X) for each label X. Otherwise, for each depth d
     on the chain and each p in None + sorted(V): attach(d, p), then
-    juxtapose(d, p, q) for each q in sorted(V). Decoding scores candidates
-    in this order, and ``_log_softmax`` sums in it, so changing the order
-    can change parses in the last bit.
+    juxtapose(d, p, q) for each q in sorted(V). Decoding builds no list of
+    actions; it relies on this index order: the action of depth d, parent
+    choice i and new choice j (over None + sorted(V), j = 0 for attach)
+    sits at index d*(|V|+1)**2 + i*(|V|+1) + j, and on the empty tree
+    attach(0, X) sits at X's index in sorted(V). Decoding scores and
+    normalizes its candidates in this order, so changing the order can
+    change parses in the last bit.
     """
     labels = sorted(label_vocabulary)
     if state.root is None:

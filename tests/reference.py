@@ -6,8 +6,13 @@ versions that rebuild the changed chain ancestors after every action;
 property tests require the two to agree. The same holds for ``phi``, whose
 reduce is one pass in ``ajparse``, and ``gamma``, which reads the consumed
 count off the rightmost leaf: the versions here reduce at the topmost
-projection until none is left and count every leaf.
+projection until none is left and count every leaf. ``decode_beam`` scores
+each step as a list of floats and builds actions only for candidates that
+can enter the beam; ``reference_decode_beam`` builds, keys and sorts every
+legal action of every item.
 """
+
+import math
 
 from ajparse.isr import (
     REDUCE,
@@ -17,12 +22,15 @@ from ajparse.isr import (
     Projected,
     translate_action,
 )
+from ajparse.predictor import _action_sort_key, _factor_scores, featurize
 from ajparse.transition import (
     ATTACH,
     INITIAL_STATE,
     IllegalActionError,
+    apply_action,
     attach,
     juxtapose,
+    legal_actions,
 )
 from ajparse.tree import ConstituencyTree, Internal, Leaf, iter_leaves, rightmost_chain
 
@@ -171,3 +179,46 @@ def reference_gamma(aug):
             depth += 1
         elems.append(node)
     return IsrStack(tuple(elems), sum(1 for _ in iter_leaves(aug.root)))
+
+
+def _step_candidates(scorer, state, token, context, prev_kind):
+    """Every legal action with its summed factor score, in ``legal_actions``
+    order."""
+    t, p, n = _factor_scores(
+        scorer.target_weights, scorer.parent_weights, scorer.new_weights,
+        featurize(state, token, context, prev_kind), rightmost_chain(state),
+        token, [None] + scorer.labels,
+    )
+    return [
+        (t[a.target] + p[a.parent_label] + n[a.new_label], a)
+        for a in legal_actions(state, scorer.labels)
+    ]
+
+
+def _log_softmax(scores):
+    m = max(scores)
+    lse = m + math.log(sum(math.exp(s - m) for s in scores))
+    return [s - lse for s in scores]
+
+
+def reference_decode_beam(scorer, tokens, beam: int):
+    """Beam search that builds, keys and sorts every candidate action."""
+    if not tokens:
+        raise ValueError("cannot decode an empty sentence")
+    if beam < 1:
+        raise ValueError("beam must be >= 1")
+    items = [(0.0, 0, INITIAL_STATE, "none")]  # (score, rank, state, prev_kind)
+    for i, token in enumerate(tokens):
+        context = tuple(tokens[max(0, i - 2) : i])
+        candidates = []
+        for score, rank, state, prev_kind in items:
+            cands = _step_candidates(scorer, state, token, context, prev_kind)
+            normed = _log_softmax([s for s, _ in cands])
+            for s, (_, action) in zip(normed, cands):
+                candidates.append((score + s, _action_sort_key(action), rank, state, action))
+        candidates.sort(key=lambda c: (-c[0], c[1], c[2]))
+        items = [
+            (total, rank, apply_action(state, token, action), action.kind)
+            for rank, (total, _, _, state, action) in enumerate(candidates[:beam])
+        ]
+    return items[0][2]

@@ -250,6 +250,51 @@ def test_parse_rejects_short_weight_line(capsys, tmp_path, corpus_file):
     assert "expected 3" in err
 
 
+def test_parse_rejects_non_finite_weights(capsys, tmp_path, corpus_file):
+    model, sents = _trained_model(capsys, tmp_path, corpus_file)
+    lines = model.read_text().splitlines(keepends=True)
+    for section, value in (("[target]\n", "inf"), ("[parent]\n", "nan")):
+        i = lines.index(section) + 1
+        lines[i] = lines[i].rsplit("\t", 1)[0] + f"\t{value}\n"
+    model.write_text("".join(lines))
+    with pytest.raises(ModelFormatError, match=r"\[target\] weight 'inf'"):
+        ActionScorer.load(str(model))
+    code, out, err = run(capsys, "parse", str(sents), str(tmp_path / "o.mrg"),
+                         "--model", str(model))
+    assert code == 1
+    assert result_line(out) == "RESULT ok=0 fail=1"
+    assert str(model) in err and "[target]" in err and "not a finite number" in err
+    assert "Traceback" not in err
+
+
+def test_parse_fails_sentences_whose_scores_overflow(capsys, tmp_path):
+    # Each weight is finite, but their sum at target depth 0 is inf.
+    model = tmp_path / "m.model"
+    model.write_text(
+        "ajparse-model\t1\nlabels\tNP\tS\n[target]\nt.d=0\t1e308\n"
+        "t.dist=0\t1e308\nt.lab=S\t1e308\n[parent]\n[new]\n[end]\n"
+    )
+    sents = tmp_path / "sents.txt"
+    sents.write_text("a_DT b_NN c_NN d_NN e_VB\na_DT\n")
+    code, out, err = run(capsys, "parse", str(sents), str(tmp_path / "o.mrg"),
+                         "--model", str(model))
+    assert code == 1
+    assert result_line(out) == "RESULT ok=1 fail=1"
+    assert "sentence 0: step scores overflow" in err
+    assert "internal error" not in err
+
+
+@pytest.mark.parametrize("value", ["-inf", "nan", "NaN", "1e999", "x"])
+def test_model_load_rejects_non_finite_parent_weight(tmp_path, value):
+    model = tmp_path / "m.model"
+    model.write_text(
+        f"ajparse-model\t1\nlabels\tS\n[target]\n[parent]\nw=a\tS\t{value}\n"
+        "[new]\n[end]\n"
+    )
+    with pytest.raises(ModelFormatError, match=r"m\.model: \[parent\] weight"):
+        ActionScorer.load(str(model))
+
+
 def _right_branching(levels):
     """``(S (T w0) (S (T w1) ... (S (T wN))...))``, ``levels`` S nodes deep."""
     opens = "".join(f"(S (T w{i}) " for i in range(levels - 1))

@@ -1,0 +1,104 @@
+"""``decode_beam`` parses exactly as the decoder in ``reference.py``, which
+builds, keys and sorts every legal action of every beam item."""
+
+from functools import lru_cache
+from unittest import mock
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+import reference
+from ajparse import predictor
+from ajparse.predictor import ActionScorer, _action_at, decode_beam, train
+from ajparse.synth import generate_corpus
+from ajparse.transition import INITIAL_STATE, apply_action, legal_actions
+from ajparse.tree import Token, rightmost_chain
+from ajparse.treebank import tokens_of, write_bracketed
+
+LABELS = ("S", "NP", "VP", "PP", "X", "B", "A")
+
+
+@lru_cache(maxsize=32)
+def _trained(n_sentences: int, epochs: int, seed: int) -> ActionScorer:
+    return train(generate_corpus(n_sentences, seed=seed), epochs=epochs, seed=seed)
+
+
+@st.composite
+def scorers(draw):
+    if draw(st.booleans()):
+        return _trained(
+            draw(st.integers(1, 30)), draw(st.integers(1, 3)), draw(st.integers(0, 10**6))
+        )
+    # The label list need not be sorted.
+    labels = draw(st.lists(st.sampled_from(LABELS), min_size=1, max_size=5, unique=True))
+    if draw(st.booleans()):
+        # Every candidate ties, so order falls to the action key and the rank.
+        return ActionScorer(labels, {}, {}, {})
+    # A few small integer weights: many exact ties, and not only within an item.
+    weight = st.sampled_from([-1.0, 1.0, 2.0])
+    feats = st.sampled_from(["w=the", "w=king", "p=NN", "prev=attach", "chain=empty",
+                             "len=1", "len=2", "c0=" + labels[0], "t.d=0", "t.dist=0"])
+    keys = st.tuples(feats, st.sampled_from(labels + ["<none>"]))
+    return ActionScorer(
+        labels,
+        draw(st.dictionaries(feats, weight, max_size=4)),
+        draw(st.dictionaries(keys, weight, max_size=6)),
+        draw(st.dictionaries(keys, weight, max_size=6)),
+    )
+
+
+@st.composite
+def sentences(draw):
+    if draw(st.booleans()):
+        return tokens_of(generate_corpus(1, seed=draw(st.integers(0, 10**6)))[0])
+    # Unseen words and tags leave most features without a weight.
+    word = st.sampled_from(["the", "king", "sees", "zzz", "of", "Arthur"])
+    pos = st.sampled_from([None, "NN", "DT", "VBZ", "QQ"])
+    return draw(st.lists(st.builds(Token, word, pos), min_size=1, max_size=12))
+
+
+def _beams(module, decode, scorer, tokens, beam):
+    """The parse, and every beam entrant's action and state in beam order."""
+    entrants = []
+
+    def recording(state, token, action):
+        entrants.append((write_bracketed(state) if state.root else "", str(action)))
+        return apply_action(state, token, action)
+
+    with mock.patch.object(module, "apply_action", recording):
+        return write_bracketed(decode(scorer, tokens, beam)), entrants
+
+
+@settings(max_examples=200, deadline=None)
+@given(scorers(), sentences(), st.integers(1, 12))
+def test_decode_beam_matches_reference(scorer, tokens, beam):
+    assert _beams(predictor, decode_beam, scorer, tokens, beam) == _beams(
+        reference, reference.reference_decode_beam, scorer, tokens, beam
+    )
+
+
+@pytest.mark.parametrize("tokens, beam", [([], 1), ([], 0), ([Token("a", "DT")], 0),
+                                          ([Token("a", "DT")], -3)])
+def test_decode_beam_errors_match_reference(tokens, beam):
+    scorer = ActionScorer(["S"], {}, {}, {})
+    with pytest.raises(ValueError) as ours:
+        decode_beam(scorer, tokens, beam)
+    with pytest.raises(ValueError) as ref:
+        reference.reference_decode_beam(scorer, tokens, beam)
+    assert type(ours.value) is type(ref.value)
+    assert str(ours.value) == str(ref.value)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.sampled_from(LABELS), min_size=1, max_size=4, unique=True),
+       st.lists(st.integers(0, 10**6), min_size=1, max_size=8))
+def test_action_at_follows_legal_actions(labels, picks):
+    """The index arithmetic of decoding names the action ``legal_actions``
+    lists at that index, on states reached by walking the action space."""
+    choices = [None] + sorted(labels)
+    state = INITIAL_STATE
+    for i, pick in enumerate(picks):
+        actions = legal_actions(state, labels)
+        chain = rightmost_chain(state)
+        assert [_action_at(k, chain, choices) for k in range(len(actions))] == actions
+        state = apply_action(state, Token(f"w{i}"), actions[pick % len(actions)])

@@ -14,6 +14,7 @@ from ajparse.predictor import (
 )
 from ajparse.scoring import score
 from ajparse.synth import generate_corpus
+from ajparse.transition import AjAction
 from ajparse.tree import tree_equal
 from ajparse.treebank import tokens_of, write_bracketed
 
@@ -164,3 +165,22 @@ def test_golden_model_and_parses(trained, small_corpus, tmp_path):
             for t in small_corpus[100:]
         )
         assert hashlib.sha256(text.encode()).hexdigest() == digest, beam
+
+
+@pytest.mark.parametrize("beam", [1, 10])
+def test_decode_builds_few_actions_per_step(trained, small_corpus, monkeypatch, beam):
+    """Decoding builds an action only for a candidate that can enter the
+    beam, not for each of the depth x (labels + 1)**2 it scores."""
+    built = []
+    post_init = AjAction.__post_init__
+
+    def counting(self):
+        built.append(self)
+        post_init(self)
+
+    monkeypatch.setattr(AjAction, "__post_init__", counting)
+    sentences = [tokens_of(t) for t in small_corpus[100:]]
+    for tokens in sentences:
+        decode_beam(trained, tokens, beam)
+    steps = sum(map(len, sentences))
+    assert len(built) <= 2 * beam * steps, len(built) / steps
