@@ -15,6 +15,7 @@ import math
 import random
 from collections import Counter
 from dataclasses import dataclass, field
+from operator import add
 from typing import Optional
 
 from .oracle import oracle_action_sequence
@@ -102,7 +103,8 @@ def _target_features(chain, depth: int, token: Token):
 
 
 class _AveragedWeights:
-    """Perceptron weights with lazily-updated running averages."""
+    """Target-factor perceptron weights keyed by feature, with
+    lazily-updated running averages."""
 
     def __init__(self):
         self.w = {}
@@ -135,32 +137,94 @@ class _AveragedWeights:
         return out
 
 
+class _AveragedRows:
+    """Label-factor perceptron weights: one row of ``width`` floats per
+    feature, one slot per entry of ``_label_choices(labels)``, with
+    lazily-updated running averages per slot.
+
+    The averaging bookkeeping holds only the slots an update touched.
+    """
+
+    def __init__(self, width: int):
+        self.width = width
+        self.w = {}
+        self._totals = {}  # feature -> {slot: running total}
+        self._stamps = {}  # feature -> {slot: step of the last update}
+        self.steps = 0
+
+    def tick(self):
+        self.steps += 1
+
+    def update(self, feats, slot: int, delta: float):
+        for f in feats:
+            if f not in self.w:
+                self.w[f] = [0.0] * self.width
+                self._totals[f], self._stamps[f] = {}, {}
+            row, totals, stamps = self.w[f], self._totals[f], self._stamps[f]
+            totals[slot] = totals.get(slot, 0.0) + (
+                self.steps - stamps.get(slot, 0)
+            ) * row[slot]
+            stamps[slot] = self.steps
+            row[slot] += delta
+
+    def averaged(self) -> dict:
+        """Averaged rows; features whose every slot averages to zero are left out."""
+        if self.steps == 0:
+            return {}
+        out = {}
+        for f, row in self.w.items():
+            totals = self._totals[f]
+            stamps = self._stamps[f]
+            avg = [
+                (totals.get(s, 0.0) + (self.steps - stamps.get(s, 0)) * v) / self.steps
+                for s, v in enumerate(row)
+            ]
+            if any(avg):
+                out[f] = avg
+        return out
+
+
+def _label_choices(labels) -> list:
+    """The label-factor slots: None (no label), then the labels in sorted order."""
+    return [None] + sorted(labels)
+
+
+def _slot_keys(labels) -> list:
+    """The model-file name of each slot; None is written ``<none>``."""
+    return [_NONE_KEY if c is None else c for c in _label_choices(labels)]
+
+
 @dataclass
 class ActionScorer:
-    """Averaged weights for the three action factors plus the label vocabulary."""
+    """Averaged weights for the three action factors plus the label vocabulary.
+
+    ``target_weights`` maps a feature to its weight. ``parent_weights`` and
+    ``new_weights`` map a feature to a row of ``len(labels) + 1`` weights,
+    one per slot of ``_label_choices(labels)``.
+    """
 
     labels: list
     target_weights: dict
-    parent_weights: dict  # keyed (feature, label or _NONE_KEY)
+    parent_weights: dict
     new_weights: dict
     epoch_accuracy: list = field(default_factory=list)
 
     def save(self, path: str) -> None:
+        keys = _slot_keys(self.labels)
+        order = sorted(range(len(keys)), key=keys.__getitem__)
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(f"{MODEL_MAGIC}\t{MODEL_VERSION}\n")
             fh.write("labels\t" + "\t".join(self.labels) + "\n")
-            for name, table in (
-                ("target", self.target_weights),
-                ("parent", self.parent_weights),
-                ("new", self.new_weights),
-            ):
+            fh.write("[target]\n")
+            for k in sorted(self.target_weights):
+                fh.write(f"{k}\t{self.target_weights[k]!r}\n")
+            for name, rows in (("parent", self.parent_weights), ("new", self.new_weights)):
                 fh.write(f"[{name}]\n")
-                if name == "target":
-                    for k in sorted(table):
-                        fh.write(f"{k}\t{table[k]!r}\n")
-                else:
-                    for feat, lbl in sorted(table):
-                        fh.write(f"{feat}\t{lbl}\t{table[(feat, lbl)]!r}\n")
+                for feat in sorted(rows):
+                    row = rows[feat]
+                    for s in order:
+                        if row[s]:
+                            fh.write(f"{feat}\t{keys[s]}\t{row[s]!r}\n")
             fh.write("[end]\n")
 
     @classmethod
@@ -169,7 +233,13 @@ class ActionScorer:
             header = fh.readline().rstrip("\n").split("\t")
             if len(header) != 2 or header[0] != MODEL_MAGIC:
                 raise ModelFormatError(f"{path}: not a model file")
-            if int(header[1]) != MODEL_VERSION:
+            try:
+                version = int(header[1])
+            except ValueError:
+                raise ModelFormatError(
+                    f"{path}: model version {header[1]!r} is not an integer"
+                ) from None
+            if version != MODEL_VERSION:
                 raise ModelFormatError(
                     f"{path}: unsupported model version {header[1]}"
                 )
@@ -177,6 +247,8 @@ class ActionScorer:
             if label_line[0] != "labels":
                 raise ModelFormatError(f"{path}: missing label vocabulary")
             labels = label_line[1:]
+            keys = _slot_keys(labels)
+            slots = {key: s for s, key in enumerate(keys)}
             tables = {"target": {}, "parent": {}, "new": {}}
             current = None
             for line in fh:
@@ -209,39 +281,44 @@ class ActionScorer:
                     )
                 if current == "target":
                     tables[current][parts[0]] = weight
-                else:
-                    tables[current][(parts[0], parts[1])] = weight
+                elif parts[1] in slots:
+                    # A label outside the vocabulary has no slot and is never scored.
+                    rows = tables[current]
+                    row = rows.get(parts[0])
+                    if row is None:
+                        row = rows[parts[0]] = [0.0] * len(keys)
+                    row[slots[parts[1]]] = weight
             else:
                 raise ModelFormatError(f"{path}: file ends before [end]")
         return cls(labels, tables["target"], tables["parent"], tables["new"])
 
 
-def _label_key(label: Optional[str]) -> str:
-    return label if label is not None else _NONE_KEY
+def _label_scores(rows: dict, feats, width: int) -> list:
+    """Per-slot sums of the rows of ``feats``, added feature by feature."""
+    acc = [0.0] * width
+    for f in feats:
+        row = rows.get(f)
+        if row is not None:
+            acc = list(map(add, acc, row))
+    return acc
 
 
-def _label_keys(feats, label: Optional[str]):
-    key = _label_key(label)
-    return [(f, key) for f in feats]
-
-
-def _factor_scores(target_w, parent_w, new_w, feats, chain, token, choices):
-    """Score the three factors of one step over plain weight dicts.
+def _factor_scores(target_w, parent_rows, new_rows, feats, chain, token, width):
+    """Score the three factors of one step.
 
     Returns the target score of each chain depth (``[0.0]`` on the empty
-    tree, whose only target is 0) and, for the parent and new factors, a
-    map from each label in ``choices`` (None first) to its score.
+    tree, whose only target is 0) and, for the parent and new factors, the
+    score of each of the ``width`` label slots.
     """
     targets = [
         sum(target_w.get(f, 0.0) for f in _target_features(chain, d, token))
         for d in range(len(chain))
     ] or [0.0]
-    keyed = [(c, _label_key(c)) for c in choices]
-    parent, new = (
-        {c: sum(w.get((f, k), 0.0) for f in feats) for c, k in keyed}
-        for w in (parent_w, new_w)
+    return (
+        targets,
+        _label_scores(parent_rows, feats, width),
+        _label_scores(new_rows, feats, width),
     )
-    return targets, parent, new
 
 
 def _tree_of(item) -> ConstituencyTree:
@@ -286,8 +363,12 @@ def train(corpus, epochs: int, seed: int) -> ActionScorer:
     if epochs < 1:
         raise ValueError("epochs must be >= 1")
     labels = collect_labels(corpus)
-    factors = target_w, parent_w, new_w = [_AveragedWeights() for _ in range(3)]
-    choices = [None] + labels
+    choices = _label_choices(labels)
+    width = len(choices)
+    slot_of = {c: s for s, c in enumerate(choices)}
+    target_w = _AveragedWeights()
+    parent_w, new_w = _AveragedRows(width), _AveragedRows(width)
+    factors = (target_w, parent_w, new_w)
 
     examples = [_teacher_steps(_tree_of(item)) for item in corpus]
     rng = random.Random(seed)
@@ -304,7 +385,7 @@ def train(corpus, epochs: int, seed: int) -> ActionScorer:
                 for w in factors:
                     w.tick()
                 targets, parent_scores, new_scores = _factor_scores(
-                    target_w.w, parent_w.w, new_w.w, feats, chain, token, choices
+                    target_w.w, parent_w.w, new_w.w, feats, chain, token, width
                 )
                 # First-max argmaxes: ties go to the smallest depth, then to
                 # None, then to the first label in sorted order.
@@ -319,16 +400,16 @@ def train(corpus, epochs: int, seed: int) -> ActionScorer:
                         )
                         target_w.update(_target_features(chain, pred_d, token), -1.0)
                 for factor, w, scores, gold in (
-                    ("parent", parent_w, parent_scores, action.parent_label),
-                    ("new", new_w, new_scores, action.new_label),
+                    ("parent", parent_w, parent_scores, slot_of[action.parent_label]),
+                    ("new", new_w, new_scores, slot_of[action.new_label]),
                 ):
-                    pred = max(scores, key=scores.__getitem__)
+                    pred = scores.index(max(scores))
                     totals[factor] += 1
                     if pred == gold:
                         hits[factor] += 1
                     else:
-                        w.update(_label_keys(feats, gold), 1.0)
-                        w.update(_label_keys(feats, pred), -1.0)
+                        w.update(feats, gold, 1.0)
+                        w.update(feats, pred, -1.0)
         history.append(
             {
                 factor: (hits[factor] / totals[factor] if totals[factor] else 1.0)
@@ -381,19 +462,18 @@ def decode_beam(scorer: ActionScorer, tokens, beam: int) -> ConstituencyTree:
         raise ValueError("cannot decode an empty sentence")
     if beam < 1:
         raise ValueError("beam must be >= 1")
-    choices = [None] + sorted(scorer.labels)
+    choices = _label_choices(scorer.labels)
+    width = len(choices)
     items = [(0.0, 0, INITIAL_STATE, "none")]  # (score, rank, state, prev_kind)
     for i, token in enumerate(tokens):
         context = tuple(tokens[max(0, i - 2) : i])
         stepped = []
         for score, rank, state, prev_kind in items:
             chain = rightmost_chain(state)
-            t, parent, new = _factor_scores(
+            t, p, n = _factor_scores(
                 scorer.target_weights, scorer.parent_weights, scorer.new_weights,
-                featurize(state, token, context, prev_kind), chain, token, choices,
+                featurize(state, token, context, prev_kind), chain, token, width,
             )
-            p = [parent[c] for c in choices]
-            n = [new[c] for c in choices]
             if chain:
                 # (t[d] + p[i]) + n[j] at index d*(L+1)**2 + i*(L+1) + j.
                 scores = [tp + nj for tp in [td + pi for td in t for pi in p] for nj in n]

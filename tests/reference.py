@@ -9,10 +9,14 @@ count off the rightmost leaf: the versions here reduce at the topmost
 projection until none is left and count every leaf. ``decode_beam`` scores
 each step as a list of floats and builds actions only for candidates that
 can enter the beam; ``reference_decode_beam`` builds, keys and sorts every
-legal action of every item.
+legal action of every item. The perceptron keeps its parent and new label
+weights as one row per feature; ``reference_train`` and the decoder here
+keep them in dicts keyed by ``(feature, label)``.
 """
 
 import math
+import random
+from collections import Counter
 
 from ajparse.isr import (
     REDUCE,
@@ -22,7 +26,15 @@ from ajparse.isr import (
     Projected,
     translate_action,
 )
-from ajparse.predictor import _action_sort_key, _factor_scores, featurize
+from ajparse.predictor import (
+    _NONE_KEY,
+    _action_sort_key,
+    _target_features,
+    _teacher_steps,
+    _tree_of,
+    collect_labels,
+    featurize,
+)
 from ajparse.transition import (
     ATTACH,
     INITIAL_STATE,
@@ -181,17 +193,168 @@ def reference_gamma(aug):
     return IsrStack(tuple(elems), sum(1 for _ in iter_leaves(aug.root)))
 
 
-def _step_candidates(scorer, state, token, context, prev_kind):
+class _AveragedWeights:
+    """Perceptron weights with lazily-updated running averages."""
+
+    def __init__(self):
+        self.w = {}
+        self._totals = {}
+        self._stamps = {}
+        self.steps = 0
+
+    def tick(self):
+        self.steps += 1
+
+    def update(self, keys, delta: float):
+        for k in keys:
+            self._totals[k] = self._totals.get(k, 0.0) + (
+                self.steps - self._stamps.get(k, 0)
+            ) * self.w.get(k, 0.0)
+            self._stamps[k] = self.steps
+            self.w[k] = self.w.get(k, 0.0) + delta
+
+    def averaged(self) -> dict:
+        if self.steps == 0:
+            return {}
+        out = {}
+        for k, v in self.w.items():
+            total = self._totals.get(k, 0.0) + (
+                self.steps - self._stamps.get(k, 0)
+            ) * v
+            avg = total / self.steps
+            if avg != 0.0:
+                out[k] = avg
+        return out
+
+
+def _label_key(label):
+    return label if label is not None else _NONE_KEY
+
+
+def _label_keys(feats, label):
+    key = _label_key(label)
+    return [(f, key) for f in feats]
+
+
+def _sum_left_to_right(values) -> float:
+    """``sum`` as it was before Python 3.12 made float sums compensated."""
+    total = 0.0
+    for v in values:
+        total += v
+    return total
+
+
+def _factor_scores(target_w, parent_w, new_w, feats, chain, token, choices):
+    """The target score of each chain depth and, for the parent and new
+    factors, a map from each label in ``choices`` to its score, summed over
+    ``(feature, label key)`` dict lookups."""
+    targets = [
+        sum(target_w.get(f, 0.0) for f in _target_features(chain, d, token))
+        for d in range(len(chain))
+    ] or [0.0]
+    keyed = [(c, _label_key(c)) for c in choices]
+    parent, new = (
+        {c: _sum_left_to_right(w.get((f, k), 0.0) for f in feats) for c, k in keyed}
+        for w in (parent_w, new_w)
+    )
+    return targets, parent, new
+
+
+def label_dict(rows: dict, labels) -> dict:
+    """Label rows as a dict keyed by ``(feature, label key)``, zeros left out."""
+    keys = [_NONE_KEY] + sorted(labels)
+    return {(f, keys[s]): v for f, row in rows.items() for s, v in enumerate(row) if v}
+
+
+def label_rows(weights: dict, labels) -> dict:
+    """The inverse of ``label_dict``; keys naming no label are dropped."""
+    keys = [_NONE_KEY] + sorted(labels)
+    rows = {}
+    for (f, key), v in weights.items():
+        if key in keys:
+            rows.setdefault(f, [0.0] * len(keys))[keys.index(key)] = v
+    return rows
+
+
+def reference_train(corpus, epochs: int, seed: int):
+    """Teacher-forced averaged-perceptron training over dict-keyed weights.
+
+    Returns the labels, the target weights, the parent and new weights keyed
+    by ``(feature, label key)``, and the per-epoch accuracies.
+    """
+    labels = collect_labels(corpus)
+    factors = target_w, parent_w, new_w = [_AveragedWeights() for _ in range(3)]
+    choices = [None] + labels
+
+    examples = [_teacher_steps(_tree_of(item)) for item in corpus]
+    rng = random.Random(seed)
+    order = list(range(len(examples)))
+    history = []
+    for _ in range(epochs):
+        rng.shuffle(order)
+        hits = Counter()
+        totals = Counter()
+        for idx in order:
+            for state, token, context, prev_kind, action in examples[idx]:
+                feats = featurize(state, token, context, prev_kind)
+                chain = rightmost_chain(state)
+                for w in factors:
+                    w.tick()
+                targets, parent_scores, new_scores = _factor_scores(
+                    target_w.w, parent_w.w, new_w.w, feats, chain, token, choices
+                )
+                if len(chain) > 1:
+                    pred_d = max(range(len(targets)), key=targets.__getitem__)
+                    totals["target"] += 1
+                    if pred_d == action.target:
+                        hits["target"] += 1
+                    else:
+                        target_w.update(
+                            _target_features(chain, action.target, token), 1.0
+                        )
+                        target_w.update(_target_features(chain, pred_d, token), -1.0)
+                for factor, w, scores, gold in (
+                    ("parent", parent_w, parent_scores, action.parent_label),
+                    ("new", new_w, new_scores, action.new_label),
+                ):
+                    pred = max(scores, key=scores.__getitem__)
+                    totals[factor] += 1
+                    if pred == gold:
+                        hits[factor] += 1
+                    else:
+                        w.update(_label_keys(feats, gold), 1.0)
+                        w.update(_label_keys(feats, pred), -1.0)
+        history.append(
+            {
+                factor: (hits[factor] / totals[factor] if totals[factor] else 1.0)
+                for factor in ("target", "parent", "new")
+            }
+        )
+    target, parent, new = (w.averaged() for w in factors)
+    return labels, target, parent, new, history
+
+
+def reference_model_text(labels, target, parent, new) -> str:
+    """The model file of dict-keyed weights, as ``ActionScorer.save`` writes it."""
+    lines = ["ajparse-model\t1", "labels\t" + "\t".join(labels), "[target]"]
+    lines += [f"{k}\t{target[k]!r}" for k in sorted(target)]
+    for name, table in (("parent", parent), ("new", new)):
+        lines.append(f"[{name}]")
+        lines += [f"{feat}\t{lbl}\t{table[(feat, lbl)]!r}" for feat, lbl in sorted(table)]
+    lines.append("[end]")
+    return "".join(line + "\n" for line in lines)
+
+
+def _step_candidates(weights, labels, state, token, context, prev_kind):
     """Every legal action with its summed factor score, in ``legal_actions``
-    order."""
+    order, over ``(target, parent, new)`` dict weights."""
     t, p, n = _factor_scores(
-        scorer.target_weights, scorer.parent_weights, scorer.new_weights,
-        featurize(state, token, context, prev_kind), rightmost_chain(state),
-        token, [None] + scorer.labels,
+        *weights, featurize(state, token, context, prev_kind), rightmost_chain(state),
+        token, [None] + labels,
     )
     return [
         (t[a.target] + p[a.parent_label] + n[a.new_label], a)
-        for a in legal_actions(state, scorer.labels)
+        for a in legal_actions(state, labels)
     ]
 
 
@@ -207,12 +370,17 @@ def reference_decode_beam(scorer, tokens, beam: int):
         raise ValueError("cannot decode an empty sentence")
     if beam < 1:
         raise ValueError("beam must be >= 1")
+    weights = (
+        scorer.target_weights,
+        label_dict(scorer.parent_weights, scorer.labels),
+        label_dict(scorer.new_weights, scorer.labels),
+    )
     items = [(0.0, 0, INITIAL_STATE, "none")]  # (score, rank, state, prev_kind)
     for i, token in enumerate(tokens):
         context = tuple(tokens[max(0, i - 2) : i])
         candidates = []
         for score, rank, state, prev_kind in items:
-            cands = _step_candidates(scorer, state, token, context, prev_kind)
+            cands = _step_candidates(weights, scorer.labels, state, token, context, prev_kind)
             normed = _log_softmax([s for s, _ in cands])
             for s, (_, action) in zip(normed, cands):
                 candidates.append((score + s, _action_sort_key(action), rank, state, action))

@@ -235,6 +235,18 @@ def test_parse_rejects_model_cut_before_end(capsys, tmp_path, corpus_file):
     assert "ends before [end]" in err
 
 
+def test_parse_rejects_non_integer_model_version(capsys, tmp_path, corpus_file):
+    model, sents = _trained_model(capsys, tmp_path, corpus_file)
+    text = model.read_text()
+    model.write_text("ajparse-model\tx\n" + text.split("\n", 1)[1])
+    code, out, err = run(capsys, "parse", str(sents), str(tmp_path / "o.mrg"),
+                         "--model", str(model))
+    assert code == 1
+    assert result_line(out) == "RESULT ok=0 fail=1"
+    assert f"{model}: model version 'x' is not an integer" in err
+    assert "invalid literal" not in err
+
+
 def test_parse_rejects_short_weight_line(capsys, tmp_path, corpus_file):
     model, sents = _trained_model(capsys, tmp_path, corpus_file)
     lines = model.read_text().splitlines(keepends=True)

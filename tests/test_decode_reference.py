@@ -42,8 +42,8 @@ def scorers(draw):
     return ActionScorer(
         labels,
         draw(st.dictionaries(feats, weight, max_size=4)),
-        draw(st.dictionaries(keys, weight, max_size=6)),
-        draw(st.dictionaries(keys, weight, max_size=6)),
+        reference.label_rows(draw(st.dictionaries(keys, weight, max_size=6)), labels),
+        reference.label_rows(draw(st.dictionaries(keys, weight, max_size=6)), labels),
     )
 
 

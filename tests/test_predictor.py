@@ -1,6 +1,9 @@
 import hashlib
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ajparse.predictor import (
     ActionScorer,
@@ -133,6 +136,35 @@ def test_model_save_load_roundtrip(trained, tmp_path, small_corpus):
     for t in small_corpus[100:105]:
         toks = tokens_of(t)
         assert tree_equal(decode_greedy(trained, toks), decode_greedy(loaded, toks))
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(1, 30), st.integers(1, 3), st.integers(0, 10**6))
+def test_model_save_load_save_is_identical(n_sentences, epochs, seed):
+    corpus = generate_corpus(n_sentences + 2, seed=seed)
+    trained = train(corpus[:n_sentences], epochs=epochs, seed=seed)
+    held_out = [tokens_of(t) for t in corpus[n_sentences:]]
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp, "m.model")
+        trained.save(str(path))
+        saved = path.read_bytes()
+        loaded = ActionScorer.load(str(path))
+        loaded.save(str(path))
+        assert path.read_bytes() == saved
+
+        # A weight on a label outside the vocabulary is never scored.
+        lines = saved.decode().splitlines(keepends=True)
+        for section in ("[parent]\n", "[new]\n"):
+            lines.insert(lines.index(section) + 1, "w=the\tNOT-A-LABEL\t5.0\n")
+        path.write_text("".join(lines))
+        extra = ActionScorer.load(str(path))
+        extra.save(str(path))
+        assert path.read_bytes() == saved
+    for tokens in held_out:
+        for beam in (1, 10):
+            want = write_bracketed(decode_beam(trained, tokens, beam))
+            assert write_bracketed(decode_beam(loaded, tokens, beam)) == want
+            assert write_bracketed(decode_beam(extra, tokens, beam)) == want
 
 
 def test_model_load_validates_format(tmp_path):
