@@ -34,6 +34,10 @@ from .tree import ConstituencyTree, Internal, Leaf, Token, node_equal, rightmost
 
 MAX_LEAVES = 6
 MAX_VOCAB = 3
+# Unary levels allowed per subtree in the augmented trees, and how many more
+# internal nodes than shifts the stack search lets a stack build.
+AUGMENTED_UNARY_BUDGET = 1
+EXTRA_INTERNAL = 2
 
 
 def _token(i: int) -> Token:
@@ -149,13 +153,14 @@ def check_oracle_uniqueness(n_max: int, labels, report: CheckReport) -> None:
                 report.failures.append(f"oracle failed to rebuild {tree!r}")
 
 
-def enumerate_augmented(n_max: int, labels, unary_budget: int = 1):
+def enumerate_augmented(n_max: int, labels):
     """Augmented partial trees with <= n_max leaves, including the empty
-    tree, bare-leaf roots, and a bounded amount of unary chaining."""
+    tree, bare-leaf roots, and ``AUGMENTED_UNARY_BUDGET`` levels of unary
+    chaining."""
     yield AugmentedTree(None, -1)
     yield AugmentedTree(Leaf(_token(0), 0), -1)
     for n in range(1, n_max + 1):
-        for root in enumerate_subtrees(n, 0, labels, unary_budget):
+        for root in enumerate_subtrees(n, 0, labels, AUGMENTED_UNARY_BUDGET):
             if isinstance(root, Internal):
                 for mark in range(-1, len(rightmost_chain(root))):
                     yield AugmentedTree(root, mark)
@@ -196,13 +201,12 @@ def check_bijection(n_max: int, labels, report: CheckReport) -> None:
             report.failures.append(f"gamma(phi(s)) != s for stack {stack!r}")
 
 
-def enumerate_legal_stacks(max_tokens: int, labels, max_internal: int = None):
+def enumerate_legal_stacks(max_tokens: int, labels):
     """Breadth-first search over legal ISR states reachable with at most
-    ``max_tokens`` shifts, capping internal-node growth so the space stays
-    finite (projections can otherwise nest without bound)."""
-    if max_internal is None:
-        max_internal = max_tokens + 2
-    cap = max_internal + max_tokens
+    ``max_tokens`` shifts, capping internal-node growth at ``max_tokens +
+    EXTRA_INTERNAL`` so the space stays finite (projections can otherwise
+    nest without bound)."""
+    cap = 2 * max_tokens + EXTRA_INTERNAL
     seen = {EMPTY_STACK.elements}
     # Weight (total node count plus projections) is tracked incrementally:
     # shift and project add one, reduce folds a projection into one node.

@@ -80,8 +80,7 @@ def oracle_action_sequence(tree: ConstituencyTree, case_tally=None) -> list:
     """
     if tree.root is None:
         return []
-    if has_unary_chains(tree):
-        raise ValueError("oracle input must not contain unary chains")
+    _require_oracle_input(tree)
     actions = []
     chain = []
     open_chain(chain, tree.root)

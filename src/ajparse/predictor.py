@@ -45,15 +45,15 @@ def _node_tag(node) -> str:
     return node.label if isinstance(node, Internal) else (node.token.pos or node.token.word)
 
 
-def featurize(state: ConstituencyTree, token: Token, context=(), prev_kind: str = "none"):
+def featurize(chain, token: Token, context, prev_kind: str):
     """Sparse state features shared by the label factors.
 
-    ``context`` holds up to the two preceding tokens, oldest first. Output
-    is deterministic and bounded by the template count.
+    ``chain`` is the state's rightmost chain, root first; ``context`` holds
+    up to the two preceding tokens, oldest first. Output is deterministic
+    and bounded by the template count.
     """
     w = token.word
     p = token.pos or "~"
-    chain = rightmost_chain(state)
     depth = len(chain)
     feats = [
         f"w={w}",
@@ -102,54 +102,18 @@ def _target_features(chain, depth: int, token: Token):
     )
 
 
-class _AveragedWeights:
-    """Target-factor perceptron weights keyed by feature, with
-    lazily-updated running averages."""
-
-    def __init__(self):
-        self.w = {}
-        self._totals = {}
-        self._stamps = {}
-        self.steps = 0
-
-    def tick(self):
-        self.steps += 1
-
-    def update(self, keys, delta: float):
-        for k in keys:
-            self._totals[k] = self._totals.get(k, 0.0) + (
-                self.steps - self._stamps.get(k, 0)
-            ) * self.w.get(k, 0.0)
-            self._stamps[k] = self.steps
-            self.w[k] = self.w.get(k, 0.0) + delta
-
-    def averaged(self) -> dict:
-        if self.steps == 0:
-            return {}
-        out = {}
-        for k, v in self.w.items():
-            total = self._totals.get(k, 0.0) + (
-                self.steps - self._stamps.get(k, 0)
-            ) * v
-            avg = total / self.steps
-            if avg != 0.0:
-                out[k] = avg
-        return out
-
-
 class _AveragedRows:
-    """Label-factor perceptron weights: one row of ``width`` floats per
-    feature, one slot per entry of ``_label_choices(labels)``, with
-    lazily-updated running averages per slot.
-
-    The averaging bookkeeping holds only the slots an update touched.
+    """Perceptron weights for one factor: a row of ``width`` floats per
+    feature, with lazily-updated running averages per slot. The label
+    factors have a slot per entry of ``_label_choices(labels)``; the target
+    factor has one slot, as its features already name the depth they score.
     """
 
     def __init__(self, width: int):
         self.width = width
         self.w = {}
-        self._totals = {}  # feature -> {slot: running total}
-        self._stamps = {}  # feature -> {slot: step of the last update}
+        self._totals = {}  # feature -> running total per slot
+        self._stamps = {}  # feature -> step of the last update per slot
         self.steps = 0
 
     def tick(self):
@@ -157,13 +121,12 @@ class _AveragedRows:
 
     def update(self, feats, slot: int, delta: float):
         for f in feats:
-            if f not in self.w:
-                self.w[f] = [0.0] * self.width
-                self._totals[f], self._stamps[f] = {}, {}
-            row, totals, stamps = self.w[f], self._totals[f], self._stamps[f]
-            totals[slot] = totals.get(slot, 0.0) + (
-                self.steps - stamps.get(slot, 0)
-            ) * row[slot]
+            row = self.w.get(f)
+            if row is None:
+                row = self.w[f] = [0.0] * self.width
+                self._totals[f], self._stamps[f] = [0.0] * self.width, [0] * self.width
+            totals, stamps = self._totals[f], self._stamps[f]
+            totals[slot] += (self.steps - stamps[slot]) * row[slot]
             stamps[slot] = self.steps
             row[slot] += delta
 
@@ -173,11 +136,9 @@ class _AveragedRows:
             return {}
         out = {}
         for f, row in self.w.items():
-            totals = self._totals[f]
-            stamps = self._stamps[f]
             avg = [
-                (totals.get(s, 0.0) + (self.steps - stamps.get(s, 0)) * v) / self.steps
-                for s, v in enumerate(row)
+                (total + (self.steps - stamp) * v) / self.steps
+                for v, total, stamp in zip(row, self._totals[f], self._stamps[f])
             ]
             if any(avg):
                 out[f] = avg
@@ -189,18 +150,27 @@ def _label_choices(labels) -> list:
     return [None] + sorted(labels)
 
 
-def _slot_keys(labels) -> list:
-    """The model-file name of each slot; None is written ``<none>``."""
-    return [_NONE_KEY if c is None else c for c in _label_choices(labels)]
+def _slot_keys(labels, path: str) -> list:
+    """The model-file name of each slot; None is written ``<none>``.
+
+    A label spelled ``<none>`` or given twice would share a name with
+    another slot, so the weights of the two could not be told apart.
+    """
+    keys = [_NONE_KEY if c is None else c for c in _label_choices(labels)]
+    if len(set(keys)) != len(keys):
+        raise ModelFormatError(
+            f"{path}: a label is repeated or spelled {_NONE_KEY!r}, the name for no label"
+        )
+    return keys
 
 
 @dataclass
 class ActionScorer:
     """Averaged weights for the three action factors plus the label vocabulary.
 
-    ``target_weights`` maps a feature to its weight. ``parent_weights`` and
-    ``new_weights`` map a feature to a row of ``len(labels) + 1`` weights,
-    one per slot of ``_label_choices(labels)``.
+    Each table maps a feature to a row of weights: one weight in
+    ``target_weights``, and ``len(labels) + 1`` in ``parent_weights`` and
+    ``new_weights``, one per slot of ``_label_choices(labels)``.
     """
 
     labels: list
@@ -210,14 +180,14 @@ class ActionScorer:
     epoch_accuracy: list = field(default_factory=list)
 
     def save(self, path: str) -> None:
-        keys = _slot_keys(self.labels)
+        keys = _slot_keys(self.labels, path)
         order = sorted(range(len(keys)), key=keys.__getitem__)
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(f"{MODEL_MAGIC}\t{MODEL_VERSION}\n")
             fh.write("labels\t" + "\t".join(self.labels) + "\n")
             fh.write("[target]\n")
             for k in sorted(self.target_weights):
-                fh.write(f"{k}\t{self.target_weights[k]!r}\n")
+                fh.write(f"{k}\t{self.target_weights[k][0]!r}\n")
             for name, rows in (("parent", self.parent_weights), ("new", self.new_weights)):
                 fh.write(f"[{name}]\n")
                 for feat in sorted(rows):
@@ -247,7 +217,7 @@ class ActionScorer:
             if label_line[0] != "labels":
                 raise ModelFormatError(f"{path}: missing label vocabulary")
             labels = label_line[1:]
-            keys = _slot_keys(labels)
+            keys = _slot_keys(labels, path)
             slots = {key: s for s, key in enumerate(keys)}
             tables = {"target": {}, "parent": {}, "new": {}}
             current = None
@@ -280,7 +250,7 @@ class ActionScorer:
                         f"{path}: [{current}] weight {parts[-1]!r} is not a finite number"
                     )
                 if current == "target":
-                    tables[current][parts[0]] = weight
+                    tables[current][parts[0]] = [weight]
                 elif parts[1] in slots:
                     # A label outside the vocabulary has no slot and is never scored.
                     rows = tables[current]
@@ -303,7 +273,10 @@ def _label_scores(rows: dict, feats, width: int) -> list:
     return acc
 
 
-def _factor_scores(target_w, parent_rows, new_rows, feats, chain, token, width):
+_NO_ROW = (0.0,)
+
+
+def _factor_scores(target_rows, parent_rows, new_rows, feats, chain, token, width):
     """Score the three factors of one step.
 
     Returns the target score of each chain depth (``[0.0]`` on the empty
@@ -311,7 +284,7 @@ def _factor_scores(target_w, parent_rows, new_rows, feats, chain, token, width):
     score of each of the ``width`` label slots.
     """
     targets = [
-        sum(target_w.get(f, 0.0) for f in _target_features(chain, d, token))
+        sum(target_rows.get(f, _NO_ROW)[0] for f in _target_features(chain, d, token))
         for d in range(len(chain))
     ] or [0.0]
     return (
@@ -366,9 +339,8 @@ def train(corpus, epochs: int, seed: int) -> ActionScorer:
     choices = _label_choices(labels)
     width = len(choices)
     slot_of = {c: s for s, c in enumerate(choices)}
-    target_w = _AveragedWeights()
-    parent_w, new_w = _AveragedRows(width), _AveragedRows(width)
-    factors = (target_w, parent_w, new_w)
+    factors = _AveragedRows(1), _AveragedRows(width), _AveragedRows(width)
+    target_w, parent_w, new_w = factors
 
     examples = [_teacher_steps(_tree_of(item)) for item in corpus]
     rng = random.Random(seed)
@@ -380,8 +352,8 @@ def train(corpus, epochs: int, seed: int) -> ActionScorer:
         totals = Counter()
         for idx in order:
             for state, token, context, prev_kind, action in examples[idx]:
-                feats = featurize(state, token, context, prev_kind)
                 chain = rightmost_chain(state)
+                feats = featurize(chain, token, context, prev_kind)
                 for w in factors:
                     w.tick()
                 targets, parent_scores, new_scores = _factor_scores(
@@ -395,10 +367,8 @@ def train(corpus, epochs: int, seed: int) -> ActionScorer:
                     if pred_d == action.target:
                         hits["target"] += 1
                     else:
-                        target_w.update(
-                            _target_features(chain, action.target, token), 1.0
-                        )
-                        target_w.update(_target_features(chain, pred_d, token), -1.0)
+                        target_w.update(_target_features(chain, action.target, token), 0, 1.0)
+                        target_w.update(_target_features(chain, pred_d, token), 0, -1.0)
                 for factor, w, scores, gold in (
                     ("parent", parent_w, parent_scores, slot_of[action.parent_label]),
                     ("new", new_w, new_scores, slot_of[action.new_label]),
@@ -472,7 +442,7 @@ def decode_beam(scorer: ActionScorer, tokens, beam: int) -> ConstituencyTree:
             chain = rightmost_chain(state)
             t, p, n = _factor_scores(
                 scorer.target_weights, scorer.parent_weights, scorer.new_weights,
-                featurize(state, token, context, prev_kind), chain, token, width,
+                featurize(chain, token, context, prev_kind), chain, token, width,
             )
             if chain:
                 # (t[d] + p[i]) + n[j] at index d*(L+1)**2 + i*(L+1) + j.

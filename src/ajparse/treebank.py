@@ -52,7 +52,6 @@ class DegenerateSentenceError(ValueError):
 class CorpusEntry:
     id: int
     tree: ConstituencyTree
-    raw: str
 
 
 def _tokenize(text: str):
@@ -247,7 +246,7 @@ def load_corpus(
                 raise TreebankFormatError(reason, offset=where, entry=i) from err
             logger.warning("skipping malformed entry %d: %s", i, err)
             continue
-        entries.append(CorpusEntry(len(entries), tree, raw))
+        entries.append(CorpusEntry(len(entries), tree))
     return entries
 
 

@@ -9,9 +9,10 @@ count off the rightmost leaf: the versions here reduce at the topmost
 projection until none is left and count every leaf. ``decode_beam`` scores
 each step as a list of floats and builds actions only for candidates that
 can enter the beam; ``reference_decode_beam`` builds, keys and sorts every
-legal action of every item. The perceptron keeps its parent and new label
-weights as one row per feature; ``reference_train`` and the decoder here
-keep them in dicts keyed by ``(feature, label)``.
+legal action of every item. The perceptron keeps the weights of all three
+factors as one row per feature; ``reference_train`` and the decoder here
+keep target weights in a dict keyed by feature and label weights in dicts
+keyed by ``(feature, label)``.
 """
 
 import math
@@ -296,8 +297,8 @@ def reference_train(corpus, epochs: int, seed: int):
         totals = Counter()
         for idx in order:
             for state, token, context, prev_kind, action in examples[idx]:
-                feats = featurize(state, token, context, prev_kind)
                 chain = rightmost_chain(state)
+                feats = featurize(chain, token, context, prev_kind)
                 for w in factors:
                     w.tick()
                 targets, parent_scores, new_scores = _factor_scores(
@@ -348,9 +349,9 @@ def reference_model_text(labels, target, parent, new) -> str:
 def _step_candidates(weights, labels, state, token, context, prev_kind):
     """Every legal action with its summed factor score, in ``legal_actions``
     order, over ``(target, parent, new)`` dict weights."""
+    chain = rightmost_chain(state)
     t, p, n = _factor_scores(
-        *weights, featurize(state, token, context, prev_kind), rightmost_chain(state),
-        token, [None] + labels,
+        *weights, featurize(chain, token, context, prev_kind), chain, token, [None] + labels,
     )
     return [
         (t[a.target] + p[a.parent_label] + n[a.new_label], a)
@@ -371,7 +372,7 @@ def reference_decode_beam(scorer, tokens, beam: int):
     if beam < 1:
         raise ValueError("beam must be >= 1")
     weights = (
-        scorer.target_weights,
+        {f: row[0] for f, row in scorer.target_weights.items()},
         label_dict(scorer.parent_weights, scorer.labels),
         label_dict(scorer.new_weights, scorer.labels),
     )

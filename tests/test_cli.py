@@ -126,6 +126,20 @@ def test_stats_counts_failures_per_entry(capsys, tmp_path, sample_path):
     assert "entry 1:" in err
     code, out, _ = run(capsys, "verify", str(p), "--no-normalize")
     assert result_line(out) == "RESULT ok=2 fail=1"
+    # oracle and translate-isr write lines for entries 0 and 2 only, the
+    # same lines they write for them when entry 1 is a good tree.
+    all_good = tmp_path / "good.mrg"
+    all_good.write_text("\n".join([good[0], good[2], good[1]]) + "\n")
+    for command in ("oracle", "translate-isr"):
+        expected = tmp_path / f"{command}-good.txt"
+        code, out, _ = run(capsys, command, str(all_good), str(expected), "--no-normalize")
+        assert (code, result_line(out)) == (0, "RESULT ok=3 fail=0")
+        written = tmp_path / f"{command}.txt"
+        code, out, err = run(capsys, command, str(p), str(written), "--no-normalize")
+        assert (code, result_line(out)) == (1, "RESULT ok=2 fail=1")
+        assert "entry 1: oracle input must not contain unary chains" in err
+        lines = expected.read_text().splitlines(keepends=True)
+        assert written.read_text() == lines[0] + lines[2]
 
 
 def test_parse_writes_parentheses_as_ptb_tokens(capsys, tmp_path):
@@ -245,6 +259,21 @@ def test_parse_rejects_non_integer_model_version(capsys, tmp_path, corpus_file):
     assert result_line(out) == "RESULT ok=0 fail=1"
     assert f"{model}: model version 'x' is not an integer" in err
     assert "invalid literal" not in err
+
+
+def test_train_refuses_label_spelled_like_no_label(capsys, tmp_path):
+    """Model files write the no-label slot as ``<none>``, so a treebank
+    label spelled so would share that slot's lines."""
+    gold = tmp_path / "none.mrg"
+    gold.write_text(
+        "(S (<none> (DT the) (NN king)) (VP (VBZ sees) (<none> (DT a) (NN sword))))\n"
+        "(S (NP (NNP Arthur)) (VP (VBZ waves)))\n"
+    )
+    model = tmp_path / "none.model"
+    code, out, err = run(capsys, "train", str(gold), "--model", str(model), "--epochs", "3")
+    assert (code, result_line(out)) == (1, "RESULT ok=0 fail=1")
+    assert "spelled '<none>'" in err
+    assert not model.exists()
 
 
 def test_parse_rejects_short_weight_line(capsys, tmp_path, corpus_file):

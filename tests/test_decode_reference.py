@@ -41,7 +41,7 @@ def scorers(draw):
     keys = st.tuples(feats, st.sampled_from(labels + ["<none>"]))
     return ActionScorer(
         labels,
-        draw(st.dictionaries(feats, weight, max_size=4)),
+        {f: [w] for f, w in draw(st.dictionaries(feats, weight, max_size=4)).items()},
         reference.label_rows(draw(st.dictionaries(keys, weight, max_size=6)), labels),
         reference.label_rows(draw(st.dictionaries(keys, weight, max_size=6)), labels),
     )

@@ -175,6 +175,11 @@ def test_model_load_validates_format(tmp_path):
     p.write_text("ajparse-model\t999\nlabels\tS\n[end]\n")
     with pytest.raises(ModelFormatError):
         ActionScorer.load(str(p))
+    # "<none>" names the no-label slot, so a label may not take that name.
+    for labels in ("S\t<none>", "NP\tS\tNP"):
+        p.write_text(f"ajparse-model\t1\nlabels\t{labels}\n[end]\n")
+        with pytest.raises(ModelFormatError, match="repeated or spelled '<none>'"):
+            ActionScorer.load(str(p))
 
 
 # sha256 of the model file and of the parses of small_corpus[100:], one
