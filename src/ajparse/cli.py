@@ -129,13 +129,15 @@ def cmd_enumerate_check(args) -> int:
 
 
 def cmd_train(args) -> int:
-    entries = load_corpus(args.input, normalization=True, strict=args.strict)
-    scorer = predictor.train(entries, epochs=args.epochs, seed=args.seed)
+    trees = [e.tree for e in load_corpus(args.input, normalization=True, strict=args.strict)]
+    # A label the model file cannot name fails before training, not after.
+    predictor.slot_keys(predictor.collect_labels(trees), args.model)
+    scorer = predictor.train(trees, epochs=args.epochs, seed=args.seed)
     for epoch, acc in enumerate(scorer.epoch_accuracy, start=1):
         line = " ".join(f"{k}={v:.4f}" for k, v in sorted(acc.items()))
         print(f"epoch {epoch}: {line}", file=sys.stderr)
     scorer.save(args.model)
-    return _result(len(entries), 0)
+    return _result(len(trees), 0)
 
 
 # PTB tokens for a bare parenthesis, which bracketed output cannot hold.

@@ -1,7 +1,7 @@
 """Linear baseline action predictor.
 
 A factored averaged perceptron scores (target depth, parent_label,
-new_label) independently over sparse features of the parser state and a
+new_label) independently over sparse features of the open chain and a
 small token window; new_label = None decodes as attach, anything else as
 juxtapose. Trained with teacher forcing on oracle actions; decoding is
 greedy or beam search with legality masking.
@@ -21,14 +21,14 @@ from typing import Optional
 from .oracle import oracle_action_sequence
 from .transition import (
     ATTACH,
-    INITIAL_STATE,
     AjAction,
-    apply_action,
     apply_sequence,
     attach,
+    close_chain,
     juxtapose,
+    step,
 )
-from .tree import ConstituencyTree, Internal, Token, iter_nodes, rightmost_chain
+from .tree import ConstituencyTree, Internal, Leaf, Token, iter_nodes
 from .treebank import tokens_of
 
 MODEL_MAGIC = "ajparse-model"
@@ -48,9 +48,10 @@ def _node_tag(node) -> str:
 def featurize(chain, token: Token, context, prev_kind: str):
     """Sparse state features shared by the label factors.
 
-    ``chain`` is the state's rightmost chain, root first; ``context`` holds
-    up to the two preceding tokens, oldest first. Output is deterministic
-    and bounded by the template count.
+    ``chain`` is the state's open chain of ``[label, children]`` frames,
+    root first, whose deepest frame's children end with the last leaf;
+    ``context`` holds up to the two preceding tokens, oldest first. Output
+    is deterministic and bounded by the template count.
     """
     w = token.word
     p = token.pos or "~"
@@ -65,30 +66,32 @@ def featurize(chain, token: Token, context, prev_kind: str):
     if not chain:
         feats.append("chain=empty")
     else:
-        bottom = chain[-1]
+        label, children = chain[-1]
+        last = _node_tag(children[-1])
         feats += [
-            f"c0={bottom.label}",
-            f"c0|w={bottom.label}|{w}",
-            f"c0|p={bottom.label}|{p}",
-            f"c0.first={_node_tag(bottom.children[0])}",
-            f"c0.last={_node_tag(bottom.children[-1])}",
-            f"cr={chain[0].label}",
-            f"c0.last|p={_node_tag(bottom.children[-1])}|{p}",
+            f"c0={label}",
+            f"c0|w={label}|{w}",
+            f"c0|p={label}|{p}",
+            f"c0.first={_node_tag(children[0])}",
+            f"c0.last={last}",
+            f"cr={chain[0][0]}",
+            f"c0.last|p={last}|{p}",
         ]
         if depth >= 2:
-            feats += [f"c1={chain[-2].label}", f"c1|p={chain[-2].label}|{p}"]
+            feats += [f"c1={chain[-2][0]}", f"c1|p={chain[-2][0]}|{p}"]
         if depth >= 3:
-            feats.append(f"c2={chain[-3].label}")
+            feats.append(f"c2={chain[-3][0]}")
     for back, tok in enumerate(reversed(context), start=1):
         feats += [f"w-{back}={tok.word}", f"p-{back}={tok.pos or '~'}"]
     return tuple(feats)
 
 
 def _target_features(chain, depth: int, token: Token):
-    node = chain[depth]
+    lab = chain[depth][0]
     dist = min(len(chain) - 1 - depth, 4)
     d = min(depth, 4)
-    lab = node.label
+    # A frame's implicit last child is the next frame's node.
+    last = _node_tag(chain[depth][1][-1]) if dist == 0 else chain[depth + 1][0]
     p = token.pos or "~"
     return (
         f"t.lab={lab}",
@@ -97,7 +100,7 @@ def _target_features(chain, depth: int, token: Token):
         f"t.lab|p={lab}|{p}",
         f"t.lab|w={lab}|{token.word}",
         f"t.dist|p={dist}|{p}",
-        f"t.last={_node_tag(node.children[-1])}",
+        f"t.last={last}",
         f"t.lab|dist={lab}|{dist}",
     )
 
@@ -150,7 +153,7 @@ def _label_choices(labels) -> list:
     return [None] + sorted(labels)
 
 
-def _slot_keys(labels, path: str) -> list:
+def slot_keys(labels, path: str) -> list:
     """The model-file name of each slot; None is written ``<none>``.
 
     A label spelled ``<none>`` or given twice would share a name with
@@ -180,7 +183,7 @@ class ActionScorer:
     epoch_accuracy: list = field(default_factory=list)
 
     def save(self, path: str) -> None:
-        keys = _slot_keys(self.labels, path)
+        keys = slot_keys(self.labels, path)
         order = sorted(range(len(keys)), key=keys.__getitem__)
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(f"{MODEL_MAGIC}\t{MODEL_VERSION}\n")
@@ -217,7 +220,7 @@ class ActionScorer:
             if label_line[0] != "labels":
                 raise ModelFormatError(f"{path}: missing label vocabulary")
             labels = label_line[1:]
-            keys = _slot_keys(labels, path)
+            keys = slot_keys(labels, path)
             slots = {key: s for s, key in enumerate(keys)}
             tables = {"target": {}, "parent": {}, "new": {}}
             current = None
@@ -294,55 +297,47 @@ def _factor_scores(target_rows, parent_rows, new_rows, feats, chain, token, widt
     )
 
 
-def _tree_of(item) -> ConstituencyTree:
-    # Corpora are interchangeably lists of trees or of corpus entries.
-    return item if isinstance(item, ConstituencyTree) else item.tree
-
-
-def _internal_labels(corpus):
-    for item in corpus:
-        for node in iter_nodes(_tree_of(item).root):
+def _internal_labels(trees):
+    for tree in trees:
+        for node in iter_nodes(tree.root):
             if isinstance(node, Internal):
                 yield node.label
 
 
-def collect_labels(corpus) -> list:
-    return sorted(set(_internal_labels(corpus)))
+def collect_labels(trees) -> list:
+    return sorted(set(_internal_labels(trees)))
 
 
-def _teacher_steps(tree: ConstituencyTree):
-    """(state, token, context, prev_kind, action) tuples for one gold tree."""
-    tokens = tokens_of(tree)
-    actions = oracle_action_sequence(tree)
-    steps = []
-    state = INITIAL_STATE
+def _teacher_steps(tokens, actions):
+    """(chain, token, context, prev_kind, action) for each step of a gold
+    action sequence, replayed on one open chain. Each chain is yielded
+    before its action and edited in place after it."""
+    chain = []
     prev_kind = "none"
     for i, (token, action) in enumerate(zip(tokens, actions)):
-        context = tuple(tokens[max(0, i - 2) : i])
-        steps.append((state, token, context, prev_kind, action))
-        state = apply_action(state, token, action)
+        yield chain, token, tuple(tokens[max(0, i - 2) : i]), prev_kind, action
+        step(chain, Leaf(token, i), action)
         prev_kind = action.kind
-    return steps
 
 
-def train(corpus, epochs: int, seed: int) -> ActionScorer:
+def train(trees, epochs: int, seed: int) -> ActionScorer:
     """Teacher-forced averaged-perceptron training.
 
     Deterministic given the seed (per-epoch shuffling order is derived from
     it); per-epoch per-factor accuracies are stored on the returned scorer.
     """
-    if not corpus:
+    if not trees:
         raise ValueError("cannot train on an empty corpus")
     if epochs < 1:
         raise ValueError("epochs must be >= 1")
-    labels = collect_labels(corpus)
+    labels = collect_labels(trees)
     choices = _label_choices(labels)
     width = len(choices)
     slot_of = {c: s for s, c in enumerate(choices)}
     factors = _AveragedRows(1), _AveragedRows(width), _AveragedRows(width)
     target_w, parent_w, new_w = factors
 
-    examples = [_teacher_steps(_tree_of(item)) for item in corpus]
+    examples = [(tokens_of(tree), oracle_action_sequence(tree)) for tree in trees]
     rng = random.Random(seed)
     order = list(range(len(examples)))
     history = []
@@ -351,8 +346,7 @@ def train(corpus, epochs: int, seed: int) -> ActionScorer:
         hits = Counter()
         totals = Counter()
         for idx in order:
-            for state, token, context, prev_kind, action in examples[idx]:
-                chain = rightmost_chain(state)
+            for chain, token, context, prev_kind, action in _teacher_steps(*examples[idx]):
                 feats = featurize(chain, token, context, prev_kind)
                 for w in factors:
                     w.tick()
@@ -427,6 +421,8 @@ def decode_beam(scorer: ActionScorer, tokens, beam: int) -> ConstituencyTree:
     become actions. Float rounding is monotone, so they include the whole
     beam. Ties break lexicographically: attach before juxtapose, then target
     depth, then parent and new label order (None first), then item rank.
+    Items are open chains: a successor copies the frames that ``step``
+    edits, from the action's target down, and shares those above.
     """
     if not tokens:
         raise ValueError("cannot decode an empty sentence")
@@ -434,12 +430,11 @@ def decode_beam(scorer: ActionScorer, tokens, beam: int) -> ConstituencyTree:
         raise ValueError("beam must be >= 1")
     choices = _label_choices(scorer.labels)
     width = len(choices)
-    items = [(0.0, 0, INITIAL_STATE, "none")]  # (score, rank, state, prev_kind)
+    items = [(0.0, 0, [], "none")]  # (score, rank, chain, prev_kind)
     for i, token in enumerate(tokens):
         context = tuple(tokens[max(0, i - 2) : i])
         stepped = []
-        for score, rank, state, prev_kind in items:
-            chain = rightmost_chain(state)
+        for score, rank, chain, prev_kind in items:
             t, p, n = _factor_scores(
                 scorer.target_weights, scorer.parent_weights, scorer.new_weights,
                 featurize(chain, token, context, prev_kind), chain, token, width,
@@ -455,27 +450,29 @@ def decode_beam(scorer: ActionScorer, tokens, beam: int) -> ConstituencyTree:
                 # The cut needs a total order; a sum of finite weights can
                 # still overflow to inf, and inf - inf is nan.
                 raise ValueError("step scores overflow the float range")
-            stepped.append(([score + (s - lse) for s in scores], rank, state, chain))
+            stepped.append(([score + (s - lse) for s in scores], rank, chain))
         cut = heapq.nlargest(beam, itertools.chain.from_iterable(s[0] for s in stepped))[-1]
         candidates = []
-        for totals, rank, state, chain in stepped:
+        for totals, rank, chain in stepped:
             for k in itertools.compress(range(len(totals)), map(cut.__le__, totals)):
                 action = _action_at(k, chain, choices)
-                candidates.append((totals[k], _action_sort_key(action), rank, state, action))
+                candidates.append((totals[k], _action_sort_key(action), rank, chain, action))
         candidates.sort(key=lambda c: (-c[0], c[1], c[2]))
-        items = [
-            (total, rank, apply_action(state, token, action), action.kind)
-            for rank, (total, _, _, state, action) in enumerate(candidates[:beam])
-        ]
-    return items[0][2]
+        items = []
+        for rank, (total, _, _, chain, action) in enumerate(candidates[:beam]):
+            d = action.target
+            successor = chain[:d] + [[label, list(kids)] for label, kids in chain[d:]]
+            step(successor, Leaf(token, i), action)
+            items.append((total, rank, successor, action.kind))
+    return ConstituencyTree(close_chain(items[0][2], 0))
 
 
 def decode_greedy(scorer: ActionScorer, tokens) -> ConstituencyTree:
     return decode_beam(scorer, tokens, 1)
 
 
-def majority_label(corpus) -> str:
-    counts = Counter(_internal_labels(corpus))
+def majority_label(trees) -> str:
+    counts = Counter(_internal_labels(trees))
     if not counts:
         raise ValueError("corpus has no internal nodes")
     return min(counts, key=lambda l: (-counts[l], l))

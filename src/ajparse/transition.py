@@ -148,8 +148,8 @@ def legal_actions(state: ConstituencyTree, label_vocabulary) -> list:
 # first. A frame's children are finished nodes; the node of the next frame
 # is its implicit last child. ``step`` edits the frames in place, and each
 # ``Internal`` is built when it leaves the chain. ``apply_action`` opens and
-# closes a tree's chain around one step; whole-sequence operations keep one
-# chain open, so a sentence costs O(n) instead of a tree rebuild per action.
+# closes a tree's chain around one step; replay, the oracle, training and
+# decoding keep one chain open, costing O(n) node builds per sentence.
 
 
 def open_chain(chain: list, node, limit: Optional[int] = None) -> None:
@@ -180,8 +180,8 @@ def close_chain(chain: list, depth: int):
 
 def step(chain: list, leaf: Leaf, action: AjAction) -> None:
     """Apply a legal ``action`` to the open ``chain`` in place, integrating
-    ``leaf``: the one attach/juxtapose rule behind ``apply_action`` and
-    ``apply_sequence``."""
+    ``leaf``: the one attach/juxtapose rule. Frames above ``action.target``
+    are left untouched, so chains may share them."""
     if not chain:
         # Degenerate first action: parent_label becomes the new root.
         chain.append([action.parent_label, [leaf]])

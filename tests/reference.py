@@ -12,7 +12,10 @@ can enter the beam; ``reference_decode_beam`` builds, keys and sorts every
 legal action of every item. The perceptron keeps the weights of all three
 factors as one row per feature; ``reference_train`` and the decoder here
 keep target weights in a dict keyed by feature and label weights in dicts
-keyed by ``(feature, label)``.
+keyed by ``(feature, label)``. The predictor's parser state is an open
+chain of frames in training and decoding; the trainer and decoder here
+build a tree per step with ``apply_action`` and read their features off
+its rightmost chain.
 """
 
 import math
@@ -27,15 +30,8 @@ from ajparse.isr import (
     Projected,
     translate_action,
 )
-from ajparse.predictor import (
-    _NONE_KEY,
-    _action_sort_key,
-    _target_features,
-    _teacher_steps,
-    _tree_of,
-    collect_labels,
-    featurize,
-)
+from ajparse.oracle import oracle_action_sequence
+from ajparse.predictor import _NONE_KEY, _action_sort_key, _node_tag, collect_labels
 from ajparse.transition import (
     ATTACH,
     INITIAL_STATE,
@@ -46,6 +42,7 @@ from ajparse.transition import (
     legal_actions,
 )
 from ajparse.tree import ConstituencyTree, Internal, Leaf, iter_leaves, rightmost_chain
+from ajparse.treebank import tokens_of
 
 
 def replace_on_rightmost_chain(chain: list, depth: int, new_node) -> Internal:
@@ -194,6 +191,77 @@ def reference_gamma(aug):
     return IsrStack(tuple(elems), sum(1 for _ in iter_leaves(aug.root)))
 
 
+def featurize(chain, token, context, prev_kind: str):
+    """The predictor's state features, read off the tree's rightmost chain
+    of ``Internal`` nodes instead of the open chain's frames."""
+    w = token.word
+    p = token.pos or "~"
+    depth = len(chain)
+    feats = [
+        f"w={w}",
+        f"p={p}",
+        f"w|p={w}|{p}",
+        f"len={min(depth, 6)}",
+        f"prev={prev_kind}",
+    ]
+    if not chain:
+        feats.append("chain=empty")
+    else:
+        bottom = chain[-1]
+        feats += [
+            f"c0={bottom.label}",
+            f"c0|w={bottom.label}|{w}",
+            f"c0|p={bottom.label}|{p}",
+            f"c0.first={_node_tag(bottom.children[0])}",
+            f"c0.last={_node_tag(bottom.children[-1])}",
+            f"cr={chain[0].label}",
+            f"c0.last|p={_node_tag(bottom.children[-1])}|{p}",
+        ]
+        if depth >= 2:
+            feats += [f"c1={chain[-2].label}", f"c1|p={chain[-2].label}|{p}"]
+        if depth >= 3:
+            feats.append(f"c2={chain[-3].label}")
+    for back, tok in enumerate(reversed(context), start=1):
+        feats += [f"w-{back}={tok.word}", f"p-{back}={tok.pos or '~'}"]
+    return tuple(feats)
+
+
+def target_features(chain, depth: int, token):
+    """The predictor's target features of ``chain[depth]``, an ``Internal``
+    node whose last child is read off the node itself."""
+    node = chain[depth]
+    dist = min(len(chain) - 1 - depth, 4)
+    d = min(depth, 4)
+    lab = node.label
+    p = token.pos or "~"
+    return (
+        f"t.lab={lab}",
+        f"t.dist={dist}",
+        f"t.d={d}",
+        f"t.lab|p={lab}|{p}",
+        f"t.lab|w={lab}|{token.word}",
+        f"t.dist|p={dist}|{p}",
+        f"t.last={_node_tag(node.children[-1])}",
+        f"t.lab|dist={lab}|{dist}",
+    )
+
+
+def teacher_steps(tree):
+    """(state, token, context, prev_kind, action) tuples for one gold tree,
+    with a tree for each state, built by ``apply_action``."""
+    tokens = tokens_of(tree)
+    actions = oracle_action_sequence(tree)
+    steps = []
+    state = INITIAL_STATE
+    prev_kind = "none"
+    for i, (token, action) in enumerate(zip(tokens, actions)):
+        context = tuple(tokens[max(0, i - 2) : i])
+        steps.append((state, token, context, prev_kind, action))
+        state = apply_action(state, token, action)
+        prev_kind = action.kind
+    return steps
+
+
 class _AveragedWeights:
     """Perceptron weights with lazily-updated running averages."""
 
@@ -250,7 +318,7 @@ def _factor_scores(target_w, parent_w, new_w, feats, chain, token, choices):
     factors, a map from each label in ``choices`` to its score, summed over
     ``(feature, label key)`` dict lookups."""
     targets = [
-        sum(target_w.get(f, 0.0) for f in _target_features(chain, d, token))
+        sum(target_w.get(f, 0.0) for f in target_features(chain, d, token))
         for d in range(len(chain))
     ] or [0.0]
     keyed = [(c, _label_key(c)) for c in choices]
@@ -277,17 +345,17 @@ def label_rows(weights: dict, labels) -> dict:
     return rows
 
 
-def reference_train(corpus, epochs: int, seed: int):
+def reference_train(trees, epochs: int, seed: int):
     """Teacher-forced averaged-perceptron training over dict-keyed weights.
 
     Returns the labels, the target weights, the parent and new weights keyed
     by ``(feature, label key)``, and the per-epoch accuracies.
     """
-    labels = collect_labels(corpus)
+    labels = collect_labels(trees)
     factors = target_w, parent_w, new_w = [_AveragedWeights() for _ in range(3)]
     choices = [None] + labels
 
-    examples = [_teacher_steps(_tree_of(item)) for item in corpus]
+    examples = [teacher_steps(tree) for tree in trees]
     rng = random.Random(seed)
     order = list(range(len(examples)))
     history = []
@@ -310,10 +378,8 @@ def reference_train(corpus, epochs: int, seed: int):
                     if pred_d == action.target:
                         hits["target"] += 1
                     else:
-                        target_w.update(
-                            _target_features(chain, action.target, token), 1.0
-                        )
-                        target_w.update(_target_features(chain, pred_d, token), -1.0)
+                        target_w.update(target_features(chain, action.target, token), 1.0)
+                        target_w.update(target_features(chain, pred_d, token), -1.0)
                 for factor, w, scores, gold in (
                     ("parent", parent_w, parent_scores, action.parent_label),
                     ("new", new_w, new_scores, action.new_label),

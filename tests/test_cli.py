@@ -273,6 +273,7 @@ def test_train_refuses_label_spelled_like_no_label(capsys, tmp_path):
     code, out, err = run(capsys, "train", str(gold), "--model", str(model), "--epochs", "3")
     assert (code, result_line(out)) == (1, "RESULT ok=0 fail=1")
     assert "spelled '<none>'" in err
+    assert "epoch" not in err  # refused before the first epoch
     assert not model.exists()
 
 
@@ -387,6 +388,28 @@ def test_long_sentence_through_every_corpus_command(capsys, tmp_path, text):
     ):
         code, out, _ = run(capsys, *argv)
         assert (code, result_line(out)) == (0, "RESULT ok=1 fail=0"), argv
+
+
+def test_long_flat_sentence_through_train_and_parse(capsys, tmp_path):
+    # Decoding steps one open chain per beam item; closing the whole tree
+    # per action would make this O(n^2). The deep sentence stays out: each
+    # step scores every chain depth, O(n * depth), minutes at 5,000 levels.
+    gold = tmp_path / "flat.mrg"
+    gold.write_text(_flat(5000) + "\n")
+    sents = tmp_path / "flat.txt"
+    sents.write_text(" ".join(f"w{i}_T" for i in range(5000)) + "\n")
+    model = str(tmp_path / "flat.model")
+    code, out, _ = run(capsys, "train", str(gold), "--model", model, "--epochs", "1")
+    assert (code, result_line(out)) == (0, "RESULT ok=1 fail=0")
+    for beam in ("1", "10"):
+        parsed = str(tmp_path / f"beam{beam}.mrg")
+        for argv in (
+            ["parse", str(sents), parsed, "--model", model, "--beam", beam],
+            ["verify", parsed],
+            ["score", str(gold), parsed],
+        ):
+            code, out, _ = run(capsys, *argv)
+            assert (code, result_line(out)) == (0, "RESULT ok=1 fail=0"), argv
 
 
 def test_unexpected_error_ends_in_result_line(capsys, monkeypatch, sample_path):

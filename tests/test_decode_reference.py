@@ -1,5 +1,7 @@
 """``decode_beam`` parses exactly as the decoder in ``reference.py``, which
-builds, keys and sorts every legal action of every beam item."""
+builds, keys and sorts every legal action of every beam item and keeps a
+tree per item, and its parses hold the input and round-trip through the
+oracle."""
 
 from functools import lru_cache
 from unittest import mock
@@ -9,10 +11,17 @@ from hypothesis import given, settings, strategies as st
 
 import reference
 from ajparse import predictor
+from ajparse.oracle import oracle_action_sequence
 from ajparse.predictor import ActionScorer, _action_at, decode_beam, train
 from ajparse.synth import generate_corpus
-from ajparse.transition import INITIAL_STATE, apply_action, legal_actions
-from ajparse.tree import Token, rightmost_chain
+from ajparse.transition import (
+    INITIAL_STATE,
+    apply_action,
+    apply_sequence,
+    close_chain,
+    legal_actions,
+)
+from ajparse.tree import ConstituencyTree, Token, iter_leaves, rightmost_chain, tree_equal
 from ajparse.treebank import tokens_of, write_bracketed
 
 LABELS = ("S", "NP", "VP", "PP", "X", "B", "A")
@@ -57,24 +66,45 @@ def sentences(draw):
     return draw(st.lists(st.builds(Token, word, pos), min_size=1, max_size=12))
 
 
-def _beams(module, decode, scorer, tokens, beam):
-    """The parse, and every beam entrant's action and state in beam order."""
+def _text(state) -> str:
+    """Bracketed text of a tree, or of an open chain, which is left as is."""
+    if isinstance(state, list):
+        state = ConstituencyTree(close_chain([[label, list(kids)] for label, kids in state], 0))
+    return write_bracketed(state) if state.root else ""
+
+
+def _beams(module, name, decode, scorer, tokens, beam):
+    """The parse, and every beam entrant's action and state in beam order,
+    recorded by wrapping ``module.<name>``, which builds each entrant."""
     entrants = []
+    successor = getattr(module, name)
 
     def recording(state, token, action):
-        entrants.append((write_bracketed(state) if state.root else "", str(action)))
-        return apply_action(state, token, action)
+        entrants.append((_text(state), str(action)))
+        return successor(state, token, action)
 
-    with mock.patch.object(module, "apply_action", recording):
+    with mock.patch.object(module, name, recording):
         return write_bracketed(decode(scorer, tokens, beam)), entrants
 
 
 @settings(max_examples=200, deadline=None)
 @given(scorers(), sentences(), st.integers(1, 12))
 def test_decode_beam_matches_reference(scorer, tokens, beam):
-    assert _beams(predictor, decode_beam, scorer, tokens, beam) == _beams(
-        reference, reference.reference_decode_beam, scorer, tokens, beam
+    assert _beams(predictor, "step", decode_beam, scorer, tokens, beam) == _beams(
+        reference, "apply_action", reference.reference_decode_beam, scorer, tokens, beam
     )
+
+
+@settings(max_examples=100, deadline=None)
+@given(scorers(), sentences(), st.integers(1, 12))
+def test_decoded_tree_holds_the_input_and_round_trips(scorer, tokens, beam):
+    """A parse's leaves are the input tokens in order, indexed 0..n-1, and
+    the oracle's actions rebuild the parse from those tokens."""
+    tree = decode_beam(scorer, tokens, beam)
+    leaves = list(iter_leaves(tree.root))
+    assert [leaf.token for leaf in leaves] == tokens
+    assert [leaf.index for leaf in leaves] == list(range(len(tokens)))
+    assert tree_equal(apply_sequence(tokens, oracle_action_sequence(tree)), tree)
 
 
 @pytest.mark.parametrize("tokens, beam", [([], 1), ([], 0), ([Token("a", "DT")], 0),

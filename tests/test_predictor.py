@@ -18,7 +18,7 @@ from ajparse.predictor import (
 from ajparse.scoring import score
 from ajparse.synth import generate_corpus
 from ajparse.transition import AjAction
-from ajparse.tree import tree_equal
+from ajparse.tree import Internal, Token, tree_equal
 from ajparse.treebank import tokens_of, write_bracketed
 
 
@@ -221,3 +221,48 @@ def test_decode_builds_few_actions_per_step(trained, small_corpus, monkeypatch, 
         decode_beam(trained, tokens, beam)
     steps = sum(map(len, sentences))
     assert len(built) <= 2 * beam * steps, len(built) / steps
+
+
+# Before token i a right-branching tree's chain holds i nodes, so a step
+# that rebuilds the chain builds O(n) nodes and a sentence O(n^2).
+DEEP = [Token(f"w{i}", "T") for i in range(200)]
+
+
+@pytest.fixture(scope="module")
+def deep_tree():
+    return decode_right_branching(DEEP, "S")
+
+
+@pytest.fixture(scope="module")
+def deep_scorer(deep_tree):
+    return train([deep_tree], epochs=1, seed=0)
+
+
+@pytest.fixture
+def node_builds(monkeypatch):
+    built = []
+    post_init = Internal.__post_init__
+
+    def counting(self):
+        built.append(self)
+        post_init(self)
+
+    monkeypatch.setattr(Internal, "__post_init__", counting)
+    return built
+
+
+def test_training_builds_few_nodes_per_step(deep_tree, node_builds):
+    """Teacher forcing steps one open chain and builds a node only when a
+    frame closes, not a tree per step."""
+    train([deep_tree], epochs=2, seed=0)
+    steps = 2 * len(DEEP)
+    assert len(node_builds) <= 2 * steps, len(node_builds) / steps
+
+
+@pytest.mark.parametrize("beam", [1, 10])
+def test_decode_builds_few_nodes_per_step(deep_scorer, node_builds, beam):
+    """A beam entrant copies and closes only the frames from its action's
+    target down; the winner is closed into a tree once."""
+    tree = decode_beam(deep_scorer, DEEP, beam)
+    assert tree.length == len(DEEP)
+    assert len(node_builds) <= 2 * beam * len(DEEP), len(node_builds) / len(DEEP)

@@ -9,9 +9,18 @@ from pathlib import Path
 from hypothesis import given, settings, strategies as st
 
 import reference
-from ajparse.predictor import _factor_scores, _label_choices, _teacher_steps, featurize, train
+from ajparse.oracle import oracle_action_sequence
+from ajparse.predictor import (
+    _factor_scores,
+    _label_choices,
+    _target_features,
+    _teacher_steps,
+    featurize,
+    train,
+)
 from ajparse.synth import generate_corpus
 from ajparse.tree import ConstituencyTree, Internal, fold, rightmost_chain
+from ajparse.treebank import tokens_of
 
 
 def _variant(label: str, k: int) -> str:
@@ -59,18 +68,27 @@ def test_train_matches_reference(corpus, epochs, seed):
         assert path.read_text() == reference.reference_model_text(labels, target, parent, new)
 
     # The averaged weights are not whole numbers, so the order of the
-    # additions shows in the scores.
+    # additions shows in the scores. The open chain's frames give the
+    # features of the tree that the reference builds for the same step.
     choices = _label_choices(labels)
     for tree in corpus[:3]:
-        for state, token, context, prev_kind, _ in _teacher_steps(tree):
-            chain = rightmost_chain(state)
+        steps = _teacher_steps(tokens_of(tree), oracle_action_sequence(tree))
+        for ours, ref in zip(steps, reference.teacher_steps(tree), strict=True):
+            chain, token, context, prev_kind, action = ours
+            state, *rest = ref
+            assert (token, context, prev_kind, action) == tuple(rest)
+            tree_chain = rightmost_chain(state)
             feats = featurize(chain, token, context, prev_kind)
+            assert feats == reference.featurize(tree_chain, token, context, prev_kind)
+            assert [_target_features(chain, d, token) for d in range(len(chain))] == [
+                reference.target_features(tree_chain, d, token) for d in range(len(tree_chain))
+            ]
             t, p, n = _factor_scores(
                 scorer.target_weights, scorer.parent_weights, scorer.new_weights,
                 feats, chain, token, len(choices),
             )
             ref_t, ref_p, ref_n = reference._factor_scores(
-                target, parent, new, feats, chain, token, choices
+                target, parent, new, feats, tree_chain, token, choices
             )
             assert repr(t) == repr(ref_t)
             assert repr(p) == repr([ref_p[c] for c in choices])
