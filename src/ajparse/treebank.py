@@ -3,12 +3,17 @@
 Input files hold one or more S-expression trees (one per line or
 pretty-printed across lines). Preterminals ``(TAG word)`` become leaves with
 a POS attribute; an outer label-less / TOP / ROOT wrapper is unwrapped.
+
+Text is read in one pass: one regular-expression scan, one bracket stack that
+splits the entries, and each node built once, normalized if asked, as it closes.
 """
 
 from __future__ import annotations
 
 import logging
+import re
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Optional
 
 from .tree import (
@@ -20,7 +25,6 @@ from .tree import (
     collapsed_node,
     fold,
     iter_leaves,
-    iter_nodes,
 )
 
 logger = logging.getLogger(__name__)
@@ -29,6 +33,15 @@ _WRAPPER_LABELS = ("", "TOP", "ROOT")
 # Atomic bracket-style tags kept verbatim by function-tag stripping.
 _ATOMIC_TAGS = ("-NONE-", "-LRB-", "-RRB-")
 _TRACE_TAG = "-NONE-"
+_DEGENERATE = "normalization removed the entire sentence"
+
+# One match per token: a whole preterminal (groups 1 and 2), an opening
+# bracket with its label, possibly empty (group 3), a closing bracket
+# (group 4), or an atom (no group). Python's ``\s`` is ``str.isspace``.
+_TOKEN = re.compile(r"\(\s*([^\s()]+)\s+([^\s()]+)\s*\)|\(\s*([^\s()]*)|(\))|[^\s()]+")
+_PRETERMINAL, _OPEN, _CLOSE = 2, 3, 4
+# An entry root that normalization left without children.
+_EMPTY = object()
 
 
 class TreebankFormatError(ValueError):
@@ -54,88 +67,95 @@ class CorpusEntry:
     tree: ConstituencyTree
 
 
-def _tokenize(text: str):
-    tokens = []
-    i, n = 0, len(text)
-    while i < n:
-        c = text[i]
-        if c.isspace():
-            i += 1
-        elif c in "()":
-            tokens.append((c, i))
-            i += 1
+def _read(text: str, normalization: bool):
+    """Yield ``(offset, end, root, plus, error)`` per top-level bracket and
+    raise on text between them: the node below the entry's TOP/ROOT wrappers
+    (a trace leaf kept, ``_EMPTY`` if normalization emptied it), the first
+    label holding the chain separator, and the first error a bracket raised
+    as it closed, offset relative to the entry. An unclosed entry is last, ``end`` None."""
+    make = _normal_node if normalization else lambda label, kids: Internal(label, tuple(kids))
+    # Open brackets, innermost last: [offset, label, kept children, dropped
+    # children, the first child's entry root, atom offsets].
+    stack = []
+    leaves, plus, failure = 0, None, None
+    for m in _TOKEN.finditer(text):
+        kind = m.lastindex
+        if not stack:
+            start = m.start()
+        if kind == _PRETERMINAL:
+            tag, word = m.group(1, 2)
+            node = root = Leaf(Token(word, tag), leaves)
+            if normalization and tag == _TRACE_TAG:
+                node = None
+            else:
+                leaves += 1
+        elif kind == _OPEN:
+            label = m.group(3)
+            if plus is None and LABEL_SEPARATOR in label:
+                plus = label
+            stack.append([m.start(), label, [], 0, None, []])
+            continue
+        elif kind == _CLOSE:
+            if not stack:
+                raise TreebankFormatError("unbalanced ')'", m.start())
+            off, label, children, dropped, first, atoms = stack.pop()
+            count = len(children) + dropped
+            node = root = error = None
+            if failure is not None:
+                pass  # The entry has failed; read on to its end.
+            elif atoms:
+                error = (("token outside a preterminal pair", atoms[0]) if count
+                         else ("multiple tokens in one preterminal", atoms[1]))
+            elif not count:
+                error = "empty constituent", off
+            elif count == 1 and label in _WRAPPER_LABELS:
+                # A wrapper; at the root it is unwrapped to its child's entry root.
+                root = first
+                node = make(label, children) if label else children[0] if children else None
+            elif not label:
+                error = "unlabeled constituent with several children", off
+            else:
+                node = make(label, children)
+                root = _EMPTY if node is None else node
+            if error is not None:
+                failure = TreebankFormatError(error[0], error[1] - start)
+        elif stack:
+            stack[-1][5].append(m.start())
+            continue
         else:
-            j = i
-            while j < n and not text[j].isspace() and text[j] not in "()":
-                j += 1
-            tokens.append((text[i:j], i))
-            i = j
-    return tokens
-
-
-def _close_bracket(off, label, atoms, children, index):
-    """The node for one bracket pair; ``index`` numbers a new leaf."""
-    if atoms and children:
-        raise TreebankFormatError(
-            "token outside a preterminal pair", atoms[0][1]
-        )
-    if atoms:
-        if len(atoms) > 1:
-            raise TreebankFormatError("multiple tokens in one preterminal", atoms[1][1])
-        if not label:
-            raise TreebankFormatError("preterminal without a POS tag", off)
-        return Leaf(Token(atoms[0][0], label), index)
-    if not children:
-        raise TreebankFormatError("empty constituent", off)
-    if not label:
-        if len(children) == 1:
-            return children[0]  # label-less wrapper
-        raise TreebankFormatError("unlabeled constituent with several children", off)
-    return Internal(label, tuple(children))
+            raise TreebankFormatError(f"stray text {text[m.start()]!r} between trees", m.start())
+        if stack:
+            parent = stack[-1]
+            if parent[4] is None:
+                parent[4] = root
+            if node is None:
+                parent[3] += 1
+            else:
+                parent[2].append(node)
+        else:
+            yield start, m.end(), root, plus, failure
+            leaves, plus, failure = 0, None, None
+    if stack:
+        failure = failure or TreebankFormatError("unbalanced parentheses", stack[-1][0] - start)
+        yield start, None, None, plus, failure
 
 
 def parse_bracketed(text: str) -> ConstituencyTree:
     """Parse a single bracketed tree."""
-    tokens = _tokenize(text)
-    if not tokens:
+    first = _TOKEN.search(text)
+    if first is None:
         raise TreebankFormatError("no tree found", 0)
-    if tokens[0][0] != "(":
-        raise TreebankFormatError(f"expected '(' but found {tokens[0][0]!r}", tokens[0][1])
-    frames = []  # open brackets, innermost last: (offset, label, atoms, children)
-    leaves = 0
-    pos, n = 0, len(tokens)
-    while True:
-        tok, off = tokens[pos]
-        pos += 1
-        if tok == "(":
-            label = ""
-            if pos < n and tokens[pos][0] not in "()":
-                label = tokens[pos][0]
-                pos += 1
-            frames.append((off, label, [], []))
-        elif tok == ")":
-            off, label, atoms, children = frames.pop()
-            node = _close_bracket(off, label, atoms, children, leaves)
-            if atoms:
-                leaves += 1
-            if not frames:
-                break
-            frames[-1][3].append(node)
-        else:
-            frames[-1][2].append((tok, off))
-        if pos >= n:
-            raise TreebankFormatError("unbalanced parentheses", frames[-1][0])
-    if pos != n:
-        raise TreebankFormatError("trailing content after tree", tokens[pos][1])
-    while (
-        isinstance(node, Internal)
-        and node.label in _WRAPPER_LABELS
-        and len(node.children) == 1
-    ):
-        node = node.children[0]
-    if isinstance(node, Leaf):
-        raise TreebankFormatError("tree root is a leaf", tokens[0][1])
-    return ConstituencyTree(node)
+    if text[first.start()] != "(":
+        raise TreebankFormatError(f"expected '(' but found {first.group()!r}", first.start())
+    start, end, root, _, error = next(_read(text, False))
+    if error is None:
+        trailing = _TOKEN.search(text, end)
+        if trailing:
+            raise TreebankFormatError("trailing content after tree", trailing.start())
+        if not isinstance(root, Leaf):
+            return ConstituencyTree(root)
+        error = TreebankFormatError("tree root is a leaf", 0)
+    raise TreebankFormatError(error.reason, start + error.offset)
 
 
 def write_bracketed(tree: ConstituencyTree) -> str:
@@ -149,6 +169,7 @@ def write_bracketed(tree: ConstituencyTree) -> str:
     )
 
 
+@lru_cache(maxsize=4096)  # a treebank has few distinct labels
 def _strip_label(label: str) -> str:
     """Drop functional-tag suffixes and coindexation (after '-' or '=')."""
     if label in _ATOMIC_TAGS or label.startswith("-"):
@@ -158,6 +179,11 @@ def _strip_label(label: str) -> str:
         if i > 0:
             label = label[:i]
     return label
+
+
+def _normal_node(label: str, children: list) -> Optional[Internal]:
+    """The normalized node over its kept, normalized children; None if none."""
+    return collapsed_node(_strip_label(label), children) if children else None
 
 
 def normalize(tree: ConstituencyTree) -> ConstituencyTree:
@@ -174,44 +200,12 @@ def normalize(tree: ConstituencyTree) -> ConstituencyTree:
         return Leaf(leaf.token, kept - 1)
 
     def rebuild(node: Internal, children: list) -> Optional[Internal]:
-        children = [c for c in children if c is not None]
-        if not children:
-            return None
-        return collapsed_node(_strip_label(node.label), children)
+        return _normal_node(node.label, [c for c in children if c is not None])
 
     root = fold(tree.root, reindex, rebuild)
     if root is None:
-        raise DegenerateSentenceError("normalization removed the entire sentence")
+        raise DegenerateSentenceError(_DEGENERATE)
     return ConstituencyTree(root)
-
-
-def split_trees(text: str):
-    """Yield (raw S-expression, byte offset) for each top-level tree."""
-    depth = 0
-    start = None
-    for i, c in enumerate(text):
-        if c == "(":
-            if depth == 0:
-                start = i
-            depth += 1
-        elif c == ")":
-            depth -= 1
-            if depth < 0:
-                raise TreebankFormatError("unbalanced ')'", i)
-            if depth == 0:
-                yield text[start : i + 1], start
-        elif depth == 0 and not c.isspace():
-            raise TreebankFormatError(f"stray text {c!r} between trees", i)
-    if depth != 0:
-        raise TreebankFormatError("unbalanced '('", start or 0)
-
-
-def _check_plain_labels(tree: ConstituencyTree) -> None:
-    for node in iter_nodes(tree.root):
-        if isinstance(node, Internal) and LABEL_SEPARATOR in node.label:
-            raise TreebankFormatError(
-                f"label {node.label!r} contains the reserved separator"
-            )
 
 
 def load_corpus(
@@ -230,13 +224,18 @@ def load_corpus(
     with open(path, encoding="utf-8") as fh:
         text = fh.read()
     entries = []
-    for i, (raw, offset) in enumerate(split_trees(text)):
+    for i, (offset, end, root, plus, error) in enumerate(_read(text, normalization)):
+        if end is None:
+            raise TreebankFormatError("unbalanced '('", offset)
         try:
-            tree = parse_bracketed(raw)
-            if plain_labels:
-                _check_plain_labels(tree)
-            if normalization:
-                tree = normalize(tree)
+            if error is not None:
+                raise error
+            if isinstance(root, Leaf):
+                raise TreebankFormatError("tree root is a leaf", 0)
+            if plain_labels and plus is not None:
+                raise TreebankFormatError(f"label {plus!r} contains the reserved separator")
+            if root is _EMPTY:
+                raise DegenerateSentenceError(_DEGENERATE)
         except ValueError as err:
             if strict:
                 # Offsets inside the entry are relative to its start.
@@ -246,7 +245,7 @@ def load_corpus(
                 raise TreebankFormatError(reason, offset=where, entry=i) from err
             logger.warning("skipping malformed entry %d: %s", i, err)
             continue
-        entries.append(CorpusEntry(len(entries), tree))
+        entries.append(CorpusEntry(len(entries), ConstituencyTree(root)))
     return entries
 
 

@@ -15,9 +15,13 @@ keep target weights in a dict keyed by feature and label weights in dicts
 keyed by ``(feature, label)``. The predictor's parser state is an open
 chain of frames in training and decoding; the trainer and decoder here
 build a tree per step with ``apply_action`` and read their features off
-its rightmost chain.
+its rightmost chain. ``load_corpus`` reads a file in one scan and builds
+each node, normalized, as its bracket closes; ``reference_load_corpus``
+splits the file into entries, tokenizes and parses each, checks its labels
+and then normalizes the whole tree.
 """
 
+import logging
 import math
 import random
 from collections import Counter
@@ -41,8 +45,23 @@ from ajparse.transition import (
     juxtapose,
     legal_actions,
 )
-from ajparse.tree import ConstituencyTree, Internal, Leaf, iter_leaves, rightmost_chain
-from ajparse.treebank import tokens_of
+from ajparse.tree import (
+    LABEL_SEPARATOR,
+    ConstituencyTree,
+    Internal,
+    Leaf,
+    Token,
+    collapsed_node,
+    fold,
+    iter_leaves,
+    iter_nodes,
+    rightmost_chain,
+)
+from ajparse.treebank import CorpusEntry, DegenerateSentenceError, TreebankFormatError, tokens_of
+
+# The reference reader warns through the reader's logger, so that tests
+# compare the two readers' warnings from one place.
+logger = logging.getLogger("ajparse.treebank")
 
 
 def replace_on_rightmost_chain(chain: list, depth: int, new_node) -> Internal:
@@ -457,3 +476,172 @@ def reference_decode_beam(scorer, tokens, beam: int):
             for rank, (total, _, _, state, action) in enumerate(candidates[:beam])
         ]
     return items[0][2]
+
+
+# The treebank reader in stages: split the file into entries, tokenize and
+# parse each entry, check its labels, then normalize the whole tree.
+
+
+def _tokenize(text: str):
+    tokens = []
+    i, n = 0, len(text)
+    while i < n:
+        c = text[i]
+        if c.isspace():
+            i += 1
+        elif c in "()":
+            tokens.append((c, i))
+            i += 1
+        else:
+            j = i
+            while j < n and not text[j].isspace() and text[j] not in "()":
+                j += 1
+            tokens.append((text[i:j], i))
+            i = j
+    return tokens
+
+
+def _close_bracket(off, label, atoms, children, index):
+    """The node for one bracket pair; ``index`` numbers a new leaf."""
+    if atoms and children:
+        raise TreebankFormatError("token outside a preterminal pair", atoms[0][1])
+    if atoms:
+        if len(atoms) > 1:
+            raise TreebankFormatError("multiple tokens in one preterminal", atoms[1][1])
+        if not label:
+            raise TreebankFormatError("preterminal without a POS tag", off)
+        return Leaf(Token(atoms[0][0], label), index)
+    if not children:
+        raise TreebankFormatError("empty constituent", off)
+    if not label:
+        if len(children) == 1:
+            return children[0]  # label-less wrapper
+        raise TreebankFormatError("unlabeled constituent with several children", off)
+    return Internal(label, tuple(children))
+
+
+def reference_parse_bracketed(text: str) -> ConstituencyTree:
+    tokens = _tokenize(text)
+    if not tokens:
+        raise TreebankFormatError("no tree found", 0)
+    if tokens[0][0] != "(":
+        raise TreebankFormatError(f"expected '(' but found {tokens[0][0]!r}", tokens[0][1])
+    frames = []  # open brackets, innermost last: (offset, label, atoms, children)
+    leaves = 0
+    pos, n = 0, len(tokens)
+    while True:
+        tok, off = tokens[pos]
+        pos += 1
+        if tok == "(":
+            label = ""
+            if pos < n and tokens[pos][0] not in "()":
+                label = tokens[pos][0]
+                pos += 1
+            frames.append((off, label, [], []))
+        elif tok == ")":
+            off, label, atoms, children = frames.pop()
+            node = _close_bracket(off, label, atoms, children, leaves)
+            if atoms:
+                leaves += 1
+            if not frames:
+                break
+            frames[-1][3].append(node)
+        else:
+            frames[-1][2].append((tok, off))
+        if pos >= n:
+            raise TreebankFormatError("unbalanced parentheses", frames[-1][0])
+    if pos != n:
+        raise TreebankFormatError("trailing content after tree", tokens[pos][1])
+    while (
+        isinstance(node, Internal)
+        and node.label in ("", "TOP", "ROOT")
+        and len(node.children) == 1
+    ):
+        node = node.children[0]
+    if isinstance(node, Leaf):
+        raise TreebankFormatError("tree root is a leaf", tokens[0][1])
+    return ConstituencyTree(node)
+
+
+def _reference_strip_label(label: str) -> str:
+    if label in ("-NONE-", "-LRB-", "-RRB-") or label.startswith("-"):
+        return label
+    for sep in "-=":
+        i = label.find(sep)
+        if i > 0:
+            label = label[:i]
+    return label
+
+
+def reference_normalize(tree: ConstituencyTree) -> ConstituencyTree:
+    if tree.root is None:
+        return tree
+    kept = 0
+
+    def reindex(leaf):
+        nonlocal kept
+        if leaf.token.pos == "-NONE-":
+            return None
+        kept += 1
+        return Leaf(leaf.token, kept - 1)
+
+    def rebuild(node, children):
+        children = [c for c in children if c is not None]
+        if not children:
+            return None
+        return collapsed_node(_reference_strip_label(node.label), children)
+
+    root = fold(tree.root, reindex, rebuild)
+    if root is None:
+        raise DegenerateSentenceError("normalization removed the entire sentence")
+    return ConstituencyTree(root)
+
+
+def reference_split_trees(text: str):
+    """Yield (raw S-expression, offset) for each top-level tree."""
+    depth = 0
+    start = None
+    for i, c in enumerate(text):
+        if c == "(":
+            if depth == 0:
+                start = i
+            depth += 1
+        elif c == ")":
+            depth -= 1
+            if depth < 0:
+                raise TreebankFormatError("unbalanced ')'", i)
+            if depth == 0:
+                yield text[start : i + 1], start
+        elif depth == 0 and not c.isspace():
+            raise TreebankFormatError(f"stray text {c!r} between trees", i)
+    if depth != 0:
+        raise TreebankFormatError("unbalanced '('", start or 0)
+
+
+def _check_plain_labels(tree: ConstituencyTree) -> None:
+    for node in iter_nodes(tree.root):
+        if isinstance(node, Internal) and LABEL_SEPARATOR in node.label:
+            raise TreebankFormatError(f"label {node.label!r} contains the reserved separator")
+
+
+def reference_load_corpus(path: str, normalization=True, strict=True, plain_labels=True) -> list:
+    with open(path, encoding="utf-8") as fh:
+        text = fh.read()
+    entries = []
+    for i, (raw, offset) in enumerate(reference_split_trees(text)):
+        try:
+            tree = reference_parse_bracketed(raw)
+            if plain_labels:
+                _check_plain_labels(tree)
+            if normalization:
+                tree = reference_normalize(tree)
+        except ValueError as err:
+            if strict:
+                reason, where = str(err), offset
+                if isinstance(err, TreebankFormatError):
+                    reason, where = err.reason, offset + (err.offset or 0)
+                raise TreebankFormatError(reason, offset=where, entry=i) from err
+            logger.warning("skipping malformed entry %d: %s", i, err)
+            continue
+        entries.append(CorpusEntry(len(entries), tree))
+    return entries

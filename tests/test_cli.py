@@ -1,10 +1,16 @@
+import contextlib
+import io
+import re
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ajparse.cli import main
 from ajparse.predictor import ActionScorer, ModelFormatError, decode_right_branching
 from ajparse.synth import generate_corpus
 from ajparse.tree import rightmost_chain, tree_equal
 from ajparse.treebank import parse_bracketed, tokens_of, write_bracketed, write_corpus
+from test_reader_reference import mangled_treebanks
 
 
 @pytest.fixture
@@ -421,3 +427,33 @@ def test_unexpected_error_ends_in_result_line(capsys, monkeypatch, sample_path):
     assert code == 1
     assert result_line(out) == "RESULT ok=0 fail=1"
     assert err.strip() == "internal error: RuntimeError: boom"
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    text=mangled_treebanks(),
+    command=st.sampled_from(["verify", "translate-isr", "score", "stats"]),
+    lenient=st.booleans(),
+    no_normalize=st.booleans(),
+)
+def test_cut_and_mangled_treebanks_end_in_a_result_line(tmp_path_factory, text, command, lenient,
+                                                         no_normalize):
+    work = tmp_path_factory.getbasetemp()
+    gold = work / "mangled.mrg"
+    gold.write_text(text, encoding="utf-8")
+    argv = [command, str(gold)]
+    if command == "translate-isr":
+        argv.append(str(work / "mangled.isr"))
+    elif command == "score":
+        argv.append(str(gold))
+    if lenient:
+        argv.append("--lenient")
+    if no_normalize and command != "score":
+        argv.append("--no-normalize")
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert "internal error" not in err.getvalue(), argv
+    ok_fail = re.fullmatch(r"RESULT ok=(\d+) fail=(\d+)", out.getvalue().splitlines()[-1])
+    assert ok_fail, argv
+    assert code == (0 if ok_fail.group(2) == "0" else 1), argv

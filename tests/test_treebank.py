@@ -1,5 +1,10 @@
+import re
+import sys
+
 import pytest
 
+import reference
+from ajparse.cli import main
 from ajparse.tree import has_unary_chains, tree_equal
 from ajparse.treebank import (
     DegenerateSentenceError,
@@ -7,7 +12,6 @@ from ajparse.treebank import (
     load_corpus,
     normalize,
     parse_bracketed,
-    split_trees,
     tokens_of,
     write_bracketed,
     write_corpus,
@@ -93,14 +97,16 @@ def test_normalize_all_traces_is_degenerate():
         normalize(t)
 
 
-def test_split_trees_handles_multiline():
-    text = "(S (NN a))\n( (S (NN b))\n )\n"
-    raws = [raw for raw, _ in split_trees(text)]
-    assert len(raws) == 2
-    with pytest.raises(TreebankFormatError):
-        list(split_trees("(S (NN a)) x"))
-    with pytest.raises(TreebankFormatError):
-        list(split_trees("(S (NN a)"))
+def test_split_trees_handles_multiline(tmp_path):
+    p = tmp_path / "multi.mrg"
+    p.write_text("(S (NN a))\n( (S (NN b))\n )\n")
+    assert [tokens_of(e.tree)[0].word for e in load_corpus(str(p))] == ["a", "b"]
+    p.write_text("(S (NN a)) x")
+    with pytest.raises(TreebankFormatError, match=r"^stray text 'x' between trees \(offset 11\)$"):
+        load_corpus(str(p))
+    p.write_text("(S (NN a)")
+    with pytest.raises(TreebankFormatError, match=r"^unbalanced '\(' \(offset 0\)$"):
+        load_corpus(str(p))
 
 
 def test_load_corpus_fixture(sample_path):
@@ -179,3 +185,72 @@ def test_write_corpus_roundtrip(tmp_path, sample_corpus):
     assert len(back) == len(sample_corpus)
     for a, b in zip(sample_corpus, back):
         assert tree_equal(a.tree, b.tree)
+
+
+def _deep_wrappers(depth):
+    """Two entries: a ``depth``-deep TOP chain inside a sentence, and one
+    above a sentence's root."""
+    inner = "(S (T a) " + "(TOP " * depth + "(NP (T b))" + ")" * depth + ")"
+    outer = "(TOP " * depth + "(S (T c) (T d))" + ")" * depth
+    return inner + "\n" + outer + "\n"
+
+
+@pytest.mark.parametrize("normalization", [True, False])
+def test_load_corpus_resolves_deep_wrappers_without_recursion(tmp_path, normalization):
+    depth = 3000  # three times CPython's default recursion limit
+    p = tmp_path / "deep.mrg"
+    p.write_text(_deep_wrappers(depth))
+    entries = load_corpus(str(p), normalization=normalization)
+    staged = reference.reference_load_corpus(str(p), normalization=normalization)
+    assert len(entries) == len(staged) == 2
+    assert all(tree_equal(a.tree, b.tree) for a, b in zip(entries, staged))
+    inner, outer = (e.tree for e in entries)
+    assert [tok.word for tok in tokens_of(inner)] == ["a", "b"]
+    assert write_bracketed(outer) == "(S (T c) (T d))"
+    chain = inner.root.children[1]
+    if normalization:
+        assert chain.label == "TOP+" * depth + "NP"
+    else:
+        tops = "(TOP " * depth + "(NP (T b))" + ")" * depth
+        assert write_bracketed(inner) == f"(S (T a) {tops})"
+
+
+@pytest.mark.parametrize(
+    "argv, result",
+    [
+        (["verify", "{0}"], "RESULT ok=2 fail=0"),
+        (["score", "{0}", "{0}"], "RESULT ok=2 fail=0"),
+        (["stats", "{0}"], "RESULT ok=2 fail=0"),
+        # Unnormalized, the chain inside the sentence is a unary chain.
+        (["verify", "{0}", "--no-normalize"], "RESULT ok=1 fail=1"),
+    ],
+)
+def test_deep_wrappers_through_the_cli(capsys, tmp_path, argv, result):
+    p = tmp_path / "deep.mrg"
+    p.write_text(_deep_wrappers(3000))
+    code = main([arg.format(p) for arg in argv])
+    out = capsys.readouterr()
+    assert "internal error" not in out.err
+    assert out.out.splitlines()[-1] == result
+    assert code == (0 if result.endswith("fail=0") else 1)
+
+
+def test_every_unicode_space_separates_tokens(tmp_path):
+    # The reader's scan uses the regex class \s; str.isspace is the
+    # definition of whitespace the reader keeps. Pin that they agree.
+    every = "".join(map(chr, range(sys.maxunicode + 1)))
+    spaces = [c for c in every if c.isspace()]
+    assert re.findall(r"\s", every) == spaces
+    assert len(spaces) == 29
+    assert {"\x1c", "\x1f", "\x85", "\u00a0", "\u3000"} <= set(spaces)
+    template = "(S{0}({0}NN{0}a{0}){0}(VP{0}(VB{0}b)))"
+    expected = parse_bracketed(template.format(" "))
+    p = tmp_path / "spaces.mrg"
+    for c in spaces:
+        text = template.format(c)
+        assert parse_bracketed(text) == expected, repr(c)
+        p.write_text(text + c + text, encoding="utf-8")
+        assert [e.tree for e in load_corpus(str(p), normalization=False)] == [expected] * 2, repr(c)
+        # Inside an atom, whitespace splits it in two.
+        with pytest.raises(TreebankFormatError, match="multiple tokens"):
+            parse_bracketed(f"(S (NN a{c}b))")
