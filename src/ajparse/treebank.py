@@ -13,7 +13,6 @@ from __future__ import annotations
 import logging
 import re
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Optional
 
 from .tree import (
@@ -169,7 +168,6 @@ def write_bracketed(tree: ConstituencyTree) -> str:
     )
 
 
-@lru_cache(maxsize=4096)  # a treebank has few distinct labels
 def _strip_label(label: str) -> str:
     """Drop functional-tag suffixes and coindexation (after '-' or '=')."""
     if label in _ATOMIC_TAGS or label.startswith("-"):

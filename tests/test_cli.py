@@ -10,7 +10,7 @@ from ajparse.predictor import ActionScorer, ModelFormatError, decode_right_branc
 from ajparse.synth import generate_corpus
 from ajparse.tree import rightmost_chain, tree_equal
 from ajparse.treebank import parse_bracketed, tokens_of, write_bracketed, write_corpus
-from test_reader_reference import mangled_treebanks
+from treebank_texts import mangled_treebanks
 
 
 @pytest.fixture
