@@ -22,10 +22,11 @@ from .oracle import oracle_action_sequence
 from .transition import (
     ATTACH,
     AjAction,
+    action_at,
     apply_sequence,
     attach,
     close_chain,
-    juxtapose,
+    label_choices,
     step,
 )
 from .tree import ConstituencyTree, Internal, Leaf, Token, iter_nodes
@@ -108,7 +109,7 @@ def _target_features(chain, depth: int, token: Token):
 class _AveragedRows:
     """Perceptron weights for one factor: a row of ``width`` floats per
     feature, with lazily-updated running averages per slot. The label
-    factors have a slot per entry of ``_label_choices(labels)``; the target
+    factors have a slot per entry of ``label_choices(labels)``; the target
     factor has one slot, as its features already name the depth they score.
     """
 
@@ -148,18 +149,13 @@ class _AveragedRows:
         return out
 
 
-def _label_choices(labels) -> list:
-    """The label-factor slots: None (no label), then the labels in sorted order."""
-    return [None] + sorted(labels)
-
-
 def slot_keys(labels, path: str) -> list:
     """The model-file name of each slot; None is written ``<none>``.
 
     A label spelled ``<none>`` or given twice would share a name with
     another slot, so the weights of the two could not be told apart.
     """
-    keys = [_NONE_KEY if c is None else c for c in _label_choices(labels)]
+    keys = [_NONE_KEY if c is None else c for c in label_choices(labels)]
     if len(set(keys)) != len(keys):
         raise ModelFormatError(
             f"{path}: a label is repeated or spelled {_NONE_KEY!r}, the name for no label"
@@ -173,7 +169,7 @@ class ActionScorer:
 
     Each table maps a feature to a row of weights: one weight in
     ``target_weights``, and ``len(labels) + 1`` in ``parent_weights`` and
-    ``new_weights``, one per slot of ``_label_choices(labels)``.
+    ``new_weights``, one per slot of ``label_choices(labels)``.
     """
 
     labels: list
@@ -331,7 +327,7 @@ def train(trees, epochs: int, seed: int) -> ActionScorer:
     if epochs < 1:
         raise ValueError("epochs must be >= 1")
     labels = collect_labels(trees)
-    choices = _label_choices(labels)
+    choices = label_choices(labels)
     width = len(choices)
     slot_of = {c: s for s, c in enumerate(choices)}
     factors = _AveragedRows(1), _AveragedRows(width), _AveragedRows(width)
@@ -398,17 +394,6 @@ def _action_sort_key(action: AjAction):
     )
 
 
-def _action_at(index: int, chain, choices) -> AjAction:
-    """The action at ``index`` of ``legal_actions`` on a state with rightmost
-    ``chain``, where ``choices`` is None followed by the sorted labels."""
-    if not chain:
-        return attach(0, choices[index + 1])
-    width = len(choices)
-    d, rest = divmod(index, width * width)
-    p, j = divmod(rest, width)
-    return attach(d, choices[p]) if j == 0 else juxtapose(d, choices[p], choices[j])
-
-
 def decode_beam(scorer: ActionScorer, tokens, beam: int) -> ConstituencyTree:
     """Beam search over summed, per-step-normalized factor scores;
     beam = 1 is greedy decoding.
@@ -428,7 +413,7 @@ def decode_beam(scorer: ActionScorer, tokens, beam: int) -> ConstituencyTree:
         raise ValueError("cannot decode an empty sentence")
     if beam < 1:
         raise ValueError("beam must be >= 1")
-    choices = _label_choices(scorer.labels)
+    choices = label_choices(scorer.labels)
     width = len(choices)
     items = [(0.0, 0, [], "none")]  # (score, rank, chain, prev_kind)
     for i, token in enumerate(tokens):
@@ -455,7 +440,7 @@ def decode_beam(scorer: ActionScorer, tokens, beam: int) -> ConstituencyTree:
         candidates = []
         for totals, rank, chain in stepped:
             for k in itertools.compress(range(len(totals)), map(cut.__le__, totals)):
-                action = _action_at(k, chain, choices)
+                action = action_at(k, len(chain), choices)
                 candidates.append((totals[k], _action_sort_key(action), rank, chain, action))
         candidates.sort(key=lambda c: (-c[0], c[1], c[2]))
         items = []

@@ -1,9 +1,9 @@
 """PARSEVAL-style bracket scoring: exact match, F1, labeled precision/recall.
 
 Brackets are (label, start, end) triples over leaf indices, one per internal
-node after restoring collapsed unary chains; POS preterminals stored on
-leaves are excluded. Corpus scores are micro-averaged and matching uses
-multiset intersection.
+node after restoring collapsed unary chains (a collapsed ``A+B`` node gives
+``A`` and ``B`` over its span); POS preterminals stored on leaves are
+excluded. Corpus scores are micro-averaged and use multiset intersection.
 """
 
 from __future__ import annotations
@@ -11,7 +11,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 
-from .tree import ConstituencyTree, Internal, fold, iter_leaves, restore_unary_chains
+from .tree import ConstituencyTree, Internal, LabelFormatError, chain_labels, fold, iter_leaves
 
 
 @dataclass(frozen=True)
@@ -27,13 +27,13 @@ class ScoreReport:
 
 
 def extract_brackets(tree: ConstituencyTree) -> Counter:
-    tree = restore_unary_chains(tree)
     brackets = Counter()
 
     def span(node: Internal, spans: list) -> tuple:
         starts, ends = zip(*spans)
         start, end = min(starts), max(ends)
-        brackets[(node.label, start, end)] += 1
+        for label in chain_labels(node.label):
+            brackets[(label, start, end)] += 1
         return start, end
 
     if tree.root is not None:
@@ -59,8 +59,10 @@ def score(gold, predicted) -> ScoreReport:
                     f"sentence {i}: token {j} is {gl.token.word!r} in gold"
                     f" but {pl.token.word!r} in predicted"
                 )
-        gb = extract_brackets(g)
-        pb = extract_brackets(p)
+        try:
+            gb, pb = extract_brackets(g), extract_brackets(p)
+        except LabelFormatError as err:
+            raise LabelFormatError(f"sentence {i}: {err}") from None
         matched += sum((gb & pb).values())
         gold_total += sum(gb.values())
         predicted_total += sum(pb.values())

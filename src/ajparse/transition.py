@@ -120,28 +120,32 @@ def check_depth(depth: int, action: AjAction) -> None:
         )
 
 
-def legal_actions(state: ConstituencyTree, label_vocabulary) -> list:
-    """Enumerate the unrestricted action space for a state.
+def label_choices(labels) -> list:
+    """The label slots: None (no label), then the labels in sorted order."""
+    return [None] + sorted(labels)
 
-    Empty tree: attach(0, X) for each label X. Otherwise, for each depth d
-    on the chain and each p in None + sorted(V): attach(d, p), then
-    juxtapose(d, p, q) for each q in sorted(V). Decoding builds no list of
-    actions; it relies on this index order: the action of depth d, parent
-    choice i and new choice j (over None + sorted(V), j = 0 for attach)
-    sits at index d*(|V|+1)**2 + i*(|V|+1) + j, and on the empty tree
-    attach(0, X) sits at X's index in sorted(V). Decoding scores and
-    normalizes its candidates in this order, so changing the order can
-    change parses in the last bit.
-    """
-    labels = sorted(label_vocabulary)
-    if state.root is None:
-        return [attach(0, lbl) for lbl in labels]
-    actions = []
-    for d in range(len(rightmost_chain(state))):
-        for p in [None] + labels:
-            actions.append(attach(d, p))
-            actions += [juxtapose(d, p, q) for q in labels]
-    return actions
+
+def action_at(index: int, depth: int, choices) -> AjAction:
+    """The action at ``index`` of the action space of a state whose rightmost
+    chain has ``depth`` nodes, with ``choices = label_choices(V)`` of width W.
+    On the empty tree, index k is attach(0, choices[k + 1]); otherwise index
+    d*W**2 + i*W + j is attach(d, choices[i]) if j == 0, else juxtapose(d,
+    choices[i], choices[j]). Decoding scores and normalizes candidates in
+    this order, so changing it can change parses in the last bit."""
+    if depth == 0:
+        return attach(0, choices[index + 1])
+    width = len(choices)
+    d, rest = divmod(index, width * width)
+    p, j = divmod(rest, width)
+    return attach(d, choices[p]) if j == 0 else juxtapose(d, choices[p], choices[j])
+
+
+def legal_actions(state: ConstituencyTree, label_vocabulary) -> list:
+    """The unrestricted action space of a state, in ``action_at`` order."""
+    choices = label_choices(label_vocabulary)
+    depth = len(rightmost_chain(state))
+    size = depth * len(choices) ** 2 if depth else len(choices) - 1
+    return [action_at(k, depth, choices) for k in range(size)]
 
 
 # An open rightmost chain is a list of ``[label, children]`` frames, root

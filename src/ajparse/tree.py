@@ -167,15 +167,21 @@ def collapsed_node(label: str, children: list) -> Internal:
     return Internal(label, tuple(children))
 
 
+def chain_labels(label: str) -> list:
+    """The labels of the unary chain that ``label`` collapses, top first."""
+    parts = label.split(LABEL_SEPARATOR)
+    if not all(parts):
+        raise LabelFormatError(f"malformed collapsed label: {label!r}")
+    return parts
+
+
 def restore_unary_chains(tree: ConstituencyTree) -> ConstituencyTree:
     """Expand separator-joined labels back into descending unary chains."""
     if tree.root is None:
         return tree
 
     def expand(node: Internal, children: list) -> Internal:
-        parts = node.label.split(LABEL_SEPARATOR)
-        if any(not p for p in parts):
-            raise LabelFormatError(f"malformed collapsed label: {node.label!r}")
+        parts = chain_labels(node.label)
         out = Internal(parts[-1], tuple(children))
         for part in reversed(parts[:-1]):
             out = Internal(part, (out,))

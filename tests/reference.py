@@ -18,7 +18,11 @@ build a tree per step with ``apply_action`` and read their features off
 its rightmost chain. ``load_corpus`` reads a file in one scan and builds
 each node, normalized, as its bracket closes; ``reference_load_corpus``
 splits the file into entries, tokenizes and parses each, checks its labels
-and then normalizes the whole tree.
+and then normalizes the whole tree. ``legal_actions`` maps each index of the
+action space to its action; ``reference_legal_actions`` lists the actions
+by nested loops over depths and labels. ``extract_brackets`` splits each
+collapsed label once as it folds the tree; ``reference_extract_brackets``
+restores the unary chains as a new tree and then folds that.
 """
 
 import logging
@@ -43,12 +47,12 @@ from ajparse.transition import (
     apply_action,
     attach,
     juxtapose,
-    legal_actions,
 )
 from ajparse.tree import (
     LABEL_SEPARATOR,
     ConstituencyTree,
     Internal,
+    LabelFormatError,
     Leaf,
     Token,
     collapsed_node,
@@ -72,6 +76,49 @@ def replace_on_rightmost_chain(chain: list, depth: int, new_node) -> Internal:
         parent = chain[d]
         node = Internal(parent.label, parent.children[:-1] + (node,))
     return node
+
+
+def reference_legal_actions(state, label_vocabulary) -> list:
+    """The action space by nested loops. Empty tree: attach(0, X) for each
+    label X. Otherwise, for each depth d on the chain and each p in None +
+    sorted(V): attach(d, p), then juxtapose(d, p, q) for each q in sorted(V)."""
+    labels = sorted(label_vocabulary)
+    if state.root is None:
+        return [attach(0, lbl) for lbl in labels]
+    actions = []
+    for d in range(len(rightmost_chain(state))):
+        for p in [None] + labels:
+            actions.append(attach(d, p))
+            actions += [juxtapose(d, p, q) for q in labels]
+    return actions
+
+
+def reference_extract_brackets(tree) -> Counter:
+    """One bracket per internal node of the tree with its unary chains
+    restored: each separator-joined label is expanded into a descending
+    chain of new nodes, and the new tree is folded again."""
+
+    def expand(node, children: list) -> Internal:
+        parts = node.label.split(LABEL_SEPARATOR)
+        if any(not p for p in parts):
+            raise LabelFormatError(f"malformed collapsed label: {node.label!r}")
+        out = Internal(parts[-1], tuple(children))
+        for part in reversed(parts[:-1]):
+            out = Internal(part, (out,))
+        return out
+
+    brackets = Counter()
+
+    def span(node, spans: list) -> tuple:
+        starts, ends = zip(*spans)
+        start, end = min(starts), max(ends)
+        brackets[(node.label, start, end)] += 1
+        return start, end
+
+    if tree.root is not None:
+        restored = fold(tree.root, lambda leaf: leaf, expand)
+        fold(restored, lambda leaf: (leaf.index, leaf.index), span)
+    return brackets
 
 
 def reference_apply_action(state, token, action):
@@ -440,7 +487,7 @@ def _step_candidates(weights, labels, state, token, context, prev_kind):
     )
     return [
         (t[a.target] + p[a.parent_label] + n[a.new_label], a)
-        for a in legal_actions(state, labels)
+        for a in reference_legal_actions(state, labels)
     ]
 
 

@@ -234,6 +234,16 @@ def test_score_mismatched_corpora(capsys, tmp_path, corpus_file, sample_path):
     assert "RESULT ok=0 fail=1" in out
 
 
+def test_score_names_sentence_of_malformed_label(capsys, tmp_path):
+    gold = tmp_path / "gold.mrg"
+    gold.write_text("(S (A (T a)) (B (T b)))\n(S (A (T a)) (B (T b)))\n")
+    pred = tmp_path / "pred.mrg"
+    pred.write_text("(S (A (T a)) (B (T b)))\n(S (A+ (T a)) (B (T b)))\n")
+    code, out, err = run(capsys, "score", str(gold), str(pred))
+    assert (code, result_line(out)) == (1, "RESULT ok=0 fail=1")
+    assert err.strip() == "sentence 1: malformed collapsed label: 'A+'"
+
+
 def _trained_model(capsys, tmp_path, corpus_file):
     model = tmp_path / "m.model"
     run(capsys, "train", corpus_file, "--model", str(model), "--epochs", "1")

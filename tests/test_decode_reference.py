@@ -12,16 +12,10 @@ from hypothesis import given, settings, strategies as st
 import reference
 from ajparse import predictor
 from ajparse.oracle import oracle_action_sequence
-from ajparse.predictor import ActionScorer, _action_at, decode_beam, train
+from ajparse.predictor import ActionScorer, decode_beam, train
 from ajparse.synth import generate_corpus
-from ajparse.transition import (
-    INITIAL_STATE,
-    apply_action,
-    apply_sequence,
-    close_chain,
-    legal_actions,
-)
-from ajparse.tree import ConstituencyTree, Token, iter_leaves, rightmost_chain, tree_equal
+from ajparse.transition import apply_sequence, close_chain
+from ajparse.tree import ConstituencyTree, Token, iter_leaves, tree_equal
 from ajparse.treebank import tokens_of, write_bracketed
 
 LABELS = ("S", "NP", "VP", "PP", "X", "B", "A")
@@ -117,18 +111,3 @@ def test_decode_beam_errors_match_reference(tokens, beam):
         reference.reference_decode_beam(scorer, tokens, beam)
     assert type(ours.value) is type(ref.value)
     assert str(ours.value) == str(ref.value)
-
-
-@settings(max_examples=100, deadline=None)
-@given(st.lists(st.sampled_from(LABELS), min_size=1, max_size=4, unique=True),
-       st.lists(st.integers(0, 10**6), min_size=1, max_size=8))
-def test_action_at_follows_legal_actions(labels, picks):
-    """The index arithmetic of decoding names the action ``legal_actions``
-    lists at that index, on states reached by walking the action space."""
-    choices = [None] + sorted(labels)
-    state = INITIAL_STATE
-    for i, pick in enumerate(picks):
-        actions = legal_actions(state, labels)
-        chain = rightmost_chain(state)
-        assert [_action_at(k, chain, choices) for k in range(len(actions))] == actions
-        state = apply_action(state, Token(f"w{i}"), actions[pick % len(actions)])

@@ -1,8 +1,18 @@
 import pytest
+from hypothesis import given, strategies as st
 
+import reference
 from ajparse.scoring import extract_brackets, format_report, score
 from ajparse.synth import generate_corpus
+from ajparse.tree import LabelFormatError, collapse_unary_chains
 from ajparse.treebank import parse_bracketed
+
+from test_tree import trees
+
+# Plain and "+"-joined labels, duplicate parts ("A+A") included.
+joined_labels = st.lists(st.sampled_from(["A", "B", "S"]), min_size=1, max_size=3).map("+".join)
+# The same, plus labels with an empty part.
+any_labels = st.one_of(joined_labels, st.sampled_from(["A+", "+A", "A++B", "+"]))
 
 
 def test_extract_brackets_example(fig_tree):
@@ -28,6 +38,21 @@ def test_extract_brackets_counts_duplicates_as_multiset():
     t = parse_bracketed("(S (NP (NP (NN a) (NN b))))")
     brackets = extract_brackets(t)
     assert brackets[("NP", 0, 1)] == 2
+
+
+@given(st.sampled_from([joined_labels, any_labels]).flatmap(lambda labels: trees(labels=labels)))
+def test_extract_brackets_matches_reference(t):
+    """Splitting each collapsed label as the tree folds counts the brackets
+    of the restored tree, and a malformed label fails with the same message."""
+    for u in (t, collapse_unary_chains(t)):
+        try:
+            expected = reference.reference_extract_brackets(u)
+        except LabelFormatError as err:
+            with pytest.raises(LabelFormatError) as ours:
+                extract_brackets(u)
+            assert str(ours.value) == str(err)
+        else:
+            assert extract_brackets(u) == expected
 
 
 def test_score_self_is_perfect():

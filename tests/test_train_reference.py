@@ -12,13 +12,13 @@ import reference
 from ajparse.oracle import oracle_action_sequence
 from ajparse.predictor import (
     _factor_scores,
-    _label_choices,
     _target_features,
     _teacher_steps,
     featurize,
     train,
 )
 from ajparse.synth import generate_corpus
+from ajparse.transition import label_choices
 from ajparse.tree import ConstituencyTree, Internal, fold, rightmost_chain
 from ajparse.treebank import tokens_of
 
@@ -70,7 +70,7 @@ def test_train_matches_reference(corpus, epochs, seed):
     # The averaged weights are not whole numbers, so the order of the
     # additions shows in the scores. The open chain's frames give the
     # features of the tree that the reference builds for the same step.
-    choices = _label_choices(labels)
+    choices = label_choices(labels)
     for tree in corpus[:3]:
         steps = _teacher_steps(tokens_of(tree), oracle_action_sequence(tree))
         for ours, ref in zip(steps, reference.teacher_steps(tree), strict=True):

@@ -1,6 +1,7 @@
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, settings, strategies as st
 
+import reference
 from ajparse.isr import SHIFT, translate_action
 from ajparse.oracle import oracle_action_sequence
 from ajparse.transition import (
@@ -139,6 +140,21 @@ def test_legal_actions_grouped_order():
         attach(0, "A"),
         juxtapose(0, "A", "A"),
     ]
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.sampled_from(["S", "NP", "VP", "PP", "X", "B", "A"]),
+                min_size=1, max_size=4, unique=True),
+       st.lists(st.integers(0, 10**6), max_size=8))
+def test_legal_actions_match_reference(labels, picks):
+    """On the empty tree and on states reached by walking the action space,
+    ``legal_actions`` lists the reference's nested loops in their order."""
+    state = INITIAL_STATE
+    for i, pick in enumerate(picks):
+        actions = reference.reference_legal_actions(state, labels)
+        assert legal_actions(state, labels) == actions
+        state = apply_action(state, tok(f"w{i}"), actions[pick % len(actions)])
+    assert legal_actions(state, labels) == reference.reference_legal_actions(state, labels)
 
 
 @settings(max_examples=60)

@@ -118,7 +118,7 @@ labels = st.sampled_from(["S", "NP", "VP", "PP", "X"])
 
 
 @st.composite
-def trees(draw, max_leaves=6, allow_unary=True):
+def trees(draw, max_leaves=6, allow_unary=True, labels=labels):
     counter = [0]
 
     def node(budget, depth):
