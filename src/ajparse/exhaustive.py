@@ -202,28 +202,44 @@ def check_bijection(n_max: int, labels, report: CheckReport) -> None:
 
 
 def enumerate_legal_stacks(max_tokens: int, labels):
-    """Breadth-first search over legal ISR states reachable with at most
+    """Depth-first search over legal ISR states reachable with at most
     ``max_tokens`` shifts, capping internal-node growth at ``max_tokens +
     EXTRA_INTERNAL`` so the space stays finite (projections can otherwise
-    nest without bound)."""
+    nest without bound).
+
+    The cap and the shift bound are properties of a state, not of the path
+    to it, so the set of stacks yielded does not depend on the search order;
+    depth-first order keeps the frontier, and so the heap, small.
+
+    Duplicates are found by a string key per stack element, carried beside
+    each queued stack: a leaf is its index, a projection ``[`` and its label,
+    and an internal node ``(label child-keys...)``. Shift appends the leaf
+    index, project inserts ``[label`` under the top string, and reduce joins
+    the strings above the topmost ``[`` into one ``(label ...)`` string. A
+    tuple of strings hashes in C on cached ``str`` hashes, and ``isr_apply``
+    runs only for an unseen key; it still makes every stack, and
+    ``is_legal_stack`` still filters them.
+    """
     cap = 2 * max_tokens + EXTRA_INTERNAL
-    seen = {EMPTY_STACK.elements}
+    seen = {()}
     # Weight (total node count plus projections) is tracked incrementally:
-    # shift and project add one, reduce folds a projection into one node.
-    queue = deque([(EMPTY_STACK, 0)])
+    # shift and project add one, reduce folds a projection into one node,
+    # so a stack at the cap can only reduce.
+    queue = [(EMPTY_STACK, (), 0)]
     yield EMPTY_STACK
-    projections = [project(lbl) for lbl in labels]
-    tokens = [_token(i) for i in range(max_tokens)]
+    projections = [(project(lbl), "[" + lbl) for lbl in labels]
+    tokens = [(_token(i), str(i)) for i in range(max_tokens)]
     while queue:
-        stack, weight = queue.popleft()
-        moves = []
-        if stack.buffer_consumed < max_tokens:
-            moves.append((SHIFT, tokens[stack.buffer_consumed], weight + 1))
-        for pj in projections:
-            moves.append((pj, None, weight + 1))
-        moves.append((REDUCE, None, weight))
-        for action, token, succ_weight in moves:
-            if succ_weight > cap:
+        stack, key, weight = queue.pop()
+        moves = [(REDUCE, None, _reduce_key(key), weight)]
+        if weight < cap:
+            if stack.buffer_consumed < max_tokens:
+                token, leaf_key = tokens[stack.buffer_consumed]
+                moves.append((SHIFT, token, key + (leaf_key,), weight + 1))
+            for pj, pj_key in projections:
+                moves.append((pj, None, key[:-1] + (pj_key,) + key[-1:], weight + 1))
+        for action, token, succ_key, succ_weight in moves:
+            if succ_key in seen:
                 continue
             try:
                 succ = isr_apply(stack, action, token)
@@ -231,14 +247,19 @@ def enumerate_legal_stacks(max_tokens: int, labels):
                 continue
             if not is_legal_stack(succ):
                 continue
-            # Tuples do not cache their hash, so membership test and insert
-            # in one call: the set grows only for an unseen stack.
-            size = len(seen)
-            seen.add(succ.elements)
-            if len(seen) == size:
-                continue
-            queue.append((succ, succ_weight))
+            seen.add(succ_key)
+            queue.append((succ, succ_key, succ_weight))
             yield succ
+
+
+def _reduce_key(key: tuple):
+    """The key after a reduce: the strings above the topmost ``[`` joined
+    under its label. With no ``[`` it is None, which is never seen, so
+    ``isr_apply`` judges (and rejects) the reduce."""
+    for i in range(len(key) - 1, -1, -1):
+        if key[i][0] == "[":
+            return key[:i] + ("(" + key[i][1:] + " " + " ".join(key[i + 1 :]) + ")",)
+    return None
 
 
 def check_translation(n_max: int, labels, report: CheckReport) -> None:

@@ -159,25 +159,6 @@ def _topmost_projected(elems) -> Optional[int]:
     return None
 
 
-def _reduce_fully(elems):
-    """Greedily reduce; returns the final element list or None when stuck.
-
-    One pass from the top folds the items above each projection as it meets
-    it, as repeated reduce at the topmost projection does. Only a projection
-    on top has nothing above it to fold."""
-    above = []  # the items above the current position, top first
-    for e in reversed(elems):
-        if isinstance(e, Projected):
-            if not above:
-                return None
-            above.reverse()
-            above = [Internal(e.label, tuple(above))]
-        else:
-            above.append(e)
-    above.reverse()
-    return above
-
-
 def is_legal_stack(stack: IsrStack) -> bool:
     """A stack is legal iff repeated reduce ends in a single subtree (or it
     is empty).
@@ -198,13 +179,25 @@ def is_legal_stack(stack: IsrStack) -> bool:
 
 
 def phi(stack: IsrStack) -> AugmentedTree:
-    """Map a legal stack to (fully-reduced tree, #projections - 1)."""
-    final = _reduce_fully(stack.elements)
-    if final is None or len(final) > 1:
+    """Map a legal stack to (fully-reduced tree, #projections - 1).
+
+    One pass from the top folds the items above each projection as it meets
+    it, as repeated reduce at the topmost projection does, and counts the
+    projections. Only a projection on top has nothing above it to fold."""
+    above = []  # the items above the current position, top first
+    n_proj = 0
+    for e in reversed(stack.elements):
+        if isinstance(e, Projected):
+            if not above:
+                raise IllegalStackError("phi is only defined on legal stacks")
+            n_proj += 1
+            above.reverse()
+            above = [Internal(e.label, tuple(above))]
+        else:
+            above.append(e)
+    if len(above) > 1:
         raise IllegalStackError("phi is only defined on legal stacks")
-    n_proj = sum(1 for e in stack.elements if isinstance(e, Projected))
-    root = final[0] if final else None
-    return AugmentedTree(root, n_proj - 1)
+    return AugmentedTree(above[0] if above else None, n_proj - 1)
 
 
 def gamma(aug: AugmentedTree) -> IsrStack:

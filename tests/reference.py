@@ -23,19 +23,29 @@ action space to its action; ``reference_legal_actions`` lists the actions
 by nested loops over depths and labels. ``extract_brackets`` splits each
 collapsed label once as it folds the tree; ``reference_extract_brackets``
 restores the unary chains as a new tree and then folds that.
+``enumerate_legal_stacks`` searches depth-first and removes duplicate stacks
+by a tuple of strings per stack; ``reference_enumerate_legal_stacks``
+searches breadth-first and removes duplicates by the stack elements
+themselves.
 """
 
 import logging
 import math
 import random
-from collections import Counter
+from collections import Counter, deque
 
+from ajparse.exhaustive import EXTRA_INTERNAL, _token
 from ajparse.isr import (
+    EMPTY_STACK,
     REDUCE,
+    SHIFT,
     AugmentedTree,
     IllegalStackError,
     IsrStack,
     Projected,
+    is_legal_stack,
+    isr_apply,
+    project,
     translate_action,
 )
 from ajparse.oracle import oracle_action_sequence
@@ -255,6 +265,46 @@ def reference_gamma(aug):
             depth += 1
         elems.append(node)
     return IsrStack(tuple(elems), sum(1 for _ in iter_leaves(aug.root)))
+
+
+def reference_enumerate_legal_stacks(max_tokens: int, labels):
+    """Breadth-first search over legal ISR states reachable with at most
+    ``max_tokens`` shifts, capping internal-node growth at ``max_tokens +
+    EXTRA_INTERNAL`` so the space stays finite (projections can otherwise
+    nest without bound)."""
+    cap = 2 * max_tokens + EXTRA_INTERNAL
+    seen = {EMPTY_STACK.elements}
+    # Weight (total node count plus projections) is tracked incrementally:
+    # shift and project add one, reduce folds a projection into one node.
+    queue = deque([(EMPTY_STACK, 0)])
+    yield EMPTY_STACK
+    projections = [project(lbl) for lbl in labels]
+    tokens = [_token(i) for i in range(max_tokens)]
+    while queue:
+        stack, weight = queue.popleft()
+        moves = []
+        if stack.buffer_consumed < max_tokens:
+            moves.append((SHIFT, tokens[stack.buffer_consumed], weight + 1))
+        for pj in projections:
+            moves.append((pj, None, weight + 1))
+        moves.append((REDUCE, None, weight))
+        for action, token, succ_weight in moves:
+            if succ_weight > cap:
+                continue
+            try:
+                succ = isr_apply(stack, action, token)
+            except IllegalStackError:
+                continue
+            if not is_legal_stack(succ):
+                continue
+            # Tuples do not cache their hash, so membership test and insert
+            # in one call: the set grows only for an unseen stack.
+            size = len(seen)
+            seen.add(succ.elements)
+            if len(seen) == size:
+                continue
+            queue.append((succ, succ_weight))
+            yield succ
 
 
 def featurize(chain, token, context, prev_kind: str):

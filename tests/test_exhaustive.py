@@ -12,6 +12,8 @@ from ajparse.exhaustive import (
 from ajparse.isr import is_legal_stack
 from ajparse.tree import has_unary_chains
 
+from reference import reference_enumerate_legal_stacks
+
 
 def test_enumerate_trees_counts():
     # 1 leaf, 1 label: only (A w0).
@@ -40,6 +42,19 @@ def test_unary_budget_adds_chains():
 def test_enumerated_stacks_are_legal():
     for stack in enumerate_legal_stacks(2, ["A"]):
         assert is_legal_stack(stack)
+
+
+@pytest.mark.parametrize("max_tokens, vocab_size", [(1, 1), (2, 1), (2, 2), (3, 1), (2, 3), (3, 2)])
+def test_enumerated_stacks_match_reference(max_tokens, vocab_size):
+    # The string keys only remove duplicates: a wrong key drops stacks or
+    # yields one twice, and either shows against the breadth-first search
+    # that removes duplicates by the stack elements themselves.
+    labels = ["A", "B", "C"][:vocab_size]
+    stacks = list(enumerate_legal_stacks(max_tokens, labels))
+    assert len({s.elements for s in stacks}) == len(stacks)
+    expected = {(s.elements, s.buffer_consumed)
+                for s in reference_enumerate_legal_stacks(max_tokens, labels)}
+    assert {(s.elements, s.buffer_consumed) for s in stacks} == expected
 
 
 def test_bounds_enforced():

@@ -9,7 +9,6 @@ from ajparse.isr import (
     IllegalStackError,
     IsrStack,
     Projected,
-    _reduce_fully,
     format_isr_actions,
     gamma,
     is_legal_stack,
@@ -116,7 +115,7 @@ def stacks_for_legality():
 
 def test_legality_closed_form_matches_reduce_simulation():
     for s in stacks_for_legality():
-        final = _reduce_fully(s.elements)
+        final = reference_reduce_fully(s.elements)
         simulated = final is not None and len(final) <= 1
         assert is_legal_stack(s) == simulated, s
 
@@ -335,7 +334,6 @@ def test_reduce_fully_is_the_reduce_fold(stack):
         expected = list(folded.elements)
     except IllegalStackError:
         expected = None
-    assert _reduce_fully(stack.elements) == expected
     assert reference_reduce_fully(stack.elements) == expected
 
 
