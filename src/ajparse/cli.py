@@ -8,11 +8,14 @@ machine-readable summary line ``RESULT ok=<k> fail=<j>``; the exit status is
 from __future__ import annotations
 
 import argparse
+import contextlib
 import sys
 from collections import Counter
 
 from . import exhaustive, predictor, scoring
-from .isr import SHIFT, format_isr_actions, is_legal_stack, isr_apply, translate_sequence
+from .isr import (
+    EMPTY_STACK, SHIFT, format_isr_actions, is_legal_stack, isr_apply, translate_sequence,
+)
 from .oracle import oracle_action_sequence
 from .transition import apply_sequence, format_actions
 from .tree import Internal, Token, iter_nodes, node_equal, tree_equal
@@ -29,72 +32,64 @@ def _result(ok: int, fail: int) -> int:
     return 0 if fail == 0 else 1
 
 
-def cmd_oracle(args) -> int:
+def _each_entry(args, work, output=None) -> tuple:
+    """Run ``work`` on each entry of ``args.input`` and count ``(ok, fail)``.
+    An entry fails when ``work`` raises ``ValueError``, whose text goes to
+    stderr; otherwise the line ``work`` returns is written to ``output``, if
+    given. The corpus loads before ``output`` opens, so a load error leaves
+    an existing file as it was."""
     entries = load_corpus(args.input, normalization=not args.no_normalize, strict=args.strict)
     ok = fail = 0
-    with open(args.output, "w", encoding="utf-8") as out:
+    with open(output, "w", encoding="utf-8") if output else contextlib.nullcontext() as out:
         for entry in entries:
             try:
-                actions = oracle_action_sequence(entry.tree)
+                line = work(entry)
             except ValueError as err:
                 print(f"entry {entry.id}: {err}", file=sys.stderr)
                 fail += 1
                 continue
-            out.write(f"{entry.id}\t{entry.tree.length}\t{format_actions(actions)}\n")
+            if out is not None:
+                out.write(line + "\n")
             ok += 1
-    return _result(ok, fail)
+    return ok, fail
+
+
+def cmd_oracle(args) -> int:
+    def work(entry):
+        actions = oracle_action_sequence(entry.tree)
+        return f"{entry.id}\t{entry.tree.length}\t{format_actions(actions)}"
+
+    return _result(*_each_entry(args, work, args.output))
 
 
 def cmd_verify(args) -> int:
-    entries = load_corpus(args.input, normalization=not args.no_normalize, strict=args.strict)
-    ok = fail = 0
-    for entry in entries:
-        try:
-            actions = oracle_action_sequence(entry.tree)
-            rebuilt = apply_sequence(tokens_of(entry.tree), actions)
-            if tree_equal(rebuilt, entry.tree):
-                ok += 1
-            else:
-                fail += 1
-                print(f"entry {entry.id}: rebuilt tree differs", file=sys.stderr)
-        except ValueError as err:
-            fail += 1
-            print(f"entry {entry.id}: {err}", file=sys.stderr)
-    return _result(ok, fail)
+    def work(entry):
+        actions = oracle_action_sequence(entry.tree)
+        rebuilt = apply_sequence(tokens_of(entry.tree), actions)
+        if not tree_equal(rebuilt, entry.tree):
+            raise ValueError("rebuilt tree differs")
+
+    return _result(*_each_entry(args, work))
 
 
 def cmd_translate_isr(args) -> int:
-    entries = load_corpus(args.input, normalization=not args.no_normalize, strict=args.strict)
-    ok = fail = 0
-    with open(args.output, "w", encoding="utf-8") as out:
-        for entry in entries:
-            try:
-                tokens = tokens_of(entry.tree)
-                actions = oracle_action_sequence(entry.tree)
-                isr_actions = translate_sequence(tokens, actions)
-                stack = _replay_checked(isr_actions, tokens)
-                if len(stack.elements) != 1 or not node_equal(
-                    stack.elements[0], entry.tree.root
-                ):
-                    raise ValueError("replayed stack does not hold the gold tree")
-                n = entry.tree.length
-                m = sum(isinstance(node, Internal) for node in iter_nodes(entry.tree.root))
-                if len(isr_actions) != n + 2 * m:
-                    raise ValueError(
-                        f"length {len(isr_actions)} != n + 2m = {n + 2 * m}"
-                    )
-            except ValueError as err:
-                fail += 1
-                print(f"entry {entry.id}: {err}", file=sys.stderr)
-                continue
-            out.write(format_isr_actions(isr_actions) + "\n")
-            ok += 1
-    return _result(ok, fail)
+    def work(entry):
+        tokens = tokens_of(entry.tree)
+        actions = oracle_action_sequence(entry.tree)
+        isr_actions = translate_sequence(tokens, actions)
+        stack = _replay_checked(isr_actions, tokens)
+        if len(stack.elements) != 1 or not node_equal(stack.elements[0], entry.tree.root):
+            raise ValueError("replayed stack does not hold the gold tree")
+        n = entry.tree.length
+        m = sum(isinstance(node, Internal) for node in iter_nodes(entry.tree.root))
+        if len(isr_actions) != n + 2 * m:
+            raise ValueError(f"length {len(isr_actions)} != n + 2m = {n + 2 * m}")
+        return format_isr_actions(isr_actions)
+
+    return _result(*_each_entry(args, work, args.output))
 
 
 def _replay_checked(isr_actions, tokens):
-    from .isr import EMPTY_STACK
-
     stack = EMPTY_STACK
     it = iter(tokens)
     for action in isr_actions:
@@ -185,18 +180,11 @@ def cmd_parse(args) -> int:
 def cmd_score(args) -> int:
     # Labels with the chain separator are legitimate here: predicted files
     # hold collapsed trees.
-    gold = [
-        e.tree
-        for e in load_corpus(
-            args.gold, normalization=True, strict=args.strict, plain_labels=False
-        )
-    ]
-    predicted = [
-        e.tree
-        for e in load_corpus(
-            args.predicted, normalization=True, strict=args.strict, plain_labels=False
-        )
-    ]
+    gold, predicted = (
+        [e.tree for e in load_corpus(path, normalization=True, strict=args.strict,
+                                     plain_labels=False)]
+        for path in (args.gold, args.predicted)
+    )
     try:
         report = scoring.score(gold, predicted)
     except ValueError as err:
@@ -207,22 +195,19 @@ def cmd_score(args) -> int:
 
 
 def cmd_stats(args) -> int:
-    entries = load_corpus(args.input, normalization=not args.no_normalize, strict=args.strict)
     kind_hist = Counter()
-    aj_total = isr_total = fail = 0
-    for entry in entries:
-        try:
-            tokens = tokens_of(entry.tree)
-            actions = oracle_action_sequence(entry.tree)
-            isr_actions = translate_sequence(tokens, actions)
-        except ValueError as err:
-            fail += 1
-            print(f"entry {entry.id}: {err}", file=sys.stderr)
-            continue
+    aj_total = isr_total = 0
+
+    def work(entry):
+        nonlocal aj_total, isr_total
+        tokens = tokens_of(entry.tree)
+        actions = oracle_action_sequence(entry.tree)
+        isr_actions = translate_sequence(tokens, actions)
         aj_total += len(actions)
         isr_total += len(isr_actions)
         kind_hist.update(a.kind for a in actions)
-    ok = len(entries) - fail
+
+    ok, fail = _each_entry(args, work)
     print(f"sentences: {ok}")
     print(f"aj actions: {aj_total}")
     print(f"isr actions: {isr_total}")
@@ -238,15 +223,18 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
+    def lenient(p):
+        p.add_argument(
+            "--lenient", dest="strict", action="store_false",
+            help="skip malformed entries instead of failing",
+        )
+
     def common(p, output=False):
         p.add_argument("input", help="bracketed treebank file")
         if output:
             p.add_argument("output", help="output file")
         p.add_argument("--no-normalize", action="store_true", help="skip normalization")
-        p.add_argument(
-            "--lenient", dest="strict", action="store_false",
-            help="skip malformed entries instead of failing",
-        )
+        lenient(p)
 
     p = sub.add_parser("oracle", help="dump oracle action sequences")
     common(p, output=True)
@@ -270,10 +258,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--model", required=True)
     p.add_argument("--epochs", type=int, default=5)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument(
-        "--lenient", dest="strict", action="store_false",
-        help="skip malformed entries instead of failing",
-    )
+    lenient(p)
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("parse", help="parse tokenized sentences (token[_POS] per line)")
@@ -286,10 +271,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("score", help="PARSEVAL scoring of predicted vs gold trees")
     p.add_argument("gold")
     p.add_argument("predicted")
-    p.add_argument(
-        "--lenient", dest="strict", action="store_false",
-        help="skip malformed entries instead of failing",
-    )
+    lenient(p)
     p.set_defaults(func=cmd_score)
 
     p = sub.add_parser("stats", help="per-corpus action statistics")
@@ -301,7 +283,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    try:
+        args = parser.parse_args(argv)
+    except SystemExit as exc:
+        # argparse has printed its usage error; -h exits 0 and is no failure.
+        if exc.code:
+            print("RESULT ok=0 fail=1")
+        raise
     try:
         return args.func(args)
     except (TreebankFormatError, OSError, ValueError) as err:

@@ -9,7 +9,7 @@ force. Bounds are hard-capped because the searches grow exponentially.
 from __future__ import annotations
 
 import gc
-from collections import Counter, deque
+from collections import Counter
 from dataclasses import dataclass, field
 
 from .isr import (
@@ -17,8 +17,6 @@ from .isr import (
     REDUCE,
     AugmentedTree,
     IllegalStackError,
-    IsrStack,
-    Projected,
     gamma,
     is_legal_stack,
     isr_apply,
@@ -119,7 +117,7 @@ def _enumerate_final_trees(n_max: int, labels):
     results = Counter()
     sequences = 0
     # Depth-first over states; every prefix is itself a complete sequence.
-    frontier = deque([INITIAL_STATE])
+    frontier = [INITIAL_STATE]
     while frontier:
         state = frontier.pop()
         if state.length >= n_max:

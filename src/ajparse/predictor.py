@@ -16,12 +16,9 @@ import random
 from collections import Counter
 from dataclasses import dataclass, field
 from operator import add
-from typing import Optional
 
 from .oracle import oracle_action_sequence
 from .transition import (
-    ATTACH,
-    AjAction,
     action_at,
     apply_sequence,
     attach,
@@ -381,19 +378,6 @@ def train(trees, epochs: int, seed: int) -> ActionScorer:
     return scorer
 
 
-def _label_sort_key(label: Optional[str]):
-    return (0, "") if label is None else (1, label)
-
-
-def _action_sort_key(action: AjAction):
-    return (
-        0 if action.kind == ATTACH else 1,
-        action.target,
-        _label_sort_key(action.parent_label),
-        _label_sort_key(action.new_label),
-    )
-
-
 def decode_beam(scorer: ActionScorer, tokens, beam: int) -> ConstituencyTree:
     """Beam search over summed, per-step-normalized factor scores;
     beam = 1 is greedy decoding.
@@ -402,10 +386,11 @@ def decode_beam(scorer: ActionScorer, tokens, beam: int) -> ConstituencyTree:
     its ``legal_actions`` index, and subtracts their log-sum-exp so that path
     scores are comparable across items; without it, raw perceptron margins
     accumulate incomparably across alternative prefixes and wide beams
-    degrade. Only candidates whose total reaches the beam-th best total
-    become actions. Float rounding is monotone, so they include the whole
-    beam. Ties break lexicographically: attach before juxtapose, then target
-    depth, then parent and new label order (None first), then item rank.
+    degrade. Only candidates whose total reaches the beam-th best total are
+    sorted; float rounding is monotone, so they include the whole beam. Only
+    the beam's members become actions. Ties break on ``(k % W != 0, k)`` for
+    the index k of width W: attach before juxtapose, then target depth, then
+    parent and new label order (None first); then on item rank.
     Items are open chains: a successor copies the frames that ``step``
     edits, from the action's target down, and shares those above.
     """
@@ -440,15 +425,15 @@ def decode_beam(scorer: ActionScorer, tokens, beam: int) -> ConstituencyTree:
         candidates = []
         for totals, rank, chain in stepped:
             for k in itertools.compress(range(len(totals)), map(cut.__le__, totals)):
-                action = action_at(k, len(chain), choices)
-                candidates.append((totals[k], _action_sort_key(action), rank, chain, action))
-        candidates.sort(key=lambda c: (-c[0], c[1], c[2]))
+                candidates.append((-totals[k], k % width != 0, k, rank, chain))
+        candidates.sort()  # (k, rank) is unique, so no two chains are compared
         items = []
-        for rank, (total, _, _, chain, action) in enumerate(candidates[:beam]):
+        for rank, (neg_total, _, k, _, chain) in enumerate(candidates[:beam]):
+            action = action_at(k, len(chain), choices)
             d = action.target
             successor = chain[:d] + [[label, list(kids)] for label, kids in chain[d:]]
             step(successor, Leaf(token, i), action)
-            items.append((total, rank, successor, action.kind))
+            items.append((-neg_total, rank, successor, action.kind))
     return ConstituencyTree(close_chain(items[0][2], 0))
 
 

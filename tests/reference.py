@@ -7,12 +7,13 @@ property tests require the two to agree. The same holds for ``phi``, whose
 reduce is one pass in ``ajparse``, and ``gamma``, which reads the consumed
 count off the rightmost leaf: the versions here reduce at the topmost
 projection until none is left and count every leaf. ``decode_beam`` scores
-each step as a list of floats and builds actions only for candidates that
-can enter the beam; ``reference_decode_beam`` builds, keys and sorts every
-legal action of every item. The perceptron keeps the weights of all three
-factors as one row per feature; ``reference_train`` and the decoder here
-keep target weights in a dict keyed by feature and label weights in dicts
-keyed by ``(feature, label)``. The predictor's parser state is an open
+each step as a list of floats, breaks ties on the action index and builds
+actions only for the beam's members; ``reference_decode_beam`` builds every
+legal action of every item and sorts them, breaking ties on the action's
+fields. The perceptron keeps the weights of all three factors as one row
+per feature; ``reference_train`` and the decoder here keep target weights
+in a dict keyed by feature and label weights in dicts keyed by
+``(feature, label)``. The predictor's parser state is an open
 chain of frames in training and decoding; the trainer and decoder here
 build a tree per step with ``apply_action`` and read their features off
 its rightmost chain. ``load_corpus`` reads a file in one scan and builds
@@ -33,6 +34,7 @@ import logging
 import math
 import random
 from collections import Counter, deque
+from typing import Optional
 
 from ajparse.exhaustive import EXTRA_INTERNAL, _token
 from ajparse.isr import (
@@ -49,9 +51,10 @@ from ajparse.isr import (
     translate_action,
 )
 from ajparse.oracle import oracle_action_sequence
-from ajparse.predictor import _NONE_KEY, _action_sort_key, _node_tag, collect_labels
+from ajparse.predictor import _NONE_KEY, _node_tag, collect_labels
 from ajparse.transition import (
     ATTACH,
+    AjAction,
     INITIAL_STATE,
     IllegalActionError,
     apply_action,
@@ -545,6 +548,19 @@ def _log_softmax(scores):
     m = max(scores)
     lse = m + math.log(sum(math.exp(s - m) for s in scores))
     return [s - lse for s in scores]
+
+
+def _label_sort_key(label: Optional[str]):
+    return (0, "") if label is None else (1, label)
+
+
+def _action_sort_key(action: AjAction):
+    return (
+        0 if action.kind == ATTACH else 1,
+        action.target,
+        _label_sort_key(action.parent_label),
+        _label_sort_key(action.new_label),
+    )
 
 
 def reference_decode_beam(scorer, tokens, beam: int):

@@ -58,6 +58,38 @@ def test_malformed_input_exits_nonzero(capsys, tmp_path):
     assert "RESULT ok=0 fail=1" in out
 
 
+@pytest.mark.parametrize("command", ["oracle", "translate-isr"])
+def test_strict_load_error_leaves_output_file_untouched(capsys, tmp_path, command):
+    bad = tmp_path / "bad.mrg"
+    bad.write_text("(S (NP (NN a)))\n(S (NN b)\n")
+    out_path = tmp_path / "out.txt"
+    out_path.write_bytes(b"earlier output\n")
+    code, out, _ = run(capsys, command, str(bad), str(out_path))
+    assert (code, result_line(out)) == (1, "RESULT ok=0 fail=1")
+    assert out_path.read_bytes() == b"earlier output\n"
+
+
+@pytest.mark.parametrize(
+    "argv, code",
+    [
+        (["verify"], 2),
+        (["parse", "in.txt", "out.mrg", "--model", "m.model", "--beam", "x"], 2),
+        (["no-such-command"], 2),
+        (["-h"], 0),
+    ],
+)
+def test_usage_errors_end_in_a_result_line(capsys, argv, code):
+    with pytest.raises(SystemExit) as exit_:
+        main(argv)
+    out = capsys.readouterr()
+    assert exit_.value.code == code
+    if code:
+        assert "usage:" in out.err
+        assert result_line(out.out) == "RESULT ok=0 fail=1"
+    else:
+        assert "RESULT" not in out.out
+
+
 def test_oracle_output_lines(capsys, sample_path, tmp_path):
     out_path = tmp_path / "actions.tsv"
     code, out, _ = run(capsys, "oracle", sample_path, str(out_path))
@@ -442,7 +474,7 @@ def test_unexpected_error_ends_in_result_line(capsys, monkeypatch, sample_path):
 @settings(max_examples=100, deadline=None)
 @given(
     text=mangled_treebanks(),
-    command=st.sampled_from(["verify", "translate-isr", "score", "stats"]),
+    command=st.sampled_from(["oracle", "verify", "translate-isr", "score", "stats"]),
     lenient=st.booleans(),
     no_normalize=st.booleans(),
 )
@@ -452,8 +484,8 @@ def test_cut_and_mangled_treebanks_end_in_a_result_line(tmp_path_factory, text, 
     gold = work / "mangled.mrg"
     gold.write_text(text, encoding="utf-8")
     argv = [command, str(gold)]
-    if command == "translate-isr":
-        argv.append(str(work / "mangled.isr"))
+    if command in ("oracle", "translate-isr"):
+        argv.append(str(work / f"mangled.{command}"))
     elif command == "score":
         argv.append(str(gold))
     if lenient:
