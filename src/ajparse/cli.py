@@ -216,6 +216,17 @@ def cmd_stats(args) -> int:
     return _result(ok, fail)
 
 
+def _positive_int(text: str) -> int:
+    """The argparse type of counts that must be at least 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="ajparse",
@@ -256,7 +267,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("train", help="train the linear action predictor")
     p.add_argument("input", help="bracketed treebank file")
     p.add_argument("--model", required=True)
-    p.add_argument("--epochs", type=int, default=5)
+    p.add_argument("--epochs", type=_positive_int, default=5)
     p.add_argument("--seed", type=int, default=0)
     lenient(p)
     p.set_defaults(func=cmd_train)
@@ -265,7 +276,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("input")
     p.add_argument("output")
     p.add_argument("--model", required=True)
-    p.add_argument("--beam", type=int, default=1)
+    p.add_argument("--beam", type=_positive_int, default=1)
     p.set_defaults(func=cmd_parse)
 
     p = sub.add_parser("score", help="PARSEVAL scoring of predicted vs gold trees")

@@ -52,8 +52,15 @@ SHIFT = IsrAction(SHIFT_KIND)
 REDUCE = IsrAction(REDUCE_KIND)
 
 
+_PROJECT_CACHE: dict = {}
+
+
 def project(label: str) -> IsrAction:
-    return IsrAction(PROJECT_KIND, label)
+    """The one ``pj:label`` action per label."""
+    action = _PROJECT_CACHE.get(label)
+    if action is None:
+        action = _PROJECT_CACHE[label] = IsrAction(PROJECT_KIND, label)
+    return action
 
 
 def format_isr_actions(actions) -> str:

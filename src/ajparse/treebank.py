@@ -71,8 +71,24 @@ def _read(text: str, normalization: bool):
     raise on text between them: the node below the entry's TOP/ROOT wrappers
     (a trace leaf kept, ``_EMPTY`` if normalization emptied it), the first
     label holding the chain separator, and the first error a bracket raised
-    as it closed, offset relative to the entry. An unclosed entry is last, ``end`` None."""
-    make = _normal_node if normalization else lambda label, kids: Internal(label, tuple(kids))
+    as it closed, offset relative to the entry. An unclosed entry is last, ``end`` None.
+
+    Within one call, equal words, tags and labels are one ``str`` object and
+    equal (tag, word) pairs one ``Token``, so a loaded corpus holds each
+    distinct value once."""
+    # Each word, tag and label (raw or stripped) maps to itself, each
+    # (tag, word) pair to its token.
+    shared = {}
+
+    def normal_node(label, kids):
+        # As ``normalize`` builds it: stripped, collapsed, None if no kids.
+        if not kids:
+            return None
+        label = _strip_label(label)
+        return collapsed_node(shared.setdefault(label, label), kids)
+
+    make = normal_node if normalization else lambda label, kids: Internal(label, tuple(kids))
+
     # Open brackets, innermost last: [offset, label, kept children, dropped
     # children, the first child's entry root, atom offsets].
     stack = []
@@ -82,14 +98,20 @@ def _read(text: str, normalization: bool):
         if not stack:
             start = m.start()
         if kind == _PRETERMINAL:
-            tag, word = m.group(1, 2)
-            node = root = Leaf(Token(word, tag), leaves)
-            if normalization and tag == _TRACE_TAG:
+            pair = m.group(1, 2)
+            token = shared.get(pair)
+            if token is None:
+                tag, word = pair
+                tag, word = shared.setdefault(tag, tag), shared.setdefault(word, word)
+                token = shared[tag, word] = Token(word, tag)
+            node = root = Leaf(token, leaves)
+            if normalization and token.pos == _TRACE_TAG:
                 node = None
             else:
                 leaves += 1
         elif kind == _OPEN:
             label = m.group(3)
+            label = shared.setdefault(label, label)
             if plus is None and LABEL_SEPARATOR in label:
                 plus = label
             stack.append([m.start(), label, [], 0, None, []])
@@ -179,11 +201,6 @@ def _strip_label(label: str) -> str:
     return label
 
 
-def _normal_node(label: str, children: list) -> Optional[Internal]:
-    """The normalized node over its kept, normalized children; None if none."""
-    return collapsed_node(_strip_label(label), children) if children else None
-
-
 def normalize(tree: ConstituencyTree) -> ConstituencyTree:
     """Remove trace elements, strip functional tags, collapse unary chains."""
     if tree.root is None:
@@ -198,7 +215,8 @@ def normalize(tree: ConstituencyTree) -> ConstituencyTree:
         return Leaf(leaf.token, kept - 1)
 
     def rebuild(node: Internal, children: list) -> Optional[Internal]:
-        return _normal_node(node.label, [c for c in children if c is not None])
+        kids = [c for c in children if c is not None]
+        return collapsed_node(_strip_label(node.label), kids) if kids else None
 
     root = fold(tree.root, reindex, rebuild)
     if root is None:

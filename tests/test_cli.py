@@ -90,6 +90,25 @@ def test_usage_errors_end_in_a_result_line(capsys, argv, code):
         assert "RESULT" not in out.out
 
 
+@pytest.mark.parametrize("count", ["0", "-1"])
+def test_beam_and_epochs_below_one_are_usage_errors(capsys, sample_path, tmp_path, count):
+    model, sentences = tmp_path / "m.model", tmp_path / "in.txt"
+    run(capsys, "train", sample_path, "--model", str(model), "--epochs", "1")
+    sentences.write_text("the king\nwaves\n")
+    parsed, retrained = tmp_path / "out.mrg", tmp_path / "new.model"
+    for argv, written in (
+        (["parse", str(sentences), str(parsed), "--model", str(model), "--beam", count], parsed),
+        (["train", sample_path, "--model", str(retrained), "--epochs", count], retrained),
+    ):
+        with pytest.raises(SystemExit) as exit_:
+            main(argv)
+        out = capsys.readouterr()
+        assert exit_.value.code == 2
+        assert f"expected a positive integer, got '{count}'" in out.err
+        assert result_line(out.out) == "RESULT ok=0 fail=1"
+        assert not written.exists()
+
+
 def test_oracle_output_lines(capsys, sample_path, tmp_path):
     out_path = tmp_path / "actions.tsv"
     code, out, _ = run(capsys, "oracle", sample_path, str(out_path))

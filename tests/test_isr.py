@@ -58,6 +58,8 @@ def test_isr_action_format_roundtrip():
     acts = [SHIFT, project("NP"), REDUCE]
     text = format_isr_actions(acts)
     assert text == "shift pj:NP reduce"
+    # One shared action per label, however it was made.
+    assert parse_isr_actions(text)[1] is project("NP") is acts[1]
     assert parse_isr_actions(text) == acts
 
 

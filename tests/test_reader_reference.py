@@ -16,6 +16,7 @@ from ajparse.treebank import (
     load_corpus,
     normalize,
     parse_bracketed,
+    tokens_of,
 )
 
 
@@ -40,9 +41,12 @@ def _same_reads(path, text):
         fh.write(text)
     for strict, normalization, plain_labels in itertools.product((True, False), repeat=3):
         kwargs = dict(strict=strict, normalization=normalization, plain_labels=plain_labels)
-        assert _outcome(load_corpus, path, **kwargs) == _outcome(
-            reference.reference_load_corpus, path, **kwargs
-        ), kwargs
+        outcome = _outcome(load_corpus, path, **kwargs)
+        assert outcome == _outcome(reference.reference_load_corpus, path, **kwargs), kwargs
+        if outcome[0][0] == "ok":
+            # Within one load, equal tokens are one object.
+            tokens = [t for entry in outcome[0][1] for t in tokens_of(entry.tree)]
+            assert len({id(t) for t in tokens}) == len(set(tokens)), kwargs
 
 
 @settings(max_examples=80, deadline=None)

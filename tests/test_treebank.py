@@ -5,7 +5,14 @@ import pytest
 
 import reference
 from ajparse.cli import main
-from ajparse.tree import has_unary_chains, tree_equal
+from ajparse.tree import (
+    LABEL_SEPARATOR,
+    Internal,
+    Leaf,
+    has_unary_chains,
+    iter_nodes,
+    tree_equal,
+)
 from ajparse.treebank import (
     DegenerateSentenceError,
     TreebankFormatError,
@@ -176,6 +183,58 @@ def test_empty_corpus(tmp_path):
     p = tmp_path / "empty.mrg"
     p.write_text("")
     assert load_corpus(str(p)) == []
+
+
+def _holders(entries):
+    """Each word, tag, label and token value in ``entries``, mapped to the
+    ids of the objects that hold it. Collapsed chain labels are built per
+    node, so they are left out."""
+    holders = {}
+    for entry in entries:
+        for node in iter_nodes(entry.tree.root):
+            if isinstance(node, Leaf):
+                values = (node.token, node.token.word, node.token.pos)
+            elif LABEL_SEPARATOR in node.label:
+                continue
+            else:
+                values = (node.label,)
+            for value in values:
+                holders.setdefault(value, set()).add(id(value))
+    return holders
+
+
+def _assert_shared(entries):
+    unshared = {value: len(ids) for value, ids in _holders(entries).items() if len(ids) > 1}
+    assert unshared == {}
+
+
+def test_load_shares_equal_values_normalized(raw_path):
+    entries = load_corpus(raw_path)
+    _assert_shared(entries)
+    # NP-SBJ, NP-SBJ-1 and NP all strip to the one NP object.
+    sbj, sbj_1 = entries[0].tree.root.children[0], entries[1].tree.root.children[0]
+    plain = entries[0].tree.root.children[1].children[1]
+    assert sbj.label == "NP" and sbj.label is sbj_1.label is plain.label
+    the = [t for e in entries for t in tokens_of(e.tree) if t.word == "the"]
+    assert len(the) == 3 and the[0] is the[1] is the[2]
+
+
+def test_load_shares_equal_raw_values(raw_path):
+    entries = load_corpus(raw_path, normalization=False)
+    _assert_shared(entries)
+    labels = [n.label for e in entries for n in iter_nodes(e.tree.root)
+              if isinstance(n, Internal) and n.label == "NP-SBJ"]
+    assert len(labels) == 2 and labels[0] is labels[1]
+
+
+def test_load_shares_equal_values_after_a_skipped_entry(tmp_path, raw_path):
+    p = tmp_path / "skip.mrg"
+    with open(raw_path, encoding="utf-8") as fh:
+        raw = fh.read()
+    p.write_text("(NP (DT the) the)\n" + raw, encoding="utf-8")
+    entries = load_corpus(str(p), strict=False)
+    assert len(entries) == 4
+    _assert_shared(entries)
 
 
 def test_write_corpus_roundtrip(tmp_path, sample_corpus):
