@@ -8,7 +8,6 @@ machine-readable summary line ``RESULT ok=<k> fail=<j>``; the exit status is
 from __future__ import annotations
 
 import argparse
-import contextlib
 import sys
 from collections import Counter
 
@@ -21,6 +20,7 @@ from .transition import apply_sequence, format_actions
 from .tree import Internal, Token, iter_nodes, node_equal, tree_equal
 from .treebank import (
     TreebankFormatError,
+    iter_corpus,
     load_corpus,
     tokens_of,
     write_bracketed,
@@ -33,25 +33,25 @@ def _result(ok: int, fail: int) -> int:
 
 
 def _each_entry(args, work, output=None) -> tuple:
-    """Run ``work`` on each entry of ``args.input`` and count ``(ok, fail)``.
-    An entry fails when ``work`` raises ``ValueError``, whose text goes to
-    stderr; otherwise the line ``work`` returns is written to ``output``, if
-    given. The corpus loads before ``output`` opens, so a load error leaves
-    an existing file as it was."""
-    entries = load_corpus(args.input, normalization=not args.no_normalize, strict=args.strict)
-    ok = fail = 0
-    with open(output, "w", encoding="utf-8") if output else contextlib.nullcontext() as out:
-        for entry in entries:
-            try:
-                line = work(entry)
-            except ValueError as err:
-                print(f"entry {entry.id}: {err}", file=sys.stderr)
-                fail += 1
-                continue
-            if out is not None:
-                out.write(line + "\n")
-            ok += 1
-    return ok, fail
+    """Run ``work`` on each entry of ``args.input`` as it is read and count
+    ``(ok, fail)``. An entry fails when ``work`` raises ``ValueError``, whose
+    text goes to stderr; otherwise the line ``work`` returns is written to
+    ``output``, if given. Lines and entry errors are kept until the whole
+    file has been read, so a load error leaves an existing output file as it
+    was and is the only error printed."""
+    entries = iter_corpus(args.input, normalization=not args.no_normalize, strict=args.strict)
+    lines, errors = [], []
+    for entry in entries:
+        try:
+            lines.append(work(entry))
+        except ValueError as err:
+            errors.append(f"entry {entry.id}: {err}")
+    if output:
+        with open(output, "w", encoding="utf-8") as out:
+            out.writelines(line + "\n" for line in lines)
+    for error in errors:
+        print(error, file=sys.stderr)
+    return len(lines), len(errors)
 
 
 def cmd_oracle(args) -> int:
@@ -179,12 +179,11 @@ def cmd_parse(args) -> int:
 
 def cmd_score(args) -> int:
     # Labels with the chain separator are legitimate here: predicted files
-    # hold collapsed trees.
-    gold, predicted = (
-        [e.tree for e in load_corpus(path, normalization=True, strict=args.strict,
-                                     plain_labels=False)]
-        for path in (args.gold, args.predicted)
-    )
+    # hold collapsed trees. The gold side loads whole before the predicted
+    # side is read, which streams.
+    options = dict(normalization=True, strict=args.strict, plain_labels=False)
+    gold = [e.tree for e in load_corpus(args.gold, **options)]
+    predicted = (e.tree for e in iter_corpus(args.predicted, **options))
     try:
         report = scoring.score(gold, predicted)
     except ValueError as err:

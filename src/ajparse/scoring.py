@@ -41,33 +41,49 @@ def extract_brackets(tree: ConstituencyTree) -> Counter:
     return brackets
 
 
-def score(gold, predicted) -> ScoreReport:
-    if len(gold) != len(predicted):
-        raise ValueError(
-            f"gold has {len(gold)} sentences but predicted has {len(predicted)}"
-        )
-    matched = gold_total = predicted_total = exact = 0
-    for i, (g, p) in enumerate(zip(gold, predicted)):
-        if g.length != p.length:
+def _sentence_brackets(i: int, g: ConstituencyTree, p: ConstituencyTree) -> tuple:
+    """The brackets of gold ``g`` and predicted ``p``, sentence ``i``, once
+    their words are checked to agree; POS tags are not compared."""
+    if g.length != p.length:
+        raise ValueError(f"sentence {i}: gold has {g.length} tokens, predicted has {p.length}")
+    for j, (gl, pl) in enumerate(zip(iter_leaves(g.root), iter_leaves(p.root))):
+        if gl.token.word != pl.token.word:
             raise ValueError(
-                f"sentence {i}: gold has {g.length} tokens, predicted has {p.length}"
+                f"sentence {i}: token {j} is {gl.token.word!r} in gold"
+                f" but {pl.token.word!r} in predicted"
             )
-        # Words must agree; POS tags are not compared.
-        for j, (gl, pl) in enumerate(zip(iter_leaves(g.root), iter_leaves(p.root))):
-            if gl.token.word != pl.token.word:
-                raise ValueError(
-                    f"sentence {i}: token {j} is {gl.token.word!r} in gold"
-                    f" but {pl.token.word!r} in predicted"
-                )
+    try:
+        return extract_brackets(g), extract_brackets(p)
+    except LabelFormatError as err:
+        raise LabelFormatError(f"sentence {i}: {err}") from None
+
+
+def score(gold, predicted) -> ScoreReport:
+    """Score ``predicted``, any iterable of trees, against the list ``gold``.
+
+    ``predicted`` is read to its end before a mismatch is raised: an error
+    raised while reading it comes first, then a differing sentence count,
+    then the first sentence whose words or labels do not fit."""
+    matched = gold_total = predicted_total = exact = count = 0
+    error = None
+    for i, p in enumerate(predicted):
+        count = i + 1
+        if error is not None or i >= len(gold):
+            continue
         try:
-            gb, pb = extract_brackets(g), extract_brackets(p)
-        except LabelFormatError as err:
-            raise LabelFormatError(f"sentence {i}: {err}") from None
+            gb, pb = _sentence_brackets(i, gold[i], p)
+        except ValueError as err:
+            error = err
+            continue
         matched += sum((gb & pb).values())
         gold_total += sum(gb.values())
         predicted_total += sum(pb.values())
         if gb == pb:
             exact += 1
+    if count != len(gold):
+        raise ValueError(f"gold has {len(gold)} sentences but predicted has {count}")
+    if error is not None:
+        raise error
     lp = 100.0 * matched / predicted_total if predicted_total else 0.0
     lr = 100.0 * matched / gold_total if gold_total else 0.0
     f1 = 2 * lp * lr / (lp + lr) if lp + lr > 0 else 0.0

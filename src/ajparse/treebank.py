@@ -13,7 +13,7 @@ from __future__ import annotations
 import logging
 import re
 from dataclasses import dataclass
-from typing import Optional
+from typing import Iterator, Optional
 
 from .tree import (
     LABEL_SEPARATOR,
@@ -224,22 +224,24 @@ def normalize(tree: ConstituencyTree) -> ConstituencyTree:
     return ConstituencyTree(root)
 
 
-def load_corpus(
+def iter_corpus(
     path: str,
     normalization: bool = True,
     strict: bool = True,
     plain_labels: bool = True,
-) -> list:
-    """Load a bracketed file into ordered corpus entries.
+) -> Iterator[CorpusEntry]:
+    """Yield the corpus entries of a bracketed file in order, each as its
+    bracket closes, so that a caller holds one tree at a time.
 
     Malformed trees raise in strict mode (naming the entry index) and are
-    skipped with a warning otherwise. ``plain_labels`` rejects the reserved
-    chain separator in labels; turn it off for files of already-collapsed
-    trees (e.g. parser output), whose labels are chain joins by construction.
+    skipped with a warning otherwise; entries before the error have been
+    yielded by then. ``plain_labels`` rejects the reserved chain separator
+    in labels; turn it off for files of already-collapsed trees (e.g. parser
+    output), whose labels are chain joins by construction.
     """
     with open(path, encoding="utf-8") as fh:
         text = fh.read()
-    entries = []
+    kept = 0
     for i, (offset, end, root, plus, error) in enumerate(_read(text, normalization)):
         if end is None:
             raise TreebankFormatError("unbalanced '('", offset)
@@ -261,8 +263,18 @@ def load_corpus(
                 raise TreebankFormatError(reason, offset=where, entry=i) from err
             logger.warning("skipping malformed entry %d: %s", i, err)
             continue
-        entries.append(CorpusEntry(len(entries), ConstituencyTree(root)))
-    return entries
+        yield CorpusEntry(kept, ConstituencyTree(root))
+        kept += 1
+
+
+def load_corpus(
+    path: str,
+    normalization: bool = True,
+    strict: bool = True,
+    plain_labels: bool = True,
+) -> list:
+    """All entries of ``iter_corpus`` at once, in a list."""
+    return list(iter_corpus(path, normalization, strict, plain_labels))
 
 
 def write_corpus(trees, path: str) -> None:

@@ -1,6 +1,10 @@
 import contextlib
 import io
+import logging
+import os
 import re
+import sys
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -9,7 +13,9 @@ from ajparse.cli import main
 from ajparse.predictor import ActionScorer, ModelFormatError, decode_right_branching
 from ajparse.synth import generate_corpus
 from ajparse.tree import rightmost_chain, tree_equal
-from ajparse.treebank import parse_bracketed, tokens_of, write_bracketed, write_corpus
+from ajparse.treebank import (
+    TreebankFormatError, load_corpus, parse_bracketed, tokens_of, write_bracketed, write_corpus,
+)
 from treebank_texts import mangled_treebanks
 
 
@@ -28,6 +34,29 @@ def run(capsys, *argv):
 
 def result_line(stdout):
     return stdout.strip().splitlines()[-1]
+
+
+@pytest.fixture
+def warnings_to_stderr():
+    """Write the reader's skip warnings to ``sys.stderr`` as they are
+    logged, as Python's last-resort handler does outside the tests, so that
+    their order among the command's own stderr lines shows."""
+
+    class Stderr(logging.Handler):
+        def emit(self, record):
+            print(self.format(record), file=sys.stderr)
+
+    logger, handler = logging.getLogger("ajparse.treebank"), Stderr()
+    logger.addHandler(handler)
+    yield
+    logger.removeHandler(handler)
+
+
+def load_error(path, **options):
+    """The text of the error a strict load of ``path`` raises."""
+    with pytest.raises(TreebankFormatError) as info:
+        load_corpus(str(path), **options)
+    return str(info.value)
 
 
 def test_verify_fixture(capsys, sample_path):
@@ -67,6 +96,37 @@ def test_strict_load_error_leaves_output_file_untouched(capsys, tmp_path, comman
     code, out, _ = run(capsys, command, str(bad), str(out_path))
     assert (code, result_line(out)) == (1, "RESULT ok=0 fail=1")
     assert out_path.read_bytes() == b"earlier output\n"
+
+
+def test_lenient_skip_warnings_precede_entry_errors(capsys, tmp_path, warnings_to_stderr):
+    # Entry 0 has a unary chain, which the oracle refuses without
+    # normalization; entry 1 is malformed and skipped.
+    p = tmp_path / "mixed.mrg"
+    p.write_text("(S (NP (NN a)))\n(S (NN b) ())\n")
+    code, out, err = run(capsys, "verify", str(p), "--lenient", "--no-normalize")
+    assert (code, result_line(out)) == (1, "RESULT ok=0 fail=1")
+    assert err.splitlines() == [
+        "skipping malformed entry 1: empty constituent (offset 10)",
+        "entry 0: oracle input must not contain unary chains",
+    ]
+
+
+def test_strict_load_error_after_a_failing_entry_is_the_only_error(capsys, tmp_path):
+    p = tmp_path / "mixed.mrg"
+    p.write_text("(S (NP (NN a)))\n(S (NN b) ())\n")
+    code, out, err = run(capsys, "verify", str(p), "--no-normalize")
+    assert (code, out) == (1, "RESULT ok=0 fail=1\n")
+    assert err == load_error(p, normalization=False) + "\n"
+    assert "entry 1" in err
+
+
+def test_oracle_to_a_missing_directory_prints_only_the_os_error(capsys, tmp_path):
+    p = tmp_path / "mixed.mrg"
+    p.write_text("(S (NP (NN a)))\n(S (NP (NN b)) (VP (VB c)))\n")
+    target = tmp_path / "missing" / "out.tsv"
+    code, out, err = run(capsys, "oracle", str(p), str(target), "--no-normalize")
+    assert (code, out) == (1, "RESULT ok=0 fail=1\n")
+    assert err == f"[Errno 2] No such file or directory: {str(target)!r}\n"
 
 
 @pytest.mark.parametrize(
@@ -293,6 +353,80 @@ def test_score_names_sentence_of_malformed_label(capsys, tmp_path):
     code, out, err = run(capsys, "score", str(gold), str(pred))
     assert (code, result_line(out)) == (1, "RESULT ok=0 fail=1")
     assert err.strip() == "sentence 1: malformed collapsed label: 'A+'"
+
+
+_GOLD = ("(S (NP (NN a)) (VP (VB b)))", "(S (NP (NN c)) (VP (VB d)))",
+         "(S (NP (NN e)) (VP (VB f)))")
+# Sentence 0 of the gold file with another first word.
+_WRONG_WORD = "(S (NP (NN x)) (VP (VB b)))"
+
+
+def _score(capsys, tmp_path, gold, predicted, *flags):
+    gold_path, predicted_path = tmp_path / "gold.mrg", tmp_path / "pred.mrg"
+    gold_path.write_text("\n".join(gold) + "\n")
+    predicted_path.write_text("\n".join(predicted) + "\n")
+    return gold_path, predicted_path, run(capsys, "score", str(gold_path), str(predicted_path),
+                                          *flags)
+
+
+def test_score_counts_the_streamed_file_before_naming_a_sentence(capsys, tmp_path):
+    _, _, (code, out, err) = _score(capsys, tmp_path, _GOLD, [_WRONG_WORD, _GOLD[1]])
+    assert (code, out) == (1, "RESULT ok=0 fail=1\n")
+    assert err == "gold has 3 sentences but predicted has 2\n"
+
+
+def test_score_reports_a_later_predicted_load_error_first(capsys, tmp_path):
+    cut = _GOLD[2][:-3]
+    _, predicted, (code, out, err) = _score(capsys, tmp_path, _GOLD, [_WRONG_WORD, _GOLD[1], cut])
+    assert (code, out) == (1, "RESULT ok=0 fail=1\n")
+    assert err == load_error(predicted, plain_labels=False) + "\n"
+    assert err.startswith("unbalanced '('")
+
+
+def test_score_reports_the_gold_load_error_before_the_predicted_one(capsys, tmp_path):
+    gold, _, (code, out, err) = _score(capsys, tmp_path, [_GOLD[0], "(S (NN a b))"],
+                                       ["()", _GOLD[1]])
+    assert (code, out) == (1, "RESULT ok=0 fail=1\n")
+    assert err == load_error(gold, plain_labels=False) + "\n"
+    assert err.startswith("multiple tokens in one preterminal (entry 1)")
+
+
+def test_score_lenient_warnings_name_gold_skips_first(capsys, tmp_path, warnings_to_stderr):
+    # The gold file's malformed entry comes last, the predicted file's first.
+    _, _, (code, out, err) = _score(capsys, tmp_path, [*_GOLD[:2], "(S (NN a b))"],
+                                    ["()", *_GOLD[:2]], "--lenient")
+    assert (code, result_line(out)) == (0, "RESULT ok=2 fail=0")
+    assert err.splitlines() == [
+        "skipping malformed entry 2: multiple tokens in one preterminal (offset 9)",
+        "skipping malformed entry 0: empty constituent (offset 0)",
+    ]
+
+
+def test_corpus_commands_hold_one_tree_at_a_time(capsys, tmp_path, sample_path):
+    """Each corpus command's heap peak stays a small multiple of its input
+    file: it holds the file's text and one tree, not every loaded tree,
+    which took over 15 times the file size. ``score`` loads its gold side
+    whole, so its bound is looser."""
+    path = tmp_path / "corpus.mrg"
+    write_corpus(generate_corpus(300, seed=5), str(path))
+    size = os.path.getsize(path)
+    run(capsys, "stats", sample_path)  # imports and caches are not the commands' heap
+    for argv, bound in (
+        (["verify", path], 8),
+        (["oracle", path, tmp_path / "actions.tsv"], 8),
+        (["translate-isr", path, tmp_path / "isr.txt"], 8),
+        (["stats", path], 8),
+        (["score", path, path], 25),
+    ):
+        tracemalloc.start()
+        try:
+            code = main([str(arg) for arg in argv])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        capsys.readouterr()
+        assert code == 0, argv
+        assert peak < bound * size, (argv[0], peak / size)
 
 
 def _trained_model(capsys, tmp_path, corpus_file):

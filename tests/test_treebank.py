@@ -16,6 +16,7 @@ from ajparse.tree import (
 from ajparse.treebank import (
     DegenerateSentenceError,
     TreebankFormatError,
+    iter_corpus,
     load_corpus,
     normalize,
     parse_bracketed,
@@ -162,6 +163,22 @@ def test_load_corpus_strict_error_gives_file_offset(tmp_path):
     assert str(info.value) == (
         "label 'S+NP' contains the reserved separator (entry 1) (offset 11)"
     )
+
+
+def test_iter_corpus_yields_each_entry_before_reading_the_next(tmp_path):
+    p = tmp_path / "bad.mrg"
+    # Entry 1 is cut after its last tag, which leaves an empty constituent.
+    p.write_text("(S (NN a))\n(S (NN b) (VB))\n(S (NN c))\n")
+    with pytest.raises(TreebankFormatError) as loaded:
+        load_corpus(str(p))
+    assert str(loaded.value) == "empty constituent (entry 1) (offset 21)"
+    entries = iter_corpus(str(p))
+    first = next(entries)
+    assert (first.id, first.tree) == (0, parse_bracketed("(S (NN a))"))
+    with pytest.raises(TreebankFormatError) as streamed:
+        next(entries)
+    assert (streamed.value.entry, streamed.value.offset) == (1, 21)
+    assert str(streamed.value) == str(loaded.value)
 
 
 def test_load_corpus_lenient_skips(tmp_path):
