@@ -78,7 +78,7 @@ def cmd_translate_isr(args) -> int:
         actions = oracle_action_sequence(entry.tree)
         isr_actions = translate_sequence(tokens, actions)
         stack = _replay_checked(isr_actions, tokens)
-        if len(stack.elements) != 1 or not node_equal(stack.elements[0], entry.tree.root):
+        if len(stack) != 1 or not node_equal(stack[0], entry.tree.root):
             raise ValueError("replayed stack does not hold the gold tree")
         n = entry.tree.length
         m = sum(isinstance(node, Internal) for node in iter_nodes(entry.tree.root))

@@ -28,7 +28,7 @@ from .isr import (
 )
 from .oracle import oracle_action_sequence
 from .transition import INITIAL_STATE, apply_action, apply_sequence, legal_actions
-from .tree import ConstituencyTree, Internal, Leaf, Token, node_equal, rightmost_chain
+from .tree import ConstituencyTree, Internal, Leaf, Token, end_index, node_equal, rightmost_chain
 
 MAX_LEAVES = 6
 MAX_VOCAB = 3
@@ -184,7 +184,7 @@ def check_bijection(n_max: int, labels, report: CheckReport) -> None:
                 expected = prev_stack
             else:
                 expected = gamma(AugmentedTree(aug.root, aug.mark - 1))
-            if reduced.elements != expected.elements:
+            if reduced != expected:
                 report.failures.append(
                     f"reduce on gamma({aug!r}) does not step the mark"
                 )
@@ -194,8 +194,7 @@ def check_bijection(n_max: int, labels, report: CheckReport) -> None:
 
     for stack in enumerate_legal_stacks(n_max, labels):
         report.stacks_checked += 1
-        round_trip = gamma(phi(stack))
-        if round_trip.elements != stack.elements:
+        if gamma(phi(stack)) != stack:
             report.failures.append(f"gamma(phi(s)) != s for stack {stack!r}")
 
 
@@ -231,8 +230,9 @@ def enumerate_legal_stacks(max_tokens: int, labels):
         stack, key, weight = queue.pop()
         moves = [(REDUCE, None, _reduce_key(key), weight)]
         if weight < cap:
-            if stack.buffer_consumed < max_tokens:
-                token, leaf_key = tokens[stack.buffer_consumed]
+            consumed = end_index(stack[-1]) if stack else 0
+            if consumed < max_tokens:
+                token, leaf_key = tokens[consumed]
                 moves.append((SHIFT, token, key + (leaf_key,), weight + 1))
             for pj, pj_key in projections:
                 moves.append((pj, None, key[:-1] + (pj_key,) + key[-1:], weight + 1))
@@ -277,7 +277,7 @@ def check_translation(n_max: int, labels, report: CheckReport) -> None:
                         )
                 state = apply_action(state, token, action)
                 expected = gamma(xi(state))
-                if stack.elements != expected.elements:
+                if stack != expected:
                     report.failures.append(
                         f"translated replay diverged for {tree!r} at step {i}"
                     )

@@ -10,7 +10,7 @@ translation of attach-juxtapose actions into ISR action sequences.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Union
+from typing import Optional
 
 from .transition import ATTACH, AjAction, check_depth
 from .tree import (
@@ -19,6 +19,7 @@ from .tree import (
     Leaf,
     Node,
     Token,
+    end_index,
     rightmost_chain,
 )
 
@@ -88,8 +89,6 @@ class Projected:
     label: str
 
 
-StackElement = Union[Node, Projected]
-
 _PROJECTED_CACHE: dict = {}
 
 
@@ -100,13 +99,8 @@ def _projected_cached(label: str) -> Projected:
     return pj
 
 
-@dataclass(frozen=True)
-class IsrStack:
-    elements: tuple  # bottom to top
-    buffer_consumed: int = 0
-
-
-EMPTY_STACK = IsrStack(())
+# A stack is a tuple of nodes and ``Projected`` items, bottom to top.
+EMPTY_STACK = ()
 
 
 @dataclass(frozen=True)
@@ -133,40 +127,33 @@ class AugmentedTree:
             raise ValueError(f"mark {self.mark} out of range for chain length {depth}")
 
 
-def isr_apply(stack: IsrStack, action: IsrAction, next_token: Optional[Token] = None) -> IsrStack:
-    elems = stack.elements
+def isr_apply(stack: tuple, action: IsrAction, next_token: Optional[Token] = None) -> tuple:
     if action.kind == SHIFT_KIND:
         if next_token is None:
             raise IllegalStackError("shift requires the next token")
-        leaf = Leaf(next_token, stack.buffer_consumed)
-        return IsrStack(elems + (leaf,), stack.buffer_consumed + 1)
+        # The top element holds the last shifted leaf; a projection on top,
+        # which no move makes, holds none.
+        if stack and isinstance(stack[-1], Projected):
+            raise IllegalStackError("shift requires a completed subtree on top")
+        return stack + (Leaf(next_token, end_index(stack[-1]) if stack else 0),)
     if action.kind == PROJECT_KIND:
         # The nonterminal is inserted beneath the completed top element.
-        if not elems or isinstance(elems[-1], Projected):
+        if not stack or isinstance(stack[-1], Projected):
             raise IllegalStackError("project requires a completed subtree on top")
-        top = elems[-1]
-        return IsrStack(
-            elems[:-1] + (_projected_cached(action.label), top), stack.buffer_consumed
-        )
+        return stack[:-1] + (_projected_cached(action.label), stack[-1])
     # reduce: pop down to the nearest projected nonterminal.
-    idx = _topmost_projected(elems)
-    if idx is None:
+    idx = len(stack) - 1
+    while idx >= 0 and not isinstance(stack[idx], Projected):
+        idx -= 1
+    if idx < 0:
         raise IllegalStackError("reduce requires a projected nonterminal on the stack")
-    children = elems[idx + 1 :]
+    children = stack[idx + 1 :]
     if not children:
         raise IllegalStackError("reduce requires at least one item above the projection")
-    new_node = Internal(elems[idx].label, children)
-    return IsrStack(elems[:idx] + (new_node,), stack.buffer_consumed)
+    return stack[:idx] + (Internal(stack[idx].label, children),)
 
 
-def _topmost_projected(elems) -> Optional[int]:
-    for i in range(len(elems) - 1, -1, -1):
-        if isinstance(elems[i], Projected):
-            return i
-    return None
-
-
-def is_legal_stack(stack: IsrStack) -> bool:
+def is_legal_stack(stack: tuple) -> bool:
     """A stack is legal iff repeated reduce ends in a single subtree (or it
     is empty).
 
@@ -177,15 +164,14 @@ def is_legal_stack(stack: IsrStack) -> bool:
     exactly when the stack starts with a projection (or has a single
     completed subtree) and does not end with one.
     """
-    elems = stack.elements
-    if not elems:
+    if not stack:
         return True
-    if isinstance(elems[-1], Projected):
+    if isinstance(stack[-1], Projected):
         return False
-    return len(elems) == 1 or isinstance(elems[0], Projected)
+    return len(stack) == 1 or isinstance(stack[0], Projected)
 
 
-def phi(stack: IsrStack) -> AugmentedTree:
+def phi(stack: tuple) -> AugmentedTree:
     """Map a legal stack to (fully-reduced tree, #projections - 1).
 
     One pass from the top folds the items above each projection as it meets
@@ -193,7 +179,7 @@ def phi(stack: IsrStack) -> AugmentedTree:
     projections. Only a projection on top has nothing above it to fold."""
     above = []  # the items above the current position, top first
     n_proj = 0
-    for e in reversed(stack.elements):
+    for e in reversed(stack):
         if isinstance(e, Projected):
             if not above:
                 raise IllegalStackError("phi is only defined on legal stacks")
@@ -207,29 +193,23 @@ def phi(stack: IsrStack) -> AugmentedTree:
     return AugmentedTree(above[0] if above else None, n_proj - 1)
 
 
-def gamma(aug: AugmentedTree) -> IsrStack:
+def gamma(aug: AugmentedTree) -> tuple:
     """Inverse of phi: rebuild the stack by extended in-order traversal.
 
     Rightmost-chain nodes with depth <= mark contribute a projected
     nonterminal followed by their non-final children as whole subtrees,
     recursing into the last child; every other subtree is pushed whole.
-
-    Requires the leaves of ``aug.root`` to be indexed 0..n-1 from left to
-    right, as every tree the package builds is: the consumed count is then
-    the rightmost leaf's index + 1, found by walking the chain to it.
     """
-    elems = []
     node = aug.root
     if node is None:
-        return IsrStack((), 0)
+        return EMPTY_STACK
+    elems = []
     for _ in range(aug.mark + 1):
         elems.append(_projected_cached(node.label))
         elems.extend(node.children[:-1])
         node = node.children[-1]
     elems.append(node)
-    while isinstance(node, Internal):
-        node = node.children[-1]
-    return IsrStack(tuple(elems), node.index + 1)
+    return tuple(elems)
 
 
 def xi(tree: ConstituencyTree) -> AugmentedTree:
@@ -286,7 +266,7 @@ def translate_sequence(tokens, actions) -> list:
     return out
 
 
-def replay(actions, tokens) -> IsrStack:
+def replay(actions, tokens) -> tuple:
     """Run ISR actions from the empty stack, shifting ``tokens`` in order."""
     stack = EMPTY_STACK
     it = iter(tokens)

@@ -65,8 +65,9 @@ def iter_nodes(root: Optional[Node]) -> Iterator[Node]:
 def iter_leaves(root: Optional[Node]) -> Iterator[Leaf]:
     """The leaves under ``root``, left to right.
 
-    A walk of its own rather than a filter over ``iter_nodes``: leaf walks
-    run on every tree build, and skipping the internal yields pays there.
+    A walk of its own rather than a filter over ``iter_nodes``: every
+    sentence's tokens are read with it, and skipping the internal yields
+    pays there.
     """
     stack = [root] if root is not None else []
     while stack:
@@ -103,6 +104,17 @@ def fold(root: Node, on_leaf: Callable, on_internal: Callable):
     return values[0]
 
 
+def end_index(node: Optional[Node]) -> int:
+    """One past the index of the last leaf under ``node``, 0 for None: the
+    number of leaves under a root whose leaves are indexed 0..n-1 from left
+    to right, as in every tree the package builds."""
+    if node is None:
+        return 0
+    while isinstance(node, Internal):
+        node = node.children[-1]
+    return node.index + 1
+
+
 @dataclass(frozen=True)
 class ConstituencyTree:
     """A rooted tree over a token sequence; ``root is None`` means the
@@ -114,7 +126,7 @@ class ConstituencyTree:
     def __post_init__(self):
         if self.root is not None and not isinstance(self.root, Internal):
             raise ValueError("non-empty tree must have an internal root")
-        object.__setattr__(self, "length", sum(1 for _ in iter_leaves(self.root)))
+        object.__setattr__(self, "length", end_index(self.root))
 
     @property
     def is_empty(self) -> bool:

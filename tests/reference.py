@@ -4,9 +4,10 @@
 translation on an open rightmost chain. These are the straightforward
 versions that rebuild the changed chain ancestors after every action;
 property tests require the two to agree. The same holds for ``phi``, whose
-reduce is one pass in ``ajparse``, and ``gamma``, which reads the consumed
-count off the rightmost leaf: the versions here reduce at the topmost
-projection until none is left and count every leaf. ``decode_beam`` scores
+reduce is one pass in ``ajparse``, and ``gamma``: the version here reduces at
+the topmost projection until none is left, and the one here returns the
+stack with a count of every leaf, which ``ajparse`` reads off the rightmost
+leaf instead (``tree.end_index``). ``decode_beam`` scores
 each step as a list of floats, breaks ties on the action index and builds
 actions only for the beam's members; ``reference_decode_beam`` builds every
 legal action of every item and sorts them, breaking ties on the action's
@@ -26,8 +27,8 @@ collapsed label once as it folds the tree; ``reference_extract_brackets``
 restores the unary chains as a new tree and then folds that.
 ``enumerate_legal_stacks`` searches depth-first and removes duplicate stacks
 by a tuple of strings per stack; ``reference_enumerate_legal_stacks``
-searches breadth-first and removes duplicates by the stack elements
-themselves.
+searches breadth-first, removes duplicates by the stacks themselves and
+yields each with the number of shifts on the path that reached it.
 """
 
 import logging
@@ -43,7 +44,6 @@ from ajparse.isr import (
     SHIFT,
     AugmentedTree,
     IllegalStackError,
-    IsrStack,
     Projected,
     is_legal_stack,
     isr_apply,
@@ -247,16 +247,16 @@ def reference_reduce_fully(elems):
 
 
 def reference_phi(stack):
-    final = reference_reduce_fully(stack.elements)
+    final = reference_reduce_fully(stack)
     if final is None or len(final) > 1:
         raise IllegalStackError("phi is only defined on legal stacks")
-    n_proj = sum(1 for e in stack.elements if isinstance(e, Projected))
+    n_proj = sum(1 for e in stack if isinstance(e, Projected))
     root = final[0] if final else None
     return AugmentedTree(root, n_proj - 1)
 
 
 def reference_gamma(aug):
-    """``gamma`` with the consumed count taken by counting every leaf."""
+    """``(gamma(aug), n)``, where ``n`` counts every leaf of ``aug``."""
     elems = []
     node = aug.root
     depth = 0
@@ -267,31 +267,32 @@ def reference_gamma(aug):
             node = node.children[-1]
             depth += 1
         elems.append(node)
-    return IsrStack(tuple(elems), sum(1 for _ in iter_leaves(aug.root)))
+    return tuple(elems), sum(1 for _ in iter_leaves(aug.root))
 
 
 def reference_enumerate_legal_stacks(max_tokens: int, labels):
     """Breadth-first search over legal ISR states reachable with at most
     ``max_tokens`` shifts, capping internal-node growth at ``max_tokens +
     EXTRA_INTERNAL`` so the space stays finite (projections can otherwise
-    nest without bound)."""
+    nest without bound). Yields ``(stack, shifts)``, where ``shifts`` counts
+    the shifts on the path to the stack, carried in the queue."""
     cap = 2 * max_tokens + EXTRA_INTERNAL
-    seen = {EMPTY_STACK.elements}
+    seen = {EMPTY_STACK}
     # Weight (total node count plus projections) is tracked incrementally:
     # shift and project add one, reduce folds a projection into one node.
-    queue = deque([(EMPTY_STACK, 0)])
-    yield EMPTY_STACK
+    queue = deque([(EMPTY_STACK, 0, 0)])
+    yield EMPTY_STACK, 0
     projections = [project(lbl) for lbl in labels]
     tokens = [_token(i) for i in range(max_tokens)]
     while queue:
-        stack, weight = queue.popleft()
+        stack, weight, shifts = queue.popleft()
         moves = []
-        if stack.buffer_consumed < max_tokens:
-            moves.append((SHIFT, tokens[stack.buffer_consumed], weight + 1))
+        if shifts < max_tokens:
+            moves.append((SHIFT, tokens[shifts], weight + 1, shifts + 1))
         for pj in projections:
-            moves.append((pj, None, weight + 1))
-        moves.append((REDUCE, None, weight))
-        for action, token, succ_weight in moves:
+            moves.append((pj, None, weight + 1, shifts))
+        moves.append((REDUCE, None, weight, shifts))
+        for action, token, succ_weight, succ_shifts in moves:
             if succ_weight > cap:
                 continue
             try:
@@ -303,11 +304,11 @@ def reference_enumerate_legal_stacks(max_tokens: int, labels):
             # Tuples do not cache their hash, so membership test and insert
             # in one call: the set grows only for an unseen stack.
             size = len(seen)
-            seen.add(succ.elements)
+            seen.add(succ)
             if len(seen) == size:
                 continue
-            queue.append((succ, succ_weight))
-            yield succ
+            queue.append((succ, succ_weight, succ_shifts))
+            yield succ, succ_shifts
 
 
 def featurize(chain, token, context, prev_kind: str):

@@ -144,16 +144,16 @@ def test_criterion_5_translation_soundness(bundled_corpus):
                 stack = isr_apply(stack, a, token if a == SHIFT else None)
                 assert is_legal_stack(stack)
             state = apply_action(state, token, action)
-            assert stack.elements == gamma(xi(state)).elements
+            assert stack == gamma(xi(state))
             steps += 1
         # Closing reduces land on the gold tree.
         for _ in range(_chain_len(state)):
             stack = isr_apply(stack, REDUCE)
-        assert len(stack.elements) == 1
+        assert len(stack) == 1
         assert tree_equal(state, t)
         from ajparse.tree import node_equal
 
-        assert node_equal(stack.elements[0], t.root)
+        assert node_equal(stack[0], t.root)
     print(f"PASS criterion 5: translation sound at {steps} oracle steps")
 
 

@@ -25,13 +25,24 @@ def test_writer_summarises_paired_reports(tmp_path):
         _report(change, seed, c, 2380)
     subprocess.run(
         [sys.executable, str(TOOL), "--parent", str(parent), "--change", str(change),
-         "--out", str(out), "--wall", "tier1", "81.0", "60.5"],
+         "--out", str(out), "--wall", "tier1", "81.0", "60.5",
+         "--wall", "enum", "20.0", "17.0", "--wall", "enum", "22.0", "23.0",
+         "--wall", "enum", "21.0", "16.0"],
         check=True,
     )
     record = json.loads(out.read_text())
     assert (record["python"], record["cpus"]) == ("3.11.7", 2)
     assert record["src_lines"] == {"parent": 2371, "change": 2380}
-    assert record["wall_s"] == {"tier1": {"parent": 81.0, "change": 60.5}}
+    # Each --wall is one pair; pairs under one name are summarised together.
+    assert record["wall_s"]["tier1"] == {
+        "pairs": 1, "change_wins": 1,
+        "parent": {"median": 81.0, "q1": 81.0, "q3": 81.0},
+        "change": {"median": 60.5, "q1": 60.5, "q3": 60.5},
+    }
+    enum = record["wall_s"]["enum"]
+    assert enum["pairs"] == 3 and enum["change_wins"] == 2  # the second pair lost
+    assert enum["parent"]["median"] == 21.0 and enum["change"]["median"] == 17.0
+    assert enum["parent"]["q1"] <= 21.0 <= enum["parent"]["q3"]
     assert record["per_layer"] == {}
     entry = record["end_to_end"]["exhaustive"]
     assert entry["seeds"] == [1, 2, 3]

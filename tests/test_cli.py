@@ -1,4 +1,5 @@
 import contextlib
+import hashlib
 import io
 import logging
 import os
@@ -190,6 +191,30 @@ def test_translate_isr_golden_fragment(capsys, sample_path, tmp_path):
     lines = out_path.read_text().splitlines()
     assert "reduce pj:NP shift pj:PP" in lines[0]
     assert len(lines[0].split()) == 20  # n + 2m for the first fixture
+
+
+# sha256 of the whole output file of each command, on the fixture and on a
+# 300-sentence synth corpus.
+GOLDEN_OUTPUTS = {
+    ("sample", "oracle"): "0c8cb9669d50ab3f3d60d9addfa4f08f771450b956bb9c4c13b14ffaa77a4895",
+    ("sample", "translate-isr"): "311294977c3c03d655c8d152ffd4e91ecd3b607f90b0c1176b50fe05b0417d93",
+    ("synth", "oracle"): "82639800ad6744d3a596ff49efe45e2e04bab818b2388762a85476c1d67df265",
+    ("synth", "translate-isr"): "20951c79fbcb4d25077b599b2ffd6dc193f0a05b3d37f4aef9112ac0e7739432",
+}
+
+
+@pytest.mark.parametrize("corpus, command", sorted(GOLDEN_OUTPUTS))
+def test_oracle_and_translate_isr_golden_digests(capsys, sample_path, tmp_path, corpus, command):
+    path = sample_path
+    if corpus == "synth":
+        path = str(tmp_path / "synth.mrg")
+        write_corpus(generate_corpus(300, seed=7), path)
+    out_path = tmp_path / "out.txt"
+    code, out, _ = run(capsys, command, path, str(out_path))
+    assert code == 0
+    assert result_line(out) == f"RESULT ok={3 if corpus == 'sample' else 300} fail=0"
+    digest = hashlib.sha256(out_path.read_bytes()).hexdigest()
+    assert digest == GOLDEN_OUTPUTS[corpus, command]
 
 
 def test_enumerate_check_small(capsys):

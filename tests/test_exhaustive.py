@@ -10,7 +10,7 @@ from ajparse.exhaustive import (
     run_all_checks,
 )
 from ajparse.isr import is_legal_stack
-from ajparse.tree import has_unary_chains
+from ajparse.tree import end_index, has_unary_chains
 
 from reference import reference_enumerate_legal_stacks
 
@@ -48,13 +48,14 @@ def test_enumerated_stacks_are_legal():
 def test_enumerated_stacks_match_reference(max_tokens, vocab_size):
     # The string keys only remove duplicates: a wrong key drops stacks or
     # yields one twice, and either shows against the breadth-first search
-    # that removes duplicates by the stack elements themselves.
+    # that removes duplicates by the stacks themselves. Its shift count is
+    # carried along each path, so it also checks the count the search reads
+    # off the top element.
     labels = ["A", "B", "C"][:vocab_size]
     stacks = list(enumerate_legal_stacks(max_tokens, labels))
-    assert len({s.elements for s in stacks}) == len(stacks)
-    expected = {(s.elements, s.buffer_consumed)
-                for s in reference_enumerate_legal_stacks(max_tokens, labels)}
-    assert {(s.elements, s.buffer_consumed) for s in stacks} == expected
+    assert len(set(stacks)) == len(stacks)
+    expected = set(reference_enumerate_legal_stacks(max_tokens, labels))
+    assert {(s, end_index(s[-1]) if s else 0) for s in stacks} == expected
 
 
 def test_bounds_enforced():

@@ -7,7 +7,6 @@ from ajparse.isr import (
     SHIFT,
     AugmentedTree,
     IllegalStackError,
-    IsrStack,
     Projected,
     format_isr_actions,
     gamma,
@@ -29,7 +28,7 @@ from ajparse.tree import (
     Internal,
     Leaf,
     Token,
-    iter_leaves,
+    end_index,
     node_equal,
     rightmost_chain,
 )
@@ -45,6 +44,11 @@ def tok(word, pos="T"):
 
 def leaf(word, index, pos="T"):
     return Leaf(Token(word, pos), index)
+
+
+def consumed(stack):
+    """The tokens a stack has shifted, read as the shift reads them."""
+    return end_index(stack[-1]) if stack else 0
 
 
 def test_isr_action_validation():
@@ -65,17 +69,18 @@ def test_isr_action_format_roundtrip():
 
 def test_shift_pushes_indexed_leaf():
     s = isr_apply(EMPTY_STACK, SHIFT, tok("a"))
-    assert s.buffer_consumed == 1
-    assert s.elements[0].index == 0
+    assert s == (leaf("a", 0),) and consumed(s) == 1
     with pytest.raises(IllegalStackError):
         isr_apply(EMPTY_STACK, SHIFT)  # no token supplied
+    with pytest.raises(IllegalStackError):
+        isr_apply((Projected("A"),), SHIFT, tok("a"))  # no leaf to count from
 
 
 def test_project_inserts_beneath_top():
     s = isr_apply(EMPTY_STACK, SHIFT, tok("a"))
     s = isr_apply(s, project("NP"))
-    assert s.elements[0] == Projected("NP")
-    assert s.elements[1].token.word == "a"
+    assert s[0] == Projected("NP")
+    assert s[1].token.word == "a"
     with pytest.raises(IllegalStackError):
         isr_apply(EMPTY_STACK, project("NP"))
 
@@ -84,8 +89,8 @@ def test_reduce_builds_constituent():
     s = isr_apply(EMPTY_STACK, SHIFT, tok("a"))
     s = isr_apply(s, project("NP"))
     s = isr_apply(s, REDUCE)
-    assert len(s.elements) == 1
-    node = s.elements[0]
+    assert len(s) == 1
+    node = s[0]
     assert node.label == "NP" and node.children[0].token.word == "a"
     with pytest.raises(IllegalStackError):
         isr_apply(s, REDUCE)  # no projection left
@@ -94,7 +99,7 @@ def test_reduce_builds_constituent():
 def test_reduce_requires_item_above_projection():
     s = isr_apply(EMPTY_STACK, SHIFT, tok("a"))
     s = isr_apply(s, project("NP"))
-    bad = IsrStack((s.elements[0],), 0)  # lone projection
+    bad = (s[0],)  # lone projection
     with pytest.raises(IllegalStackError):
         isr_apply(bad, REDUCE)
 
@@ -103,27 +108,27 @@ def stacks_for_legality():
     P = Projected
     t = leaf("a", 0)
     return [
-        IsrStack(()),
-        IsrStack((t,), 1),
-        IsrStack((P("S"), t), 1),
-        IsrStack((P("S"), t, P("VP"), t), 2),
-        IsrStack((P("S"), P("NP"), t), 1),  # consecutive projections
-        IsrStack((t, t), 2),
-        IsrStack((t, P("S"), t), 2),
-        IsrStack((P("S"), t, P("VP")), 1),
-        IsrStack((P("S"),), 0),
+        (),
+        (t,),
+        (P("S"), t),
+        (P("S"), t, P("VP"), t),
+        (P("S"), P("NP"), t),  # consecutive projections
+        (t, t),
+        (t, P("S"), t),
+        (P("S"), t, P("VP")),
+        (P("S"),),
     ]
 
 
 def test_legality_closed_form_matches_reduce_simulation():
     for s in stacks_for_legality():
-        final = reference_reduce_fully(s.elements)
+        final = reference_reduce_fully(s)
         simulated = final is not None and len(final) <= 1
         assert is_legal_stack(s) == simulated, s
 
 
 def test_consecutive_projections_are_legal():
-    s = IsrStack((Projected("S"), Projected("NP"), leaf("a", 0)), 1)
+    s = (Projected("S"), Projected("NP"), leaf("a", 0))
     assert is_legal_stack(s)
     aug = phi(s)
     assert aug.mark == 1
@@ -132,7 +137,7 @@ def test_consecutive_projections_are_legal():
 
 def test_phi_rejects_illegal_stacks():
     with pytest.raises(IllegalStackError):
-        phi(IsrStack((leaf("a", 0), leaf("b", 1)), 2))
+        phi((leaf("a", 0), leaf("b", 1)))
 
 
 def test_phi_of_empty_and_single_leaf():
@@ -158,13 +163,13 @@ def test_gamma_worked_example():
     t = parse_bracketed("(S (NP (T a)) (VP (T b)))")
     stack = gamma(AugmentedTree(t.root, 1))
     names = [
-        e.token.word if isinstance(e, Leaf) else e.label for e in stack.elements
+        e.token.word if isinstance(e, Leaf) else e.label for e in stack
     ]
     assert names == ["S", "NP", "VP", "b"]
-    assert isinstance(stack.elements[0], Projected)
-    assert isinstance(stack.elements[2], Projected)
+    assert isinstance(stack[0], Projected)
+    assert isinstance(stack[2], Projected)
     # The NP child is pushed whole, not opened.
-    assert isinstance(stack.elements[1], Internal)
+    assert isinstance(stack[1], Internal)
 
 
 def test_gamma_phi_inverse_on_example():
@@ -241,8 +246,8 @@ def test_full_translation_replays_to_gold(fig_tree):
     acts = translate_sequence(tokens, oracle_action_sequence(fig_tree))
     assert len(acts) == 6 + 2 * 7  # n + 2m
     stack = replay(acts, tokens)
-    assert len(stack.elements) == 1
-    assert node_equal(stack.elements[0], fig_tree.root)
+    assert len(stack) == 1
+    assert node_equal(stack[0], fig_tree.root)
 
 
 def test_length_law_on_corpus():
@@ -252,8 +257,8 @@ def test_length_law_on_corpus():
         m = _count_internal(t.root)
         assert len(acts) == t.length + 2 * m
         stack = replay(acts, tokens)
-        assert len(stack.elements) == 1
-        assert node_equal(stack.elements[0], t.root)
+        assert len(stack) == 1
+        assert node_equal(stack[0], t.root)
 
 
 def _count_internal(node):
@@ -263,8 +268,6 @@ def _count_internal(node):
 
 
 def test_per_step_translation_lands_on_gamma_xi(fig_tree):
-    from ajparse.isr import EMPTY_STACK
-
     tokens = tokens_of(fig_tree)
     state = INITIAL_STATE
     stack = EMPTY_STACK
@@ -273,32 +276,52 @@ def test_per_step_translation_lands_on_gamma_xi(fig_tree):
             stack = isr_apply(stack, a, token if a == SHIFT else None)
             assert is_legal_stack(stack)
         state = apply_action(state, token, action)
-        assert stack.elements == gamma(xi(state)).elements
+        assert stack == gamma(xi(state))
 
 
 @st.composite
-def isr_walks(draw, keep_legal=True, max_steps=14, max_tokens=6):
-    """The stack after a random walk of shift, project and reduce from the
-    empty stack. Every move is one ``isr_apply`` accepts; with
-    ``keep_legal`` each intermediate stack is also legal."""
-    stack = EMPTY_STACK
+def isr_walk_steps(draw, keep_legal=True, max_steps=14, max_tokens=6):
+    """The ``(move, stack after it)`` steps of a random walk of shift,
+    project and reduce from the empty stack. Every move is one
+    ``isr_apply`` accepts; with ``keep_legal`` each intermediate stack is
+    also legal. The walk counts its own shifts and names the token of shift
+    ``i`` ``w<i>``."""
+    stack, shifts, steps = EMPTY_STACK, 0, []
     for _ in range(draw(st.integers(0, max_steps))):
         moves = [project("A"), project("B"), REDUCE]
-        if stack.buffer_consumed < max_tokens:
+        if shifts < max_tokens:
             moves.append(SHIFT)
         succs = []
         for move in moves:
-            token = tok(f"w{stack.buffer_consumed}") if move == SHIFT else None
+            token = tok(f"w{shifts}") if move == SHIFT else None
             try:
                 succ = isr_apply(stack, move, token)
             except IllegalStackError:
                 continue
             if is_legal_stack(succ) or not keep_legal:
-                succs.append(succ)
+                succs.append((move, succ))
         if not succs:
             break
-        stack = draw(st.sampled_from(succs))
-    return stack
+        move, stack = draw(st.sampled_from(succs))
+        shifts += move == SHIFT
+        steps.append((move, stack))
+    return steps
+
+
+def isr_walks(keep_legal=True):
+    """The stack at the end of an ``isr_walk_steps`` walk."""
+    return isr_walk_steps(keep_legal).map(lambda steps: steps[-1][1] if steps else EMPTY_STACK)
+
+
+@settings(max_examples=300)
+@given(isr_walk_steps(keep_legal=False))
+def test_shift_indexes_each_leaf_by_the_shifts_before_it(steps):
+    shifts = 0
+    for move, stack in steps:
+        if move == SHIFT:
+            assert stack[-1] == leaf(f"w{shifts}", shifts)
+            shifts += 1
+        assert consumed(stack) == shifts
 
 
 @st.composite
@@ -307,7 +330,7 @@ def any_stacks(draw):
     top, which no ``isr_apply`` move produces and no reduce can fold."""
     stack = draw(isr_walks(keep_legal=False))
     if draw(st.booleans()):
-        stack = IsrStack(stack.elements + (Projected("A"),), stack.buffer_consumed)
+        stack += (Projected("A"),)
     return stack
 
 
@@ -331,12 +354,12 @@ def test_phi_matches_reference(stack):
 def test_reduce_fully_is_the_reduce_fold(stack):
     folded = stack
     try:
-        while any(isinstance(e, Projected) for e in folded.elements):
+        while any(isinstance(e, Projected) for e in folded):
             folded = isr_apply(folded, REDUCE)
-        expected = list(folded.elements)
+        expected = list(folded)
     except IllegalStackError:
         expected = None
-    assert reference_reduce_fully(stack.elements) == expected
+    assert reference_reduce_fully(stack) == expected
 
 
 @settings(max_examples=300)
@@ -347,5 +370,4 @@ def test_gamma_consumed_is_the_leaf_count(stack):
     for mark in range(-1, len(rightmost_chain(aug.root))):
         marked = AugmentedTree(aug.root, mark)
         rebuilt = gamma(marked)
-        assert rebuilt.buffer_consumed == sum(1 for _ in iter_leaves(aug.root))
-        assert rebuilt == reference_gamma(marked)
+        assert (rebuilt, consumed(rebuilt)) == reference_gamma(marked)

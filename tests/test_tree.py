@@ -11,11 +11,14 @@ from ajparse.tree import (
     collapse_unary_chains,
     iter_nodes,
     has_unary_chains,
+    iter_leaves,
     restore_unary_chains,
     rightmost_chain,
     tree_equal,
 )
+from ajparse.oracle import oracle_action_sequence
 from ajparse.scoring import extract_brackets
+from ajparse.transition import apply_sequence
 from ajparse.treebank import normalize, parse_bracketed, tokens_of, write_bracketed
 
 from reference import replace_on_rightmost_chain
@@ -179,3 +182,21 @@ def test_one_bracket_per_restored_internal_node(t):
         restored = restore_unary_chains(u)
         internal = sum(isinstance(n, Internal) for n in iter_nodes(restored.root))
         assert sum(extract_brackets(u).values()) == internal
+
+
+@given(trees())
+def test_length_is_the_leaf_count_of_every_built_tree(t):
+    # ``length`` reads the rightmost leaf's index, so it is the leaf count
+    # only while every builder indexes the leaves 0..n-1.
+    chain_free = normalize(t)
+    collapsed = collapse_unary_chains(t)
+    built = [
+        t,
+        chain_free,
+        collapsed,
+        restore_unary_chains(collapsed),
+        parse_bracketed(write_bracketed(t)),
+        apply_sequence(tokens_of(chain_free), oracle_action_sequence(chain_free)),
+    ]
+    for u in built:
+        assert u.length == sum(1 for _ in iter_leaves(u.root))

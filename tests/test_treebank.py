@@ -2,14 +2,18 @@ import re
 import sys
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import reference
 from ajparse.cli import main
 from ajparse.tree import (
     LABEL_SEPARATOR,
+    ConstituencyTree,
     Internal,
     Leaf,
+    Token,
     has_unary_chains,
+    iter_leaves,
     iter_nodes,
     tree_equal,
 )
@@ -261,6 +265,53 @@ def test_write_corpus_roundtrip(tmp_path, sample_corpus):
     assert len(back) == len(sample_corpus)
     for a, b in zip(sample_corpus, back):
         assert tree_equal(a.tree, b.tree)
+
+
+# Any word, tag or label the writer can write, ``[^\s()]{1,6}``: no bracket
+# and no character the reader's ``\s`` (``str.isspace``) matches. Drawn as
+# text, which is many times faster than ``st.from_regex``.
+_SPACES = "".join(filter(str.isspace, map(chr, range(sys.maxunicode + 1))))
+ATOMS = st.text(st.characters(blacklist_categories=("Cs",), blacklist_characters="()" + _SPACES),
+                min_size=1, max_size=6)
+# The wrapper labels the reader unwraps at the root, a quarter of the time.
+WRITTEN_LABELS = st.one_of(ATOMS, ATOMS, ATOMS, st.sampled_from(["TOP", "ROOT"]))
+
+
+def _entry_root(root):
+    """The root the reader returns for ``root``: one-child TOP and ROOT
+    roots are unwrapped."""
+    while isinstance(root, Internal) and root.label in ("TOP", "ROOT") and len(root.children) == 1:
+        root = root.children[0]
+    return root
+
+
+@st.composite
+def written_trees(draw, max_depth=4):
+    """Trees of arbitrary atoms, leaves indexed 0..n-1, whose root the
+    reader does not unwrap down to a leaf."""
+    leaves = [0]
+
+    def node(depth):
+        if depth and (depth == max_depth or draw(st.booleans())):
+            leaves[0] += 1
+            return Leaf(Token(draw(ATOMS), draw(ATOMS)), leaves[0] - 1)
+        kids = [node(depth + 1) for _ in range(draw(st.integers(1, 3)))]
+        return Internal(draw(WRITTEN_LABELS), tuple(kids))
+
+    return ConstituencyTree(node(0))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(written_trees().filter(lambda t: isinstance(_entry_root(t.root), Internal)),
+                min_size=1, max_size=4))
+def test_write_load_roundtrip_on_arbitrary_atoms(tmp_path_factory, trees):
+    path = str(tmp_path_factory.mktemp("roundtrip") / "out.mrg")
+    write_corpus(trees, path)
+    back = [e.tree for e in iter_corpus(path, normalization=False, plain_labels=False)]
+    assert len(back) == len(trees)
+    for t, b in zip(trees, back):
+        assert tree_equal(b, ConstituencyTree(_entry_root(t.root)))
+        assert b.length == sum(1 for _ in iter_leaves(b.root))
 
 
 def _deep_wrappers(depth):

@@ -14,8 +14,11 @@ figure the record holds the median and quartiles of each side, the number
 of pairs and, where ``BENCHMARK.json`` says which way is better, the number
 of pairs the change won (ties count for neither). Traced reports
 (``trace1``) go under ``per_layer``, the others under ``end_to_end``.
-``--wall`` adds a wall time measured outside perfbench, such as tier-1 or
-``enumerate-check --n-max 4 --vocab-size 2``, one value per side.
+``--wall`` adds one alternating pair of wall times measured outside
+perfbench, such as tier-1 or ``enumerate-check --n-max 4 --vocab-size 2``;
+repeat it with the same ``NAME`` for each further pair. ``wall_s[NAME]``
+holds the pair count, the median and quartiles of each side and the pairs
+the change won (lower is better).
 The record also holds the ``src/`` line count, the Python version and the
 CPU count, read from the reports. Only the standard library is used.
 """
@@ -42,6 +45,18 @@ def summary(values: list) -> dict:
     else:
         q1, _, q3 = statistics.quantiles(values, n=4)
     return {"median": statistics.median(values), "q1": q1, "q3": q3}
+
+
+def compare(pairs: list, better=None) -> dict:
+    """The pair count and each side's summary of ``(parent, change)``
+    pairs and, where ``better`` says which way is better, the number of
+    pairs the change won (ties count for neither)."""
+    row = {"pairs": len(pairs), "parent": summary([p for p, _ in pairs]),
+           "change": summary([c for _, c in pairs])}
+    if better is not None:
+        sign = 1 if better == "higher" else -1
+        row["change_wins"] = sum(1 for p, c in pairs if sign * (c - p) > 0)
+    return row
 
 
 def directions(benchmark: Path) -> dict:
@@ -86,15 +101,12 @@ def record(parent: dict, change: dict, better: dict, walls: list) -> dict:
         for metric, (_, unit) in parent[names[0]]["figures"].items():
             pairs = [(parent[n]["figures"][metric][0], change[n]["figures"][metric][0])
                      for n in names]
-            row = {"unit": unit, "pairs": len(pairs),
-                   "parent": summary([p for p, _ in pairs]),
-                   "change": summary([c for _, c in pairs])}
-            if metric in better:
-                sign = 1 if better[metric] == "higher" else -1
-                row["change_wins"] = sum(1 for p, c in pairs if sign * (c - p) > 0)
-            entry["metrics"][metric] = row
+            entry["metrics"][metric] = {"unit": unit, **compare(pairs, better.get(metric))}
     if walls:
-        out["wall_s"] = {name: {"parent": p, "change": c} for name, p, c in walls}
+        grouped = {}
+        for name, p, c in walls:
+            grouped.setdefault(name, []).append((p, c))
+        out["wall_s"] = {name: compare(pairs, "lower") for name, pairs in grouped.items()}
     return out
 
 
