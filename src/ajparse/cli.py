@@ -11,7 +11,7 @@ import argparse
 import sys
 from collections import Counter
 
-from . import exhaustive, predictor, scoring
+from . import exhaustive, predictor, scoring, treebank
 from .isr import (
     EMPTY_STACK, SHIFT, format_isr_actions, is_legal_stack, isr_apply, translate_sequence,
 )
@@ -179,16 +179,24 @@ def cmd_parse(args) -> int:
 
 def cmd_score(args) -> int:
     # Labels with the chain separator are legitimate here: predicted files
-    # hold collapsed trees. The gold side loads whole before the predicted
-    # side is read, which streams.
+    # hold collapsed trees. The files stream in lockstep; the predicted side's
+    # skip warnings wait until gold has been read, and go if gold fails.
     options = dict(normalization=True, strict=args.strict, plain_labels=False)
-    gold = [e.tree for e in load_corpus(args.gold, **options)]
+    held = []
+
+    def gold():
+        for entry in iter_corpus(args.gold, **options):
+            treebank.logger.addFilter(held.append)  # keeps each record, and drops it
+            yield entry.tree
+            treebank.logger.removeFilter(held.append)
+        for record in held:
+            treebank.logger.handle(record)
+
     predicted = (e.tree for e in iter_corpus(args.predicted, **options))
     try:
-        report = scoring.score(gold, predicted)
-    except ValueError as err:
-        print(str(err), file=sys.stderr)
-        return _result(0, 1)
+        report = scoring.score(gold(), predicted)
+    finally:
+        treebank.logger.removeFilter(held.append)
     print(scoring.format_report(report))
     return _result(report.sentences, 0)
 

@@ -3,13 +3,15 @@
 Brackets are (label, start, end) triples over leaf indices, one per internal
 node after restoring collapsed unary chains (a collapsed ``A+B`` node gives
 ``A`` and ``B`` over its span); POS preterminals stored on leaves are
-excluded. Corpus scores are micro-averaged and use multiset intersection.
+excluded. Corpus scores are micro-averaged and use multiset intersection;
+``score`` reads the gold and predicted trees as two streams, in lockstep.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from itertools import zip_longest
 
 from .tree import ConstituencyTree, Internal, LabelFormatError, chain_labels, fold, iter_leaves
 
@@ -58,20 +60,29 @@ def _sentence_brackets(i: int, g: ConstituencyTree, p: ConstituencyTree) -> tupl
         raise LabelFormatError(f"sentence {i}: {err}") from None
 
 
-def score(gold, predicted) -> ScoreReport:
-    """Score ``predicted``, any iterable of trees, against the list ``gold``.
+def _caught(trees, errors: list):
+    """``trees``, ended by the load error reading them raises, put in ``errors``."""
+    try:
+        yield from trees
+    except (OSError, ValueError) as err:
+        errors.append(err)
 
-    ``predicted`` is read to its end before a mismatch is raised: an error
-    raised while reading it comes first, then a differing sentence count,
-    then the first sentence whose words or labels do not fit."""
-    matched = gold_total = predicted_total = exact = count = 0
-    error = None
-    for i, p in enumerate(predicted):
-        count = i + 1
-        if error is not None or i >= len(gold):
+
+def score(gold, predicted) -> ScoreReport:
+    """Score ``predicted`` against ``gold``, two iterables of trees read in
+    lockstep. An error raised reading ``gold`` comes first, at once; then one
+    raised reading ``predicted``, held until ``gold`` has been read to its end;
+    then a differing sentence count; then the first sentence whose words or
+    labels do not fit."""
+    matched = gold_total = predicted_total = exact = sentences = count = 0
+    error, failed = None, []
+    for g, p in zip_longest(gold, _caught(predicted, failed)):
+        sentences += g is not None
+        count += p is not None
+        if error is not None or g is None or p is None:
             continue
         try:
-            gb, pb = _sentence_brackets(i, gold[i], p)
+            gb, pb = _sentence_brackets(count - 1, g, p)
         except ValueError as err:
             error = err
             continue
@@ -80,15 +91,17 @@ def score(gold, predicted) -> ScoreReport:
         predicted_total += sum(pb.values())
         if gb == pb:
             exact += 1
-    if count != len(gold):
-        raise ValueError(f"gold has {len(gold)} sentences but predicted has {count}")
+    if failed:
+        raise failed[0]
+    if count != sentences:
+        raise ValueError(f"gold has {sentences} sentences but predicted has {count}")
     if error is not None:
         raise error
     lp = 100.0 * matched / predicted_total if predicted_total else 0.0
     lr = 100.0 * matched / gold_total if gold_total else 0.0
     f1 = 2 * lp * lr / (lp + lr) if lp + lr > 0 else 0.0
-    em = exact / len(gold) if gold else 0.0
-    return ScoreReport(em, f1, lp, lr, matched, gold_total, predicted_total, len(gold))
+    em = exact / sentences if sentences else 0.0
+    return ScoreReport(em, f1, lp, lr, matched, gold_total, predicted_total, sentences)
 
 
 def format_report(report: ScoreReport) -> str:

@@ -4,8 +4,9 @@ Input files hold one or more S-expression trees (one per line or
 pretty-printed across lines). Preterminals ``(TAG word)`` become leaves with
 a POS attribute; an outer label-less / TOP / ROOT wrapper is unwrapped.
 
-Text is read in one pass: one regular-expression scan, one bracket stack that
-splits the entries, and each node built once, normalized if asked, as it closes.
+Text is read in pieces of whole lines that end at bracket depth 0 or below;
+atoms hold no parentheses, so no token crosses two pieces. One bracket stack
+splits the entries and builds each node once, normalized if asked, as it closes.
 """
 
 from __future__ import annotations
@@ -66,12 +67,12 @@ class CorpusEntry:
     tree: ConstituencyTree
 
 
-def _read(text: str, normalization: bool):
-    """Yield ``(offset, end, root, plus, error)`` per top-level bracket and
-    raise on text between them: the node below the entry's TOP/ROOT wrappers
-    (a trace leaf kept, ``_EMPTY`` if normalization emptied it), the first
-    label holding the chain separator, and the first error a bracket raised
-    as it closed, offset relative to the entry. An unclosed entry is last, ``end`` None.
+def _read(pieces, normalization: bool):
+    """Yield ``(offset, end, root, plus, error)`` per top-level bracket of the joined
+    strings ``pieces`` and raise on text between them: the node below the entry's
+    TOP/ROOT wrappers (a trace leaf kept, ``_EMPTY`` if normalization emptied it),
+    the first label holding the chain separator, and the first error a bracket
+    raised as it closed, offset relative to the entry. An unclosed entry is last, ``end`` None.
 
     Within one call, equal words, tags and labels are one ``str`` object and
     equal (tag, word) pairs one ``Token``, so a loaded corpus holds each
@@ -93,69 +94,73 @@ def _read(text: str, normalization: bool):
     # children, the first child's entry root, atom offsets].
     stack = []
     leaves, plus, failure = 0, None, None
-    for m in _TOKEN.finditer(text):
-        kind = m.lastindex
-        if not stack:
-            start = m.start()
-        if kind == _PRETERMINAL:
-            pair = m.group(1, 2)
-            token = shared.get(pair)
-            if token is None:
-                tag, word = pair
-                tag, word = shared.setdefault(tag, tag), shared.setdefault(word, word)
-                token = shared[tag, word] = Token(word, tag)
-            node = root = Leaf(token, leaves)
-            if normalization and token.pos == _TRACE_TAG:
-                node = None
-            else:
-                leaves += 1
-        elif kind == _OPEN:
-            label = m.group(3)
-            label = shared.setdefault(label, label)
-            if plus is None and LABEL_SEPARATOR in label:
-                plus = label
-            stack.append([m.start(), label, [], 0, None, []])
-            continue
-        elif kind == _CLOSE:
+    base = 0  # the offset of the piece ``text`` in the whole
+    for text in pieces:
+        for m in _TOKEN.finditer(text):
+            kind = m.lastindex
             if not stack:
-                raise TreebankFormatError("unbalanced ')'", m.start())
-            off, label, children, dropped, first, atoms = stack.pop()
-            count = len(children) + dropped
-            node = root = error = None
-            if failure is not None:
-                pass  # The entry has failed; read on to its end.
-            elif atoms:
-                error = (("token outside a preterminal pair", atoms[0]) if count
-                         else ("multiple tokens in one preterminal", atoms[1]))
-            elif not count:
-                error = "empty constituent", off
-            elif count == 1 and label in _WRAPPER_LABELS:
-                # A wrapper; at the root it is unwrapped to its child's entry root.
-                root = first
-                node = make(label, children) if label else children[0] if children else None
-            elif not label:
-                error = "unlabeled constituent with several children", off
+                start = base + m.start()
+            if kind == _PRETERMINAL:
+                pair = m.group(1, 2)
+                token = shared.get(pair)
+                if token is None:
+                    tag, word = pair
+                    tag, word = shared.setdefault(tag, tag), shared.setdefault(word, word)
+                    token = shared[tag, word] = Token(word, tag)
+                node = root = Leaf(token, leaves)
+                if normalization and token.pos == _TRACE_TAG:
+                    node = None
+                else:
+                    leaves += 1
+            elif kind == _OPEN:
+                label = m.group(3)
+                label = shared.setdefault(label, label)
+                if plus is None and LABEL_SEPARATOR in label:
+                    plus = label
+                stack.append([base + m.start(), label, [], 0, None, []])
+                continue
+            elif kind == _CLOSE:
+                if not stack:
+                    raise TreebankFormatError("unbalanced ')'", base + m.start())
+                off, label, children, dropped, first, atoms = stack.pop()
+                count = len(children) + dropped
+                node = root = error = None
+                if failure is not None:
+                    pass  # The entry has failed; read on to its end.
+                elif atoms:
+                    error = (("token outside a preterminal pair", atoms[0]) if count
+                             else ("multiple tokens in one preterminal", atoms[1]))
+                elif not count:
+                    error = "empty constituent", off
+                elif count == 1 and label in _WRAPPER_LABELS:
+                    # A wrapper; at the root it is unwrapped to its child's entry root.
+                    root = first
+                    node = make(label, children) if label else children[0] if children else None
+                elif not label:
+                    error = "unlabeled constituent with several children", off
+                else:
+                    node = make(label, children)
+                    root = _EMPTY if node is None else node
+                if error is not None:
+                    failure = TreebankFormatError(error[0], error[1] - start)
+            elif stack:
+                stack[-1][5].append(base + m.start())
+                continue
             else:
-                node = make(label, children)
-                root = _EMPTY if node is None else node
-            if error is not None:
-                failure = TreebankFormatError(error[0], error[1] - start)
-        elif stack:
-            stack[-1][5].append(m.start())
-            continue
-        else:
-            raise TreebankFormatError(f"stray text {text[m.start()]!r} between trees", m.start())
-        if stack:
-            parent = stack[-1]
-            if parent[4] is None:
-                parent[4] = root
-            if node is None:
-                parent[3] += 1
+                raise TreebankFormatError(f"stray text {text[m.start()]!r} between trees",
+                                          base + m.start())
+            if stack:
+                parent = stack[-1]
+                if parent[4] is None:
+                    parent[4] = root
+                if node is None:
+                    parent[3] += 1
+                else:
+                    parent[2].append(node)
             else:
-                parent[2].append(node)
-        else:
-            yield start, m.end(), root, plus, failure
-            leaves, plus, failure = 0, None, None
+                yield start, base + m.end(), root, plus, failure
+                leaves, plus, failure = 0, None, None
+        base += len(text)
     if stack:
         failure = failure or TreebankFormatError("unbalanced parentheses", stack[-1][0] - start)
         yield start, None, None, plus, failure
@@ -168,7 +173,7 @@ def parse_bracketed(text: str) -> ConstituencyTree:
         raise TreebankFormatError("no tree found", 0)
     if text[first.start()] != "(":
         raise TreebankFormatError(f"expected '(' but found {first.group()!r}", first.start())
-    start, end, root, _, error = next(_read(text, False))
+    start, end, root, _, error = next(_read((text,), False))
     if error is None:
         trailing = _TOKEN.search(text, end)
         if trailing:
@@ -224,6 +229,19 @@ def normalize(tree: ConstituencyTree) -> ConstituencyTree:
     return ConstituencyTree(root)
 
 
+def _pieces(lines) -> Iterator[str]:
+    """``lines`` joined into pieces that end where the count of ``(`` minus
+    ``)`` so far, the bracket depth until the reader raises, is 0 or below."""
+    piece, depth = [], 0
+    for line in lines:
+        piece.append(line)
+        depth += line.count("(") - line.count(")")
+        if depth <= 0:
+            yield "".join(piece)
+            piece = []
+    yield "".join(piece)
+
+
 def iter_corpus(
     path: str,
     normalization: bool = True,
@@ -240,31 +258,30 @@ def iter_corpus(
     output), whose labels are chain joins by construction.
     """
     with open(path, encoding="utf-8") as fh:
-        text = fh.read()
-    kept = 0
-    for i, (offset, end, root, plus, error) in enumerate(_read(text, normalization)):
-        if end is None:
-            raise TreebankFormatError("unbalanced '('", offset)
-        try:
-            if error is not None:
-                raise error
-            if isinstance(root, Leaf):
-                raise TreebankFormatError("tree root is a leaf", 0)
-            if plain_labels and plus is not None:
-                raise TreebankFormatError(f"label {plus!r} contains the reserved separator")
-            if root is _EMPTY:
-                raise DegenerateSentenceError(_DEGENERATE)
-        except ValueError as err:
-            if strict:
-                # Offsets inside the entry are relative to its start.
-                reason, where = str(err), offset
-                if isinstance(err, TreebankFormatError):
-                    reason, where = err.reason, offset + (err.offset or 0)
-                raise TreebankFormatError(reason, offset=where, entry=i) from err
-            logger.warning("skipping malformed entry %d: %s", i, err)
-            continue
-        yield CorpusEntry(kept, ConstituencyTree(root))
-        kept += 1
+        kept = 0
+        for i, (offset, end, root, plus, error) in enumerate(_read(_pieces(fh), normalization)):
+            if end is None:
+                raise TreebankFormatError("unbalanced '('", offset)
+            try:
+                if error is not None:
+                    raise error
+                if isinstance(root, Leaf):
+                    raise TreebankFormatError("tree root is a leaf", 0)
+                if plain_labels and plus is not None:
+                    raise TreebankFormatError(f"label {plus!r} contains the reserved separator")
+                if root is _EMPTY:
+                    raise DegenerateSentenceError(_DEGENERATE)
+            except ValueError as err:
+                if strict:
+                    # Offsets inside the entry are relative to its start.
+                    reason, where = str(err), offset
+                    if isinstance(err, TreebankFormatError):
+                        reason, where = err.reason, offset + (err.offset or 0)
+                    raise TreebankFormatError(reason, offset=where, entry=i) from err
+                logger.warning("skipping malformed entry %d: %s", i, err)
+                continue
+            yield CorpusEntry(kept, ConstituencyTree(root))
+            kept += 1
 
 
 def load_corpus(

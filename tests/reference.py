@@ -29,6 +29,9 @@ restores the unary chains as a new tree and then folds that.
 by a tuple of strings per stack; ``reference_enumerate_legal_stacks``
 searches breadth-first, removes duplicates by the stacks themselves and
 yields each with the number of shifts on the path that reached it.
+``score`` reads the gold and predicted trees in lockstep and holds an error
+raised reading the predicted side until gold has been read;
+``reference_score`` takes gold as a list and reads the predicted side after it.
 """
 
 import logging
@@ -52,6 +55,7 @@ from ajparse.isr import (
 )
 from ajparse.oracle import oracle_action_sequence
 from ajparse.predictor import _NONE_KEY, _node_tag, collect_labels
+from ajparse.scoring import ScoreReport, _sentence_brackets
 from ajparse.transition import (
     ATTACH,
     AjAction,
@@ -132,6 +136,39 @@ def reference_extract_brackets(tree) -> Counter:
         restored = fold(tree.root, lambda leaf: leaf, expand)
         fold(restored, lambda leaf: (leaf.index, leaf.index), span)
     return brackets
+
+
+def reference_score(gold: list, predicted) -> ScoreReport:
+    """Score ``predicted``, any iterable of trees, against the list ``gold``.
+
+    ``predicted`` is read to its end before a mismatch is raised: an error
+    raised while reading it comes first, then a differing sentence count,
+    then the first sentence whose words or labels do not fit."""
+    matched = gold_total = predicted_total = exact = count = 0
+    error = None
+    for i, p in enumerate(predicted):
+        count = i + 1
+        if error is not None or i >= len(gold):
+            continue
+        try:
+            gb, pb = _sentence_brackets(i, gold[i], p)
+        except ValueError as err:
+            error = err
+            continue
+        matched += sum((gb & pb).values())
+        gold_total += sum(gb.values())
+        predicted_total += sum(pb.values())
+        if gb == pb:
+            exact += 1
+    if count != len(gold):
+        raise ValueError(f"gold has {len(gold)} sentences but predicted has {count}")
+    if error is not None:
+        raise error
+    lp = 100.0 * matched / predicted_total if predicted_total else 0.0
+    lr = 100.0 * matched / gold_total if gold_total else 0.0
+    f1 = 2 * lp * lr / (lp + lr) if lp + lr > 0 else 0.0
+    em = exact / len(gold) if gold else 0.0
+    return ScoreReport(em, f1, lp, lr, matched, gold_total, predicted_total, len(gold))
 
 
 def reference_apply_action(state, token, action):

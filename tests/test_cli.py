@@ -427,31 +427,81 @@ def test_score_lenient_warnings_name_gold_skips_first(capsys, tmp_path, warnings
     ]
 
 
-def test_corpus_commands_hold_one_tree_at_a_time(capsys, tmp_path, sample_path):
+@pytest.mark.parametrize("flags", [(), ("--lenient",)])
+def test_score_gold_load_error_hides_an_earlier_predicted_one(capsys, tmp_path, flags,
+                                                             warnings_to_stderr):
+    # The predicted file's skipped entry and its cut one are both read before
+    # gold's stray text; neither its warning nor its error may show.
+    gold, _, (code, out, err) = _score(capsys, tmp_path, [*_GOLD[:2], "x"],
+                                       ["()", _GOLD[0], "(S"], *flags)
+    assert (code, out) == (1, "RESULT ok=0 fail=1\n")
+    assert err == load_error(gold, plain_labels=False) + "\n"
+    assert err.startswith("stray text 'x' between trees")
+
+
+def test_score_missing_predicted_file_after_a_gold_load_error(capsys, tmp_path):
+    gold = tmp_path / "gold.mrg"
+    gold.write_text(_GOLD[0] + "\n(S\n")
+    code, out, err = run(capsys, "score", str(gold), str(tmp_path / "missing.mrg"))
+    assert (code, out) == (1, "RESULT ok=0 fail=1\n")
+    assert err == load_error(gold, plain_labels=False) + "\n"
+
+
+def test_score_longer_predicted_file_reports_its_load_error_not_the_count(capsys, tmp_path):
+    cut = _GOLD[2][:-3]
+    _, predicted, (code, out, err) = _score(capsys, tmp_path, _GOLD[:2], [*_GOLD, cut])
+    assert (code, out) == (1, "RESULT ok=0 fail=1\n")
+    assert err == load_error(predicted, plain_labels=False) + "\n"
+    assert err.startswith("unbalanced '('")
+
+
+@pytest.fixture(scope="module")
+def heap_peak(tmp_path_factory):
+    """``heap_peak(command, sentences)``: the file size and the heap peak of
+    one corpus command on a ``synth`` file (seed 5) of that many sentences,
+    each measured once per module."""
+    directory = tmp_path_factory.mktemp("peaks")
+    sample = os.path.join(os.path.dirname(__file__), "fixtures", "sample.mrg")
+    with contextlib.redirect_stdout(io.StringIO()):
+        main(["stats", sample])  # imports and caches are not the commands' heap
+    peaks = {}
+
+    def measure(command, sentences):
+        path = directory / f"{sentences}.mrg"
+        if (command, sentences) not in peaks:
+            if not path.exists():
+                write_corpus(generate_corpus(sentences, seed=5), str(path))
+            argv = {"oracle": [path, directory / "actions.tsv"], "score": [path, path],
+                    "translate-isr": [path, directory / "isr.txt"]}.get(command, [path])
+            with contextlib.redirect_stdout(io.StringIO()):
+                tracemalloc.start()
+                try:
+                    code = main([command, *map(str, argv)])
+                    peaks[command, sentences] = tracemalloc.get_traced_memory()[1]
+                finally:
+                    tracemalloc.stop()
+            assert code == 0, command
+        return os.path.getsize(path), peaks[command, sentences]
+
+    return measure
+
+
+def test_corpus_commands_hold_one_tree_at_a_time(heap_peak):
     """Each corpus command's heap peak stays a small multiple of its input
-    file: it holds the file's text and one tree, not every loaded tree,
-    which took over 15 times the file size. ``score`` loads its gold side
-    whole, so its bound is looser."""
-    path = tmp_path / "corpus.mrg"
-    write_corpus(generate_corpus(300, seed=5), str(path))
-    size = os.path.getsize(path)
-    run(capsys, "stats", sample_path)  # imports and caches are not the commands' heap
-    for argv, bound in (
-        (["verify", path], 8),
-        (["oracle", path, tmp_path / "actions.tsv"], 8),
-        (["translate-isr", path, tmp_path / "isr.txt"], 8),
-        (["stats", path], 8),
-        (["score", path, path], 25),
-    ):
-        tracemalloc.start()
-        try:
-            code = main([str(arg) for arg in argv])
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        capsys.readouterr()
-        assert code == 0, argv
-        assert peak < bound * size, (argv[0], peak / size)
+    file: it holds one entry's text and one tree, not every loaded tree,
+    which took over 15 times the file size. ``score`` reads its two files
+    in lockstep, so it holds one tree of each."""
+    for command in ("verify", "oracle", "translate-isr", "stats", "score"):
+        size, peak = heap_peak(command, 300)
+        assert peak < 8 * size, (command, peak / size)
+
+
+def test_corpus_command_peaks_do_not_grow_with_the_file(heap_peak):
+    """A file four times as long leaves the peak of each command that writes
+    no output lines about where it was."""
+    for command in ("verify", "stats", "score"):
+        peaks = heap_peak(command, 300)[1], heap_peak(command, 1200)[1]
+        assert peaks[1] < 1.5 * peaks[0], (command, peaks)
 
 
 def _trained_model(capsys, tmp_path, corpus_file):

@@ -1,10 +1,12 @@
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 import reference
 from ajparse.scoring import extract_brackets, format_report, score
 from ajparse.synth import generate_corpus
-from ajparse.tree import LabelFormatError, collapse_unary_chains
+from ajparse.tree import (
+    ConstituencyTree, Internal, LabelFormatError, Leaf, Token, collapse_unary_chains, fold,
+)
 from ajparse.treebank import parse_bracketed
 
 from test_tree import trees
@@ -111,3 +113,68 @@ def test_format_report_lines():
     assert lines[2] == "LP 100.00"
     assert lines[3] == "LR 100.00"
     assert "sentences=5" in lines[4]
+
+
+def _reworded(tree, k):
+    """``tree`` with another word at leaf ``k``."""
+
+    def leaf(node):
+        return Leaf(Token("changed", node.token.pos), k) if node.index == k else node
+
+    return ConstituencyTree(fold(tree.root, leaf, lambda n, kids: Internal(n.label, tuple(kids))))
+
+
+@st.composite
+def gold_and_predicted(draw):
+    """Gold trees and a predicted list made from them, each tree kept,
+    collapsed, replaced or given another word, then cut or lengthened; and
+    for each side, where reading it raises and what, if it does."""
+    labels = draw(st.sampled_from([joined_labels, any_labels]))
+    gold = draw(st.lists(trees(labels=labels), max_size=4))
+    predicted = []
+    for tree in gold:
+        change = draw(st.sampled_from(["keep", "keep", "collapse", "replace", "reword"]))
+        if change == "collapse":
+            tree = collapse_unary_chains(tree)
+        elif change == "replace":
+            tree = draw(trees(labels=labels))
+        elif change == "reword":
+            tree = _reworded(tree, draw(st.integers(0, tree.length - 1)))
+        predicted.append(tree)
+    predicted += draw(st.lists(trees(labels=labels), max_size=2))
+    predicted = predicted[:draw(st.integers(max(0, len(gold) - 2), len(predicted)))]
+    errors = st.sampled_from([ValueError, OSError])
+    failures = [draw(st.none() | st.tuples(st.integers(0, len(side)), errors))
+                for side in (gold, predicted)]
+    return gold, predicted, failures
+
+
+def _read(trees, failure, side):
+    """``trees`` one at a time, raising at the position ``failure`` names."""
+    if failure is None:
+        yield from trees
+        return
+    at, error = failure
+    yield from trees[:at]
+    raise error(f"cannot read {side} entry {at}")
+
+
+def _outcome(call):
+    try:
+        return call()
+    except Exception as err:
+        return type(err), str(err)
+
+
+@settings(max_examples=30, deadline=None)
+@given(gold_and_predicted())
+def test_lockstep_score_matches_reference(case):
+    """Reading both sides in lockstep gives the report, or the error, of
+    loading gold whole and then reading the predicted side: gold's read
+    error, then predicted's, then the count, then the first sentence."""
+    gold, predicted, (gold_failure, predicted_failure) = case
+    expected = _outcome(lambda: reference.reference_score(
+        list(_read(gold, gold_failure, "gold")), _read(predicted, predicted_failure, "predicted")))
+    got = _outcome(lambda: score(_read(gold, gold_failure, "gold"),
+                                 _read(predicted, predicted_failure, "predicted")))
+    assert got == expected

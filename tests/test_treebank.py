@@ -28,6 +28,8 @@ from ajparse.treebank import (
     write_bracketed,
     write_corpus,
 )
+from test_reader_reference import _same_reads
+from treebank_texts import line_broken_treebanks
 
 
 def test_parse_simple_tree():
@@ -381,3 +383,28 @@ def test_every_unicode_space_separates_tokens(tmp_path):
         # Inside an atom, whitespace splits it in two.
         with pytest.raises(TreebankFormatError, match="multiple tokens"):
             parse_bracketed(f"(S (NN a{c}b))")
+
+
+# A file is read in pieces of whole lines that end at bracket depth 0 or
+# below. Each text puts a piece boundary, or a line end that must not be
+# one, where a reader that split wrongly would read something else.
+@pytest.mark.parametrize("text", [
+    pytest.param("(S (NN\nword) (VB b))\n(S (NN c))\n", id="preterminal-split"),
+    pytest.param("(\nNP (NN a))\n(\nS\n(NN\nb\n)\n)\n", id="label-on-next-line"),
+    pytest.param("(S (NN a)) (S (NN b))\n(S (NN c)) (S (NN d))\n", id="two-entries-on-a-line"),
+    pytest.param("(S (NN a)\n(VB b)) (S\n(NN c))\n(S (NN d))\n", id="closing-mid-line"),
+    pytest.param("(S (NN a))\r\n(S\r\n(NN b) (VB c))\r\n(S (NN d e f))\r\n", id="crlf"),
+    pytest.param("(S (NN a))\r(S\r(NN b))\r(S (NN d e f))\r", id="lone-cr"),
+    pytest.param("(S (NN a))\n(S\n(NN b))", id="no-final-line-end"),
+    pytest.param("(S (NN a))\n(S (NN a))) (NP\n(NN b))\n", id="below-depth-0"),
+    pytest.param("(S (NN a))\n(S (NN b)) x\n(S (NN c))\n", id="stray-atom"),
+    pytest.param("(S (NN a))\n(S (NN b)\n(VB c)\n", id="unclosed-last-entry"),
+])
+def test_reader_pieces_read_as_the_staged_reader(tmp_path, text):
+    _same_reads(str(tmp_path / "pieces.mrg"), text)
+
+
+@settings(max_examples=30, deadline=None)
+@given(text=line_broken_treebanks())
+def test_reader_matches_staged_reader_across_line_ends(tmp_path_factory, text):
+    _same_reads(str(tmp_path_factory.getbasetemp() / "lines.mrg"), text)

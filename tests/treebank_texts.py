@@ -1,6 +1,6 @@
 """Hypothesis strategies for bracketed treebank text: generated treebanks
 and the same texts cut, or with brackets, atoms or whitespace inserted or
-characters deleted."""
+characters deleted, or with line ends inserted between tokens."""
 
 import itertools
 
@@ -72,4 +72,21 @@ def mangled_treebanks(draw):
             text = text[:i] + draw(st.sampled_from(INSERTS)) + text[i:]
         else:
             text = text[:i] + text[i + 1:]
+    return text
+
+
+def _in_atom(text, i):
+    """Whether position ``i`` of ``text`` falls between two characters of one atom."""
+    return 0 < i < len(text) and all(not c.isspace() and c not in "()" for c in text[i - 1:i + 1])
+
+
+@st.composite
+def line_broken_treebanks(draw):
+    """A generated treebank with line ends of each kind inserted at random
+    places that are not inside an atom: between an open bracket and its
+    label, inside a preterminal, between entries."""
+    text = draw(treebanks())
+    for i in sorted(draw(st.sets(st.integers(0, len(text)), max_size=8)), reverse=True):
+        if not _in_atom(text, i):
+            text = text[:i] + draw(st.sampled_from(("\n", "\n", "\r\n", "\r"))) + text[i:]
     return text
