@@ -13,9 +13,8 @@ import heapq
 import itertools
 import math
 import random
-from collections import Counter
+from collections import Counter, defaultdict
 from dataclasses import dataclass, field
-from operator import add
 
 from .oracle import oracle_action_sequence
 from .transition import (
@@ -104,10 +103,13 @@ def _target_features(chain, depth: int, token: Token):
 
 
 class _AveragedRows:
-    """Perceptron weights for one factor: a row of ``width`` floats per
-    feature, with lazily-updated running averages per slot. The label
-    factors have a slot per entry of ``label_choices(labels)``; the target
-    factor has one slot, as its features already name the depth they score.
+    """Perceptron weights for one factor: a row of weights per feature, with
+    lazily-updated running averages per slot. The label factors have a slot
+    per entry of ``label_choices(labels)``, and a row holds only the slots
+    that updates have touched; any other slot weighs 0.0. The target factor
+    has one slot, as its features already name the depth they score, and a
+    row is a one-weight list: ``[w]`` takes 64 B where ``{0: w}`` takes 224.
+    The running totals and last-update steps are ``width`` slots per feature.
     """
 
     def __init__(self, width: int):
@@ -124,7 +126,7 @@ class _AveragedRows:
         for f in feats:
             row = self.w.get(f)
             if row is None:
-                row = self.w[f] = [0.0] * self.width
+                row = self.w[f] = defaultdict(float) if self.width > 1 else [0.0]
                 self._totals[f], self._stamps[f] = [0.0] * self.width, [0] * self.width
             totals, stamps = self._totals[f], self._stamps[f]
             totals[slot] += (self.steps - stamps[slot]) * row[slot]
@@ -132,17 +134,20 @@ class _AveragedRows:
             row[slot] += delta
 
     def averaged(self) -> dict:
-        """Averaged rows; features whose every slot averages to zero are left out."""
+        """Averaged rows: a label row keeps the slots whose average is not
+        zero, and features with no such slot are left out."""
         if self.steps == 0:
             return {}
         out = {}
         for f, row in self.w.items():
-            avg = [
-                (total + (self.steps - stamp) * v) / self.steps
-                for v, total, stamp in zip(row, self._totals[f], self._stamps[f])
-            ]
-            if any(avg):
-                out[f] = avg
+            totals, stamps = self._totals[f], self._stamps[f]
+            avg = {}
+            for s, v in (row.items() if self.width > 1 else enumerate(row)):
+                a = (totals[s] + (self.steps - stamps[s]) * v) / self.steps
+                if a:
+                    avg[s] = a
+            if avg:
+                out[f] = avg if self.width > 1 else [avg[0]]
         return out
 
 
@@ -164,9 +169,10 @@ def slot_keys(labels, path: str) -> list:
 class ActionScorer:
     """Averaged weights for the three action factors plus the label vocabulary.
 
-    Each table maps a feature to a row of weights: one weight in
-    ``target_weights``, and ``len(labels) + 1`` in ``parent_weights`` and
-    ``new_weights``, one per slot of ``label_choices(labels)``.
+    Each table maps a feature to a row of weights: a one-weight list in
+    ``target_weights``, and in ``parent_weights`` and ``new_weights`` a dict
+    from a slot of ``label_choices(labels)`` to its weight, holding only
+    the slots the feature has a weight for.
     """
 
     labels: list
@@ -177,7 +183,6 @@ class ActionScorer:
 
     def save(self, path: str) -> None:
         keys = slot_keys(self.labels, path)
-        order = sorted(range(len(keys)), key=keys.__getitem__)
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(f"{MODEL_MAGIC}\t{MODEL_VERSION}\n")
             fh.write("labels\t" + "\t".join(self.labels) + "\n")
@@ -188,7 +193,7 @@ class ActionScorer:
                 fh.write(f"[{name}]\n")
                 for feat in sorted(rows):
                     row = rows[feat]
-                    for s in order:
+                    for s in sorted(row, key=keys.__getitem__):
                         if row[s]:
                             fh.write(f"{feat}\t{keys[s]}\t{row[s]!r}\n")
             fh.write("[end]\n")
@@ -252,7 +257,7 @@ class ActionScorer:
                     rows = tables[current]
                     row = rows.get(parts[0])
                     if row is None:
-                        row = rows[parts[0]] = [0.0] * len(keys)
+                        row = rows[parts[0]] = {}
                     row[slots[parts[1]]] = weight
             else:
                 raise ModelFormatError(f"{path}: file ends before [end]")
@@ -260,12 +265,18 @@ class ActionScorer:
 
 
 def _label_scores(rows: dict, feats, width: int) -> list:
-    """Per-slot sums of the rows of ``feats``, added feature by feature."""
+    """Per-slot sums of the rows of ``feats``, added feature by feature.
+
+    A slot that a row leaves out would add 0.0, which changes no sum but
+    -0.0, and no sum is -0.0: each starts at 0.0, and x + y is -0.0 only
+    when x and y both are.
+    """
     acc = [0.0] * width
     for f in feats:
         row = rows.get(f)
         if row is not None:
-            acc = list(map(add, acc, row))
+            for s, v in row.items():
+                acc[s] += v
     return acc
 
 

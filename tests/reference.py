@@ -14,10 +14,13 @@ legal action of every item and sorts them, breaking ties on the action's
 fields. The perceptron keeps the weights of all three factors as one row
 per feature; ``reference_train`` and the decoder here keep target weights
 in a dict keyed by feature and label weights in dicts keyed by
-``(feature, label)``. The predictor's parser state is an open
-chain of frames in training and decoding; the trainer and decoder here
-build a tree per step with ``apply_action`` and read their features off
-its rightmost chain. ``load_corpus`` reads a file in one scan and builds
+``(feature, label)``. A label row holds only the slots that updates have
+touched, and label scores add those entries feature by feature;
+``ReferenceAveragedRows`` keeps ``width`` weights per row and
+``reference_label_scores`` adds whole rows. The predictor's parser state
+is an open chain of frames in training and decoding; the trainer and
+decoder here build a tree per step with ``apply_action`` and read their
+features off its rightmost chain. ``load_corpus`` reads a file in one scan and builds
 each node, normalized, as its bracket closes; ``reference_load_corpus``
 splits the file into entries, tokenizes and parses each, checks its labels
 and then normalizes the whole tree. ``legal_actions`` maps each index of the
@@ -38,6 +41,7 @@ import logging
 import math
 import random
 from collections import Counter, deque
+from operator import add
 from typing import Optional
 
 from ajparse.exhaustive import EXTRA_INTERNAL, _token
@@ -453,6 +457,56 @@ class _AveragedWeights:
         return out
 
 
+class ReferenceAveragedRows:
+    """Perceptron weights for one factor with a list of ``width`` weights
+    per feature, untouched slots included."""
+
+    def __init__(self, width: int):
+        self.width = width
+        self.w = {}
+        self._totals = {}
+        self._stamps = {}
+        self.steps = 0
+
+    def tick(self):
+        self.steps += 1
+
+    def update(self, feats, slot: int, delta: float):
+        for f in feats:
+            row = self.w.get(f)
+            if row is None:
+                row = self.w[f] = [0.0] * self.width
+                self._totals[f], self._stamps[f] = [0.0] * self.width, [0] * self.width
+            totals, stamps = self._totals[f], self._stamps[f]
+            totals[slot] += (self.steps - stamps[slot]) * row[slot]
+            stamps[slot] = self.steps
+            row[slot] += delta
+
+    def averaged(self) -> dict:
+        """Averaged rows; features whose every slot averages to zero are left out."""
+        if self.steps == 0:
+            return {}
+        out = {}
+        for f, row in self.w.items():
+            avg = [
+                (total + (self.steps - stamp) * v) / self.steps
+                for v, total, stamp in zip(row, self._totals[f], self._stamps[f])
+            ]
+            if any(avg):
+                out[f] = avg
+        return out
+
+
+def reference_label_scores(rows: dict, feats, width: int) -> list:
+    """Per-slot sums of the ``width``-weight rows of ``feats``, added row by row."""
+    acc = [0.0] * width
+    for f in feats:
+        row = rows.get(f)
+        if row is not None:
+            acc = list(map(add, acc, row))
+    return acc
+
+
 def _label_key(label):
     return label if label is not None else _NONE_KEY
 
@@ -487,18 +541,20 @@ def _factor_scores(target_w, parent_w, new_w, feats, chain, token, choices):
 
 
 def label_dict(rows: dict, labels) -> dict:
-    """Label rows as a dict keyed by ``(feature, label key)``, zeros left out."""
+    """Label rows, each a dict from slot to weight, as a dict keyed by
+    ``(feature, label key)``, zeros left out."""
     keys = [_NONE_KEY] + sorted(labels)
-    return {(f, keys[s]): v for f, row in rows.items() for s, v in enumerate(row) if v}
+    return {(f, keys[s]): v for f, row in rows.items() for s, v in row.items() if v}
 
 
 def label_rows(weights: dict, labels) -> dict:
-    """The inverse of ``label_dict``; keys naming no label are dropped."""
+    """The inverse of ``label_dict``: a dict from slot to weight per
+    feature. Keys naming no label are dropped."""
     keys = [_NONE_KEY] + sorted(labels)
     rows = {}
     for (f, key), v in weights.items():
         if key in keys:
-            rows.setdefault(f, [0.0] * len(keys))[keys.index(key)] = v
+            rows.setdefault(f, {})[keys.index(key)] = v
     return rows
 
 

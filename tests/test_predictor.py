@@ -1,4 +1,5 @@
 import hashlib
+import random
 import tempfile
 from pathlib import Path
 
@@ -20,6 +21,7 @@ from ajparse.synth import generate_corpus
 from ajparse.transition import AjAction
 from ajparse.tree import Internal, Token, tree_equal
 from ajparse.treebank import tokens_of, write_bracketed
+from test_train_reference import relabel
 
 
 @pytest.fixture(scope="module")
@@ -190,18 +192,38 @@ GOLDEN_PARSES = {
     1: "905f86b74b04ff57b2f4165d6037927405cc48c9e008f02f969ee5e9191043ec",
     10: "905f86b74b04ff57b2f4165d6037927405cc48c9e008f02f969ee5e9191043ec",
 }
+# The same for small_corpus with each label split up to six ways: 24 labels,
+# so label rows of 25 slots, most of them never touched.
+MANY_LABEL_GOLDEN_MODEL = "24d46f8bdbcbb73e91a3e87af9af4b54577b5b3099a153c23e362c0cb3d13c7b"
+MANY_LABEL_GOLDEN_PARSES = {
+    1: "52554384fb21aa0a4bf92ecaa2e5f1e69725a6723a86358290237211770299d1",
+    10: "626bdf3ae5c6ba291d8e0c31eab2902bd3cd62465c791f93bdb68165d306bb90",
+}
+
+
+def _check_golden(scorer, held_out, model, parses, tmp_path):
+    p = tmp_path / "golden.model"
+    scorer.save(str(p))
+    assert hashlib.sha256(p.read_bytes()).hexdigest() == model
+    for beam, digest in parses.items():
+        text = "".join(
+            write_bracketed(decode_beam(scorer, tokens_of(t), beam)) + "\n" for t in held_out
+        )
+        assert hashlib.sha256(text.encode()).hexdigest() == digest, beam
 
 
 def test_golden_model_and_parses(trained, small_corpus, tmp_path):
-    p = tmp_path / "golden.model"
-    trained.save(str(p))
-    assert hashlib.sha256(p.read_bytes()).hexdigest() == GOLDEN_MODEL
-    for beam, digest in GOLDEN_PARSES.items():
-        text = "".join(
-            write_bracketed(decode_beam(trained, tokens_of(t), beam)) + "\n"
-            for t in small_corpus[100:]
-        )
-        assert hashlib.sha256(text.encode()).hexdigest() == digest, beam
+    _check_golden(trained, small_corpus[100:], GOLDEN_MODEL, GOLDEN_PARSES, tmp_path)
+
+
+def test_many_label_golden_model_and_parses(small_corpus, tmp_path):
+    rng = random.Random(13)
+    corpus = [relabel(t, rng, 6) for t in small_corpus]
+    assert len(collect_labels(corpus)) == 24
+    scorer = train(corpus[:100], epochs=3, seed=0)
+    _check_golden(
+        scorer, corpus[100:], MANY_LABEL_GOLDEN_MODEL, MANY_LABEL_GOLDEN_PARSES, tmp_path
+    )
 
 
 @pytest.mark.parametrize("beam", [1, 10])

@@ -1,6 +1,7 @@
 """``train`` learns exactly what ``reference_train`` learns: the perceptron
 arithmetic over per-feature label rows equals the one over
-``(feature, label)`` dict keys, float for float."""
+``(feature, label)`` dict keys, float for float. Label rows that hold only
+their touched slots average and score as rows of every slot do."""
 
 import random
 import tempfile
@@ -11,7 +12,9 @@ from hypothesis import given, settings, strategies as st
 import reference
 from ajparse.oracle import oracle_action_sequence
 from ajparse.predictor import (
+    _AveragedRows,
     _factor_scores,
+    _label_scores,
     _target_features,
     _teacher_steps,
     featurize,
@@ -93,3 +96,74 @@ def test_train_matches_reference(corpus, epochs, seed):
             assert repr(t) == repr(ref_t)
             assert repr(p) == repr([ref_p[c] for c in choices])
             assert repr(n) == repr([ref_n[c] for c in choices])
+
+
+FEATURES = [f"f{i}" for i in range(6)]
+
+
+@st.composite
+def update_runs(draw):
+    """A label width and a run of ticks (None) and ``(feats, slot, delta)``
+    updates of +1.0 or -1.0; some updates are undone a few ticks later, so
+    their slots go back to exactly 0.0."""
+    width = draw(st.integers(2, 8))
+    update = st.tuples(
+        st.lists(st.sampled_from(FEATURES[:-1]), max_size=4).map(tuple),
+        st.integers(0, width - 1),
+        st.sampled_from([1.0, -1.0]),
+    )
+    run = []
+    for op in draw(st.lists(st.none() | update, max_size=40)):
+        run.append(op)
+        if op is not None and draw(st.booleans()):
+            feats, slot, delta = op
+            run += [None] * draw(st.integers(0, 3)) + [(feats, slot, -delta)]
+    return width, run
+
+
+@settings(max_examples=100, deadline=None)
+@given(update_runs())
+def test_sparse_rows_average_as_dense_rows(width_run):
+    width, run = width_run
+    sparse, dense = _AveragedRows(width), reference.ReferenceAveragedRows(width)
+    for op in run:
+        for rows in (sparse, dense):
+            if op is None:
+                rows.tick()
+            else:
+                rows.update(*op)
+    # The last feature is never updated, so it has no row on either side.
+    for ours, ref in ((sparse.w, dense.w), (sparse.averaged(), dense.averaged())):
+        assert set(ours) == set(ref)
+        for f in FEATURES:
+            dense_row = ref.get(f, [0.0] * width)
+            row = ours.get(f, {})
+            assert [repr(row.get(s, 0.0)) for s in range(width)] == list(map(repr, dense_row))
+    assert all(all(row.values()) for row in sparse.averaged().values())
+
+
+# Weights whose sums show the order of the additions.
+weights = st.one_of(st.sampled_from([0.0, 1.0, -1.0, 0.1, 1 / 3]), st.floats(-1e6, 1e6))
+
+
+@st.composite
+def label_tables(draw):
+    """A width, rows that hold some of its slots, and a feature tuple that
+    may name a feature twice or a feature with no row."""
+    width = draw(st.integers(2, 8))
+    rows = draw(st.dictionaries(
+        st.sampled_from(FEATURES[:-1]),
+        st.dictionaries(st.integers(0, width - 1), weights, max_size=width),
+    ))
+    feats = tuple(draw(st.lists(st.sampled_from(FEATURES), max_size=8)))
+    return width, rows, feats
+
+
+@settings(max_examples=100, deadline=None)
+@given(label_tables())
+def test_sparse_label_scores_match_dense_fold(table):
+    width, rows, feats = table
+    dense = {f: [row.get(s, 0.0) for s in range(width)] for f, row in rows.items()}
+    assert repr(_label_scores(rows, feats, width)) == repr(
+        reference.reference_label_scores(dense, feats, width)
+    )
