@@ -15,7 +15,6 @@ from dataclasses import dataclass, field
 from .isr import (
     EMPTY_STACK,
     REDUCE,
-    AugmentedTree,
     IllegalStackError,
     gamma,
     is_legal_stack,
@@ -155,13 +154,13 @@ def enumerate_augmented(n_max: int, labels):
     """Augmented partial trees with <= n_max leaves, including the empty
     tree, bare-leaf roots, and ``AUGMENTED_UNARY_BUDGET`` levels of unary
     chaining."""
-    yield AugmentedTree(None, -1)
-    yield AugmentedTree(Leaf(_token(0), 0), -1)
+    yield None, -1
+    yield Leaf(_token(0), 0), -1
     for n in range(1, n_max + 1):
         for root in enumerate_subtrees(n, 0, labels, AUGMENTED_UNARY_BUDGET):
             if isinstance(root, Internal):
                 for mark in range(-1, len(rightmost_chain(root))):
-                    yield AugmentedTree(root, mark)
+                    yield root, mark
 
 
 def check_bijection(n_max: int, labels, report: CheckReport) -> None:
@@ -169,33 +168,40 @@ def check_bijection(n_max: int, labels, report: CheckReport) -> None:
     prev_root, prev_mark, prev_stack = None, None, None
     for aug in enumerate_augmented(n_max, labels):
         report.augmented_checked += 1
+        root, mark = aug
         stack = gamma(aug)
         if not is_legal_stack(stack):
             report.failures.append(f"gamma({aug!r}) is not a legal stack")
             continue
         back = phi(stack)
         if back != aug:
+            # A stack that phi does not map back may hold nothing to reduce.
             report.failures.append(f"phi(gamma({aug!r})) = {back!r}")
-        if aug.mark >= 0:
+            continue
+        if mark >= 0:
             reduced = isr_apply(stack, REDUCE)
             # Marks are enumerated in order per tree, so gamma at mark - 1
             # is usually the previous iteration's stack.
-            if prev_root is aug.root and prev_mark == aug.mark - 1:
+            if prev_root is root and prev_mark == mark - 1:
                 expected = prev_stack
             else:
-                expected = gamma(AugmentedTree(aug.root, aug.mark - 1))
+                expected = gamma((root, mark - 1))
             if reduced != expected:
                 report.failures.append(
                     f"reduce on gamma({aug!r}) does not step the mark"
                 )
             else:
                 report.reduce_lemma_checked += 1
-        prev_root, prev_mark, prev_stack = aug.root, aug.mark, stack
+        prev_root, prev_mark, prev_stack = root, mark, stack
 
     for stack in enumerate_legal_stacks(n_max, labels):
         report.stacks_checked += 1
-        if gamma(phi(stack)) != stack:
-            report.failures.append(f"gamma(phi(s)) != s for stack {stack!r}")
+        try:
+            back = gamma(phi(stack))
+        except ValueError as err:  # phi made a mark gamma rejects
+            back = err
+        if back != stack:
+            report.failures.append(f"gamma(phi(s)) = {back!r} for stack {stack!r}")
 
 
 def enumerate_legal_stacks(max_tokens: int, labels):
@@ -215,7 +221,9 @@ def enumerate_legal_stacks(max_tokens: int, labels):
     the strings above the topmost ``[`` into one ``(label ...)`` string. A
     tuple of strings hashes in C on cached ``str`` hashes, and ``isr_apply``
     runs only for an unseen key; it still makes every stack, and
-    ``is_legal_stack`` still filters them.
+    ``is_legal_stack`` still checks each one. Only moves that keep a stack
+    legal are tried: a reduce needs a projection, a project a subtree on
+    top, and a shift an empty stack or one that starts with a projection.
     """
     cap = 2 * max_tokens + EXTRA_INTERNAL
     seen = {()}
@@ -228,14 +236,19 @@ def enumerate_legal_stacks(max_tokens: int, labels):
     tokens = [(_token(i), str(i)) for i in range(max_tokens)]
     while queue:
         stack, key, weight = queue.pop()
-        moves = [(REDUCE, None, _reduce_key(key), weight)]
+        moves = []
+        reduced_key = _reduce_key(key)
+        if reduced_key is not None:
+            moves.append((REDUCE, None, reduced_key, weight))
         if weight < cap:
-            consumed = end_index(stack[-1]) if stack else 0
-            if consumed < max_tokens:
-                token, leaf_key = tokens[consumed]
-                moves.append((SHIFT, token, key + (leaf_key,), weight + 1))
-            for pj, pj_key in projections:
-                moves.append((pj, None, key[:-1] + (pj_key,) + key[-1:], weight + 1))
+            if not stack or isinstance(stack[0], str):
+                consumed = end_index(stack[-1]) if stack else 0
+                if consumed < max_tokens:
+                    token, leaf_key = tokens[consumed]
+                    moves.append((SHIFT, token, key + (leaf_key,), weight + 1))
+            if stack:
+                for pj, pj_key in projections:
+                    moves.append((pj, None, key[:-1] + (pj_key,) + key[-1:], weight + 1))
         for action, token, succ_key, succ_weight in moves:
             if succ_key in seen:
                 continue
@@ -252,8 +265,8 @@ def enumerate_legal_stacks(max_tokens: int, labels):
 
 def _reduce_key(key: tuple):
     """The key after a reduce: the strings above the topmost ``[`` joined
-    under its label. With no ``[`` it is None, which is never seen, so
-    ``isr_apply`` judges (and rejects) the reduce."""
+    under its label. With no ``[`` there is nothing to reduce, and it is
+    None."""
     for i in range(len(key) - 1, -1, -1):
         if key[i][0] == "[":
             return key[:i] + ("(" + key[i][1:] + " " + " ".join(key[i + 1 :]) + ")",)

@@ -1,15 +1,19 @@
-"""In-order shift-reduce (ISR) machinery.
+"""In-order shift-reduce (ISR) machinery: the comparison transition system
+(shift / reduce / project), the legality predicate for stacks, the bijection
+``phi`` between legal stacks and marked partial trees with its inverse
+``gamma``, the embedding ``xi``, and the translation of attach-juxtapose
+actions into ISR actions.
 
-Implements the comparison transition system (shift / reduce / project over a
-stack of subtrees and projected nonterminals), the legality predicate for
-stacks, the bijection ``phi`` between legal stacks and marked partial trees
-with its inverse ``gamma``, the embedding ``xi``, and the constructive
-translation of attach-juxtapose actions into ISR action sequences.
+Its values are plain data. An action is its text: ``"shift"``, ``"reduce"``
+or ``project(label)``, which is ``"pj:" + label``. A stack is a tuple, bottom
+to top, of finished subtrees and of projected nonterminals, each its label
+``str``. An augmented tree is a ``(root, mark)`` pair, ``mark`` a depth on
+the rightmost chain or -1.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import sys
 from typing import Optional
 
 from .transition import ATTACH, AjAction, check_depth
@@ -17,140 +21,72 @@ from .tree import (
     ConstituencyTree,
     Internal,
     Leaf,
-    Node,
     Token,
     end_index,
     rightmost_chain,
 )
 
-SHIFT_KIND = "shift"
-REDUCE_KIND = "reduce"
-PROJECT_KIND = "project"
+SHIFT = "shift"
+REDUCE = "reduce"
 
 
 class IllegalStackError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class IsrAction:
-    kind: str
-    label: Optional[str] = None
-
-    def __post_init__(self):
-        if self.kind not in (SHIFT_KIND, REDUCE_KIND, PROJECT_KIND):
-            raise ValueError(f"unknown ISR action kind: {self.kind!r}")
-        if self.kind == PROJECT_KIND and not self.label:
-            raise ValueError("project requires a non-empty label")
-        if self.kind != PROJECT_KIND and self.label is not None:
-            raise ValueError(f"{self.kind} takes no label")
-
-    def __str__(self) -> str:
-        return f"pj:{self.label}" if self.kind == PROJECT_KIND else self.kind
+def project(label: str) -> str:
+    """The ``pj:label`` action, one interned ``str`` per label."""
+    if not label:
+        raise ValueError("project requires a non-empty label")
+    return sys.intern("pj:" + label)
 
 
-SHIFT = IsrAction(SHIFT_KIND)
-REDUCE = IsrAction(REDUCE_KIND)
-
-
-_PROJECT_CACHE: dict = {}
-
-
-def project(label: str) -> IsrAction:
-    """The one ``pj:label`` action per label."""
-    action = _PROJECT_CACHE.get(label)
-    if action is None:
-        action = _PROJECT_CACHE[label] = IsrAction(PROJECT_KIND, label)
-    return action
+def _projected_label(action: str) -> str:
+    """The label that the action ``pj:label`` pushes; ValueError otherwise."""
+    if action[:3] != "pj:" or len(action) == 3:
+        raise ValueError(f"unknown ISR action: {action!r}")
+    return action[3:]
 
 
 def format_isr_actions(actions) -> str:
-    return " ".join(str(a) for a in actions)
+    return " ".join(actions)
 
 
 def parse_isr_actions(text: str) -> list:
-    actions = []
-    for tok in text.split():
-        if tok == "shift":
-            actions.append(SHIFT)
-        elif tok == "reduce":
-            actions.append(REDUCE)
-        elif tok.startswith("pj:"):
-            actions.append(project(tok[3:]))
-        else:
-            raise ValueError(f"unknown ISR action token: {tok!r}")
-    return actions
+    return [
+        tok if tok in (SHIFT, REDUCE) else project(_projected_label(tok))
+        for tok in text.split()
+    ]
 
 
-@dataclass(frozen=True)
-class Projected:
-    """A nonterminal pushed before its constituent is complete."""
-
-    label: str
-
-
-_PROJECTED_CACHE: dict = {}
-
-
-def _projected_cached(label: str) -> Projected:
-    pj = _PROJECTED_CACHE.get(label)
-    if pj is None:
-        pj = _PROJECTED_CACHE[label] = Projected(label)
-    return pj
-
-
-# A stack is a tuple of nodes and ``Projected`` items, bottom to top.
 EMPTY_STACK = ()
 
 
-@dataclass(frozen=True)
-class AugmentedTree:
-    """A partial tree with a marked rightmost-chain depth.
-
-    ``root`` may be None (empty tree, mark -1) or, transiently, a bare leaf
-    (the stack right after the first shift); otherwise an internal node.
-    """
-
-    root: Optional[Node]
-    mark: int
-
-    def __post_init__(self):
-        # Only the top mark + 1 chain nodes need to exist; the whole chain
-        # is measured for the error message alone.
-        node = self.root
-        depth = 0
-        while depth <= self.mark and isinstance(node, Internal):
-            node = node.children[-1]
-            depth += 1
-        if self.mark < -1 or depth <= self.mark:
-            depth = len(rightmost_chain(self.root))
-            raise ValueError(f"mark {self.mark} out of range for chain length {depth}")
-
-
-def isr_apply(stack: tuple, action: IsrAction, next_token: Optional[Token] = None) -> tuple:
-    if action.kind == SHIFT_KIND:
+def isr_apply(stack: tuple, action: str, next_token: Optional[Token] = None) -> tuple:
+    if action == SHIFT:
         if next_token is None:
             raise IllegalStackError("shift requires the next token")
         # The top element holds the last shifted leaf; a projection on top,
         # which no move makes, holds none.
-        if stack and isinstance(stack[-1], Projected):
+        if stack and isinstance(stack[-1], str):
             raise IllegalStackError("shift requires a completed subtree on top")
         return stack + (Leaf(next_token, end_index(stack[-1]) if stack else 0),)
-    if action.kind == PROJECT_KIND:
-        # The nonterminal is inserted beneath the completed top element.
-        if not stack or isinstance(stack[-1], Projected):
-            raise IllegalStackError("project requires a completed subtree on top")
-        return stack[:-1] + (_projected_cached(action.label), stack[-1])
-    # reduce: pop down to the nearest projected nonterminal.
-    idx = len(stack) - 1
-    while idx >= 0 and not isinstance(stack[idx], Projected):
-        idx -= 1
-    if idx < 0:
-        raise IllegalStackError("reduce requires a projected nonterminal on the stack")
-    children = stack[idx + 1 :]
-    if not children:
-        raise IllegalStackError("reduce requires at least one item above the projection")
-    return stack[:idx] + (Internal(stack[idx].label, children),)
+    if action == REDUCE:
+        # Pop down to the nearest projected nonterminal.
+        idx = len(stack) - 1
+        while idx >= 0 and not isinstance(stack[idx], str):
+            idx -= 1
+        if idx < 0:
+            raise IllegalStackError("reduce requires a projected nonterminal on the stack")
+        children = stack[idx + 1 :]
+        if not children:
+            raise IllegalStackError("reduce requires at least one item above the projection")
+        return stack[:idx] + (Internal(stack[idx], children),)
+    label = _projected_label(action)
+    # The nonterminal is inserted beneath the completed top element.
+    if not stack or isinstance(stack[-1], str):
+        raise IllegalStackError("project requires a completed subtree on top")
+    return stack[:-1] + (label, stack[-1])
 
 
 def is_legal_stack(stack: tuple) -> bool:
@@ -166,12 +102,12 @@ def is_legal_stack(stack: tuple) -> bool:
     """
     if not stack:
         return True
-    if isinstance(stack[-1], Projected):
+    if isinstance(stack[-1], str):
         return False
-    return len(stack) == 1 or isinstance(stack[0], Projected)
+    return len(stack) == 1 or isinstance(stack[0], str)
 
 
-def phi(stack: tuple) -> AugmentedTree:
+def phi(stack: tuple) -> tuple:
     """Map a legal stack to (fully-reduced tree, #projections - 1).
 
     One pass from the top folds the items above each projection as it meets
@@ -180,41 +116,48 @@ def phi(stack: tuple) -> AugmentedTree:
     above = []  # the items above the current position, top first
     n_proj = 0
     for e in reversed(stack):
-        if isinstance(e, Projected):
+        if isinstance(e, str):
             if not above:
                 raise IllegalStackError("phi is only defined on legal stacks")
             n_proj += 1
             above.reverse()
-            above = [Internal(e.label, tuple(above))]
+            above = [Internal(e, tuple(above))]
         else:
             above.append(e)
     if len(above) > 1:
         raise IllegalStackError("phi is only defined on legal stacks")
-    return AugmentedTree(above[0] if above else None, n_proj - 1)
+    return (above[0] if above else None), n_proj - 1
 
 
-def gamma(aug: AugmentedTree) -> tuple:
+def gamma(aug: tuple) -> tuple:
     """Inverse of phi: rebuild the stack by extended in-order traversal.
 
     Rightmost-chain nodes with depth <= mark contribute a projected
     nonterminal followed by their non-final children as whole subtrees,
     recursing into the last child; every other subtree is pushed whole.
+    ``root`` may be None (mark -1) or a bare leaf. ValueError on a mark
+    outside -1 .. len(chain) - 1.
     """
-    node = aug.root
-    if node is None:
-        return EMPTY_STACK
+    root, mark = aug
+    node = root
     elems = []
-    for _ in range(aug.mark + 1):
-        elems.append(_projected_cached(node.label))
-        elems.extend(node.children[:-1])
-        node = node.children[-1]
-    elems.append(node)
-    return tuple(elems)
+    if mark >= -1:
+        for _ in range(mark + 1):
+            if not isinstance(node, Internal):
+                break
+            elems.append(node.label)
+            elems.extend(node.children[:-1])
+            node = node.children[-1]
+        else:
+            if node is not None:
+                elems.append(node)
+            return tuple(elems)
+    raise ValueError(f"mark {mark} out of range for chain length {len(rightmost_chain(root))}")
 
 
-def xi(tree: ConstituencyTree) -> AugmentedTree:
+def xi(tree: ConstituencyTree) -> tuple:
     """Embed a plain partial tree by marking its whole rightmost chain."""
-    return AugmentedTree(tree.root, len(rightmost_chain(tree)) - 1)
+    return tree.root, len(rightmost_chain(tree)) - 1
 
 
 def translate_action(state_tree: ConstituencyTree, action: AjAction) -> list:
@@ -271,6 +214,6 @@ def replay(actions, tokens) -> tuple:
     stack = EMPTY_STACK
     it = iter(tokens)
     for action in actions:
-        token = next(it) if action.kind == SHIFT_KIND else None
+        token = next(it) if action == SHIFT else None
         stack = isr_apply(stack, action, token)
     return stack

@@ -49,9 +49,7 @@ from ajparse.isr import (
     EMPTY_STACK,
     REDUCE,
     SHIFT,
-    AugmentedTree,
     IllegalStackError,
-    Projected,
     is_legal_stack,
     isr_apply,
     project,
@@ -277,38 +275,39 @@ def reference_reduce_fully(elems):
     elems = list(elems)
     while True:
         idx = next(
-            (i for i in range(len(elems) - 1, -1, -1) if isinstance(elems[i], Projected)),
+            (i for i in range(len(elems) - 1, -1, -1) if isinstance(elems[i], str)),
             None,
         )
         if idx is None:
             return elems
         if idx == len(elems) - 1:
             return None
-        elems[idx:] = [Internal(elems[idx].label, tuple(elems[idx + 1 :]))]
+        elems[idx:] = [Internal(elems[idx], tuple(elems[idx + 1 :]))]
 
 
 def reference_phi(stack):
     final = reference_reduce_fully(stack)
     if final is None or len(final) > 1:
         raise IllegalStackError("phi is only defined on legal stacks")
-    n_proj = sum(1 for e in stack if isinstance(e, Projected))
+    n_proj = sum(1 for e in stack if isinstance(e, str))
     root = final[0] if final else None
-    return AugmentedTree(root, n_proj - 1)
+    return root, n_proj - 1
 
 
 def reference_gamma(aug):
     """``(gamma(aug), n)``, where ``n`` counts every leaf of ``aug``."""
+    root, mark = aug
     elems = []
-    node = aug.root
+    node = root
     depth = 0
     if node is not None:
-        while isinstance(node, Internal) and depth <= aug.mark:
-            elems.append(Projected(node.label))
+        while isinstance(node, Internal) and depth <= mark:
+            elems.append(node.label)
             elems.extend(node.children[:-1])
             node = node.children[-1]
             depth += 1
         elems.append(node)
-    return tuple(elems), sum(1 for _ in iter_leaves(aug.root))
+    return tuple(elems), sum(1 for _ in iter_leaves(root))
 
 
 def reference_enumerate_legal_stacks(max_tokens: int, labels):

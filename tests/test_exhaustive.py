@@ -1,5 +1,6 @@
 import pytest
 
+from ajparse import exhaustive, isr
 from ajparse.exhaustive import (
     CheckReport,
     check_bijection,
@@ -9,7 +10,7 @@ from ajparse.exhaustive import (
     enumerate_trees,
     run_all_checks,
 )
-from ajparse.isr import is_legal_stack
+from ajparse.isr import REDUCE, is_legal_stack
 from ajparse.tree import end_index, has_unary_chains
 
 from reference import reference_enumerate_legal_stacks
@@ -56,6 +57,56 @@ def test_enumerated_stacks_match_reference(max_tokens, vocab_size):
     assert len(set(stacks)) == len(stacks)
     expected = set(reference_enumerate_legal_stacks(max_tokens, labels))
     assert {(s, end_index(s[-1]) if s else 0) for s in stacks} == expected
+
+
+def test_stack_search_tries_only_legal_moves(monkeypatch):
+    # Every isr_apply call makes a new legal stack: none is spent on a move
+    # that raises IllegalStackError or that is_legal_stack rejects.
+    calls = 0
+
+    def counting_isr_apply(*args):
+        nonlocal calls
+        calls += 1
+        return isr.isr_apply(*args)
+
+    monkeypatch.setattr(exhaustive, "isr_apply", counting_isr_apply)
+    stacks = sum(1 for _ in enumerate_legal_stacks(3, ["A", "B"]))
+    assert stacks == 28822
+    assert calls == stacks - 1
+
+
+def _phi_marks_one_deeper(stack):
+    root, mark = isr.phi(stack)
+    return root, mark + 1
+
+
+def _gamma_drops_bottom_projection(aug):
+    stack = list(isr.gamma(aug))
+    for i, elem in enumerate(stack):
+        if isinstance(elem, str):
+            del stack[i]
+            break
+    return tuple(stack)
+
+
+def _translation_with_one_more_reduce(state, action):
+    return isr.translate_action(state, action) + [REDUCE]
+
+
+@pytest.mark.parametrize("name, mutant, check", [
+    ("phi", _phi_marks_one_deeper, check_bijection),
+    ("gamma", _gamma_drops_bottom_projection, check_bijection),
+    ("gamma", _gamma_drops_bottom_projection, check_translation),
+    ("translate_action", _translation_with_one_more_reduce, check_translation),
+], ids=["phi-bijection", "gamma-bijection", "gamma-translation", "translate-translation"])
+def test_checks_report_a_broken_map(monkeypatch, name, mutant, check):
+    # Negative controls: each check compares with !=, so a wrong value (or a
+    # mark gamma rejects) must show as a failure, not pass or raise.
+    monkeypatch.setattr(exhaustive, name, mutant)
+    report = CheckReport()
+    check(2, ["A"], report)
+    assert report.failures
+    assert not run_all_checks(2, 1).ok
 
 
 def test_bounds_enforced():

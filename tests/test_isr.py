@@ -5,9 +5,7 @@ from ajparse.isr import (
     EMPTY_STACK,
     REDUCE,
     SHIFT,
-    AugmentedTree,
     IllegalStackError,
-    Projected,
     format_isr_actions,
     gamma,
     is_legal_stack,
@@ -58,6 +56,16 @@ def test_isr_action_validation():
         parse_isr_actions("shift pop")
 
 
+@pytest.mark.parametrize("action", ["pop", "pj:", "Shift"])
+def test_isr_apply_rejects_unknown_actions(action):
+    # A move that is no action is a plain ValueError, which the stack
+    # search does not catch as an illegal move, whatever the stack.
+    for stack in (EMPTY_STACK, (leaf("a", 0),)):
+        with pytest.raises(ValueError) as info:
+            isr_apply(stack, action, tok("b"))
+        assert not isinstance(info.value, IllegalStackError)
+
+
 def test_isr_action_format_roundtrip():
     acts = [SHIFT, project("NP"), REDUCE]
     text = format_isr_actions(acts)
@@ -73,13 +81,13 @@ def test_shift_pushes_indexed_leaf():
     with pytest.raises(IllegalStackError):
         isr_apply(EMPTY_STACK, SHIFT)  # no token supplied
     with pytest.raises(IllegalStackError):
-        isr_apply((Projected("A"),), SHIFT, tok("a"))  # no leaf to count from
+        isr_apply(("A",), SHIFT, tok("a"))  # no leaf to count from
 
 
 def test_project_inserts_beneath_top():
     s = isr_apply(EMPTY_STACK, SHIFT, tok("a"))
     s = isr_apply(s, project("NP"))
-    assert s[0] == Projected("NP")
+    assert s[0] == "NP"
     assert s[1].token.word == "a"
     with pytest.raises(IllegalStackError):
         isr_apply(EMPTY_STACK, project("NP"))
@@ -105,18 +113,17 @@ def test_reduce_requires_item_above_projection():
 
 
 def stacks_for_legality():
-    P = Projected
     t = leaf("a", 0)
     return [
         (),
         (t,),
-        (P("S"), t),
-        (P("S"), t, P("VP"), t),
-        (P("S"), P("NP"), t),  # consecutive projections
+        ("S", t),
+        ("S", t, "VP", t),
+        ("S", "NP", t),  # consecutive projections
         (t, t),
-        (t, P("S"), t),
-        (P("S"), t, P("VP")),
-        (P("S"),),
+        (t, "S", t),
+        ("S", t, "VP"),
+        ("S",),
     ]
 
 
@@ -128,11 +135,11 @@ def test_legality_closed_form_matches_reduce_simulation():
 
 
 def test_consecutive_projections_are_legal():
-    s = (Projected("S"), Projected("NP"), leaf("a", 0))
+    s = ("S", "NP", leaf("a", 0))
     assert is_legal_stack(s)
-    aug = phi(s)
-    assert aug.mark == 1
-    assert aug.root.label == "S" and aug.root.children[0].label == "NP"
+    root, mark = phi(s)
+    assert mark == 1
+    assert root.label == "S" and root.children[0].label == "NP"
 
 
 def test_phi_rejects_illegal_stacks():
@@ -141,41 +148,37 @@ def test_phi_rejects_illegal_stacks():
 
 
 def test_phi_of_empty_and_single_leaf():
-    assert phi(EMPTY_STACK) == AugmentedTree(None, -1)
+    assert phi(EMPTY_STACK) == (None, -1)
     s = isr_apply(EMPTY_STACK, SHIFT, tok("a"))
-    aug = phi(s)
-    assert isinstance(aug.root, Leaf) and aug.mark == -1
+    root, mark = phi(s)
+    assert isinstance(root, Leaf) and mark == -1
 
 
-def test_augmented_tree_mark_bounds():
+def test_gamma_rejects_marks_outside_the_chain():
     root = Internal("S", (leaf("a", 0),))
-    AugmentedTree(root, -1)
-    AugmentedTree(root, 0)
-    with pytest.raises(ValueError):
-        AugmentedTree(root, 1)  # chain length is 1
-    with pytest.raises(ValueError):
-        AugmentedTree(None, 0)
+    assert gamma((root, -1)) == (root,)
+    assert gamma((root, 0)) == ("S", leaf("a", 0))
+    assert gamma((leaf("a", 0), -1)) == (leaf("a", 0),)
+    for aug in ((root, -2), (root, 1), (root, 2), (None, 0), (None, -2), (leaf("a", 0), 0)):
+        with pytest.raises(ValueError, match="out of range"):
+            gamma(aug)
 
 
 def test_gamma_worked_example():
     # Fully marked chain of (S (NP a) (VP b ...)): S and VP sit below their
     # first completed constituents as projections.
     t = parse_bracketed("(S (NP (T a)) (VP (T b)))")
-    stack = gamma(AugmentedTree(t.root, 1))
-    names = [
-        e.token.word if isinstance(e, Leaf) else e.label for e in stack
-    ]
-    assert names == ["S", "NP", "VP", "b"]
-    assert isinstance(stack[0], Projected)
-    assert isinstance(stack[2], Projected)
+    stack = gamma((t.root, 1))
+    assert stack[0] == "S" and stack[2] == "VP"
     # The NP child is pushed whole, not opened.
-    assert isinstance(stack[1], Internal)
+    assert isinstance(stack[1], Internal) and stack[1].label == "NP"
+    assert stack[3] == leaf("b", 1)
 
 
 def test_gamma_phi_inverse_on_example():
     t = parse_bracketed("(S (NP (T a)) (VP (T b) (NP (T c))))")
     for mark in range(-1, 3):
-        aug = AugmentedTree(t.root, mark)
+        aug = (t.root, mark)
         stack = gamma(aug)
         assert is_legal_stack(stack)
         assert phi(stack) == aug
@@ -183,9 +186,8 @@ def test_gamma_phi_inverse_on_example():
 
 def test_xi_marks_whole_chain():
     t = parse_bracketed("(S (NP (T a)) (VP (T b)))")
-    aug = xi(t)
-    assert aug.mark == 1  # chain [S, VP]
-    assert xi(EMPTY_TREE) == AugmentedTree(None, -1)
+    assert xi(t) == (t.root, 1)  # chain [S, VP]
+    assert xi(EMPTY_TREE) == (None, -1)
 
 
 def test_translate_degenerate_first_attach():
@@ -280,15 +282,15 @@ def test_per_step_translation_lands_on_gamma_xi(fig_tree):
 
 
 @st.composite
-def isr_walk_steps(draw, keep_legal=True, max_steps=14, max_tokens=6):
+def isr_walk_steps(draw, keep_legal=True, max_steps=14, max_tokens=6, labels=("A", "B")):
     """The ``(move, stack after it)`` steps of a random walk of shift,
-    project and reduce from the empty stack. Every move is one
-    ``isr_apply`` accepts; with ``keep_legal`` each intermediate stack is
-    also legal. The walk counts its own shifts and names the token of shift
-    ``i`` ``w<i>``."""
+    project (to each of ``labels``) and reduce from the empty stack. Every
+    move is one ``isr_apply`` accepts; with ``keep_legal`` each intermediate
+    stack is also legal. The walk counts its own shifts and names the token
+    of shift ``i`` ``w<i>``."""
     stack, shifts, steps = EMPTY_STACK, 0, []
     for _ in range(draw(st.integers(0, max_steps))):
-        moves = [project("A"), project("B"), REDUCE]
+        moves = [project(label) for label in labels] + [REDUCE]
         if shifts < max_tokens:
             moves.append(SHIFT)
         succs = []
@@ -324,13 +326,25 @@ def test_shift_indexes_each_leaf_by_the_shifts_before_it(steps):
         assert consumed(stack) == shifts
 
 
+@settings(max_examples=200)
+@given(st.data())
+def test_isr_actions_round_trip_through_their_text(data):
+    # str.split() cuts at exactly the characters str.isspace() accepts.
+    label = st.text(min_size=1).filter(lambda text: text.split() == [text])
+    labels = data.draw(st.lists(label, min_size=1, max_size=3, unique=True))
+    acts = [move for move, _ in data.draw(isr_walk_steps(labels=labels))]
+    assert parse_isr_actions(format_isr_actions(acts)) == acts
+    for label in labels:
+        assert project(label) is project(label)
+
+
 @st.composite
 def any_stacks(draw):
     """Stacks from unrestricted walks, some with a projection pushed on
     top, which no ``isr_apply`` move produces and no reduce can fold."""
     stack = draw(isr_walks(keep_legal=False))
     if draw(st.booleans()):
-        stack += (Projected("A"),)
+        stack += ("A",)
     return stack
 
 
@@ -338,7 +352,7 @@ def _phi_outcome(fn, stack):
     try:
         return fn(stack)
     except IllegalStackError as err:
-        return ("IllegalStackError", str(err))
+        return f"IllegalStackError: {err}"
 
 
 @settings(max_examples=300)
@@ -346,7 +360,7 @@ def _phi_outcome(fn, stack):
 def test_phi_matches_reference(stack):
     outcome = _phi_outcome(phi, stack)
     assert outcome == _phi_outcome(reference_phi, stack)
-    assert isinstance(outcome, AugmentedTree) == is_legal_stack(stack)
+    assert isinstance(outcome, tuple) == is_legal_stack(stack)
 
 
 @settings(max_examples=300)
@@ -354,7 +368,7 @@ def test_phi_matches_reference(stack):
 def test_reduce_fully_is_the_reduce_fold(stack):
     folded = stack
     try:
-        while any(isinstance(e, Projected) for e in folded):
+        while any(isinstance(e, str) for e in folded):
             folded = isr_apply(folded, REDUCE)
         expected = list(folded)
     except IllegalStackError:
@@ -365,9 +379,9 @@ def test_reduce_fully_is_the_reduce_fold(stack):
 @settings(max_examples=300)
 @given(isr_walks())
 def test_gamma_consumed_is_the_leaf_count(stack):
-    aug = phi(stack)
+    root, _ = aug = phi(stack)
     assert gamma(aug) == stack
-    for mark in range(-1, len(rightmost_chain(aug.root))):
-        marked = AugmentedTree(aug.root, mark)
+    for mark in range(-1, len(rightmost_chain(root))):
+        marked = (root, mark)
         rebuilt = gamma(marked)
         assert (rebuilt, consumed(rebuilt)) == reference_gamma(marked)
