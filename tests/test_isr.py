@@ -169,10 +169,9 @@ def test_gamma_worked_example():
     # first completed constituents as projections.
     t = parse_bracketed("(S (NP (T a)) (VP (T b)))")
     stack = gamma((t.root, 1))
-    assert stack[0] == "S" and stack[2] == "VP"
     # The NP child is pushed whole, not opened.
+    assert stack == ("S", t.root.children[0], "VP", leaf("b", 1))
     assert isinstance(stack[1], Internal) and stack[1].label == "NP"
-    assert stack[3] == leaf("b", 1)
 
 
 def test_gamma_phi_inverse_on_example():
