@@ -16,7 +16,7 @@ from .isr import (
     EMPTY_STACK, SHIFT, format_isr_actions, is_legal_stack, isr_apply, translate_sequence,
 )
 from .oracle import oracle_action_sequence
-from .transition import apply_sequence, format_actions
+from .transition import action_kind, apply_sequence, format_actions
 from .tree import Internal, Token, iter_nodes, node_equal, tree_equal
 from .treebank import (
     TreebankFormatError,
@@ -212,7 +212,7 @@ def cmd_stats(args) -> int:
         isr_actions = translate_sequence(tokens, actions)
         aj_total += len(actions)
         isr_total += len(isr_actions)
-        kind_hist.update(a.kind for a in actions)
+        kind_hist.update(map(action_kind, actions))
 
     ok, fail = _each_entry(args, work)
     print(f"sentences: {ok}")

@@ -274,20 +274,27 @@ def _reduce_key(key: tuple):
 
 
 def check_translation(n_max: int, labels, report: CheckReport) -> None:
-    """Per-step translation soundness over every enumerated oracle step."""
+    """Per-step translation soundness over every enumerated oracle step; an
+    ISR replay that raises is a failure and ends its tree's replay."""
     for n in range(1, n_max + 1):
         for tree in enumerate_trees(n, labels):
             state = INITIAL_STATE
             stack = EMPTY_STACK
             for i, action in enumerate(oracle_action_sequence(tree)):
                 token = _token(i)
-                for isr_action in translate_action(state, action):
-                    tok = token if isr_action == SHIFT else None
-                    stack = isr_apply(stack, isr_action, tok)
-                    if not is_legal_stack(stack):
-                        report.failures.append(
-                            f"illegal intermediate stack for {tree!r} step {i}"
-                        )
+                try:
+                    for isr_action in translate_action(state, action):
+                        tok = token if isr_action == SHIFT else None
+                        stack = isr_apply(stack, isr_action, tok)
+                        if not is_legal_stack(stack):
+                            report.failures.append(
+                                f"illegal intermediate stack for {tree!r} step {i}"
+                            )
+                except ValueError as err:  # isr_apply rejects the move
+                    report.failures.append(
+                        f"translated replay raised {err!r} for {tree!r} at step {i}"
+                    )
+                    break
                 state = apply_action(state, token, action)
                 expected = gamma(xi(state))
                 if stack != expected:

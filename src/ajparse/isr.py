@@ -16,7 +16,7 @@ from __future__ import annotations
 import sys
 from typing import Optional
 
-from .transition import ATTACH, AjAction, check_depth
+from .transition import check_depth
 from .tree import (
     ConstituencyTree,
     Internal,
@@ -160,7 +160,7 @@ def xi(tree: ConstituencyTree) -> tuple:
     return tree.root, len(rightmost_chain(tree)) - 1
 
 
-def translate_action(state_tree: ConstituencyTree, action: AjAction) -> list:
+def translate_action(state_tree: ConstituencyTree, action: tuple) -> list:
     """ISR action sequence equivalent to one attach-juxtapose action.
 
     attach(i, X):    (L - i - 1) reduces, shift, then pj:X when X is given.
@@ -172,22 +172,23 @@ def translate_action(state_tree: ConstituencyTree, action: AjAction) -> list:
     return _translate(depth, action)
 
 
-def _translate(depth: int, action: AjAction) -> list:
+def _translate(depth: int, action: tuple) -> list:
     """``translate_action`` on a state with a legal action and a rightmost
     chain of ``depth`` nodes."""
+    target, parent_label, new_label = action
     if depth == 0:
         n_reduce = 0
-    elif action.kind == ATTACH:
-        n_reduce = depth - action.target - 1
+    elif new_label is None:
+        n_reduce = depth - target - 1
     else:
-        n_reduce = depth - action.target
+        n_reduce = depth - target
 
     out = [REDUCE] * n_reduce
-    if action.kind != ATTACH:
-        out.append(project(action.new_label))
+    if new_label is not None:
+        out.append(project(new_label))
     out.append(SHIFT)
-    if action.parent_label is not None:
-        out.append(project(action.parent_label))
+    if parent_label is not None:
+        out.append(project(parent_label))
     return out
 
 
@@ -204,7 +205,8 @@ def translate_sequence(tokens, actions) -> list:
     for _, action in zip(tokens, actions):
         check_depth(depth, action)
         out.extend(_translate(depth, action))
-        depth = 1 if depth == 0 else action.target + 1 + (action.parent_label is not None)
+        target, parent_label, _ = action
+        depth = 1 if depth == 0 else target + 1 + (parent_label is not None)
     out.extend([REDUCE] * depth)
     return out
 

@@ -7,21 +7,12 @@ Input trees must not contain unary chains.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from .transition import AjAction, attach, close_chain, juxtapose, open_chain
+from .transition import attach, close_chain, juxtapose, open_chain
 from .tree import ConstituencyTree, Internal, has_unary_chains
 
 # Branch identifiers from the last-action decision table. "1-1" (a leaf that
 # is also the root) cannot occur on well-formed trees; seeing it is a bug.
 CASES = ("1-1", "1-2", "1-3", "2-1", "2-2", "2-3")
-
-
-@dataclass(frozen=True)
-class OracleStep:
-    action: AjAction
-    predecessor: ConstituencyTree
-    case: str
 
 
 def _require_oracle_input(tree: ConstituencyTree) -> None:
@@ -63,12 +54,14 @@ def _undo_last(chain: list):
     return attach(holder_depth, parent_label), f"{branch}-3"
 
 
-def last_action(tree: ConstituencyTree) -> OracleStep:
+def last_action(tree: ConstituencyTree) -> tuple:
+    """``(action, predecessor, case)``: the last action that built ``tree``,
+    the tree it was applied to, and the decision-table branch taken."""
     _require_oracle_input(tree)
     chain = []
     open_chain(chain, tree.root)
     action, case = _undo_last(chain)
-    return OracleStep(action, ConstituencyTree(close_chain(chain, 0)), case)
+    return action, ConstituencyTree(close_chain(chain, 0)), case
 
 
 def oracle_action_sequence(tree: ConstituencyTree, case_tally=None) -> list:

@@ -19,6 +19,7 @@ from dataclasses import dataclass, field
 from .oracle import oracle_action_sequence
 from .transition import (
     action_at,
+    action_kind,
     apply_sequence,
     attach,
     close_chain,
@@ -321,7 +322,7 @@ def _teacher_steps(tokens, actions):
     for i, (token, action) in enumerate(zip(tokens, actions)):
         yield chain, token, tuple(tokens[max(0, i - 2) : i]), prev_kind, action
         step(chain, Leaf(token, i), action)
-        prev_kind = action.kind
+        prev_kind = action_kind(action)
 
 
 def train(trees, epochs: int, seed: int) -> ActionScorer:
@@ -351,6 +352,7 @@ def train(trees, epochs: int, seed: int) -> ActionScorer:
         totals = Counter()
         for idx in order:
             for chain, token, context, prev_kind, action in _teacher_steps(*examples[idx]):
+                gold_d, gold_parent, gold_new = action
                 feats = featurize(chain, token, context, prev_kind)
                 for w in factors:
                     w.tick()
@@ -362,14 +364,14 @@ def train(trees, epochs: int, seed: int) -> ActionScorer:
                 if len(chain) > 1:
                     pred_d = max(range(len(targets)), key=targets.__getitem__)
                     totals["target"] += 1
-                    if pred_d == action.target:
+                    if pred_d == gold_d:
                         hits["target"] += 1
                     else:
-                        target_w.update(_target_features(chain, action.target, token), 0, 1.0)
+                        target_w.update(_target_features(chain, gold_d, token), 0, 1.0)
                         target_w.update(_target_features(chain, pred_d, token), 0, -1.0)
                 for factor, w, scores, gold in (
-                    ("parent", parent_w, parent_scores, slot_of[action.parent_label]),
-                    ("new", new_w, new_scores, slot_of[action.new_label]),
+                    ("parent", parent_w, parent_scores, slot_of[gold_parent]),
+                    ("new", new_w, new_scores, slot_of[gold_new]),
                 ):
                     pred = scores.index(max(scores))
                     totals[factor] += 1
@@ -441,10 +443,10 @@ def decode_beam(scorer: ActionScorer, tokens, beam: int) -> ConstituencyTree:
         items = []
         for rank, (neg_total, _, k, _, chain) in enumerate(candidates[:beam]):
             action = action_at(k, len(chain), choices)
-            d = action.target
+            d, _, _ = action
             successor = chain[:d] + [[label, list(kids)] for label, kids in chain[d:]]
             step(successor, Leaf(token, i), action)
-            items.append((-neg_total, rank, successor, action.kind))
+            items.append((-neg_total, rank, successor, action_kind(action)))
     return ConstituencyTree(close_chain(items[0][2], 0))
 
 

@@ -9,7 +9,6 @@ to such a node beneath a freshly created parent.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from typing import Iterable, Optional
 
 from .tree import (
@@ -32,39 +31,33 @@ class IllegalActionError(ValueError):
         self.reason = reason
         self.action = action
         self.step = step
-        detail = f" (action={action}" + (f", step={step})" if step is not None else ")")
-        super().__init__(reason + (detail if action is not None else ""))
+        if action is not None:
+            where = f", step={step}" if step is not None else ""
+            reason += f" (action={_action_text(action)}{where})"
+        super().__init__(reason)
 
 
-@dataclass(frozen=True)
-class AjAction:
-    kind: str
-    target: int
-    parent_label: Optional[str] = None
-    new_label: Optional[str] = None
-
-    def __post_init__(self):
-        if self.kind not in (ATTACH, JUXTAPOSE):
-            raise ValueError(f"unknown action kind: {self.kind!r}")
-        if self.target < 0:
-            raise ValueError("target must be >= 0")
-        if self.kind == ATTACH and self.new_label is not None:
-            raise ValueError("attach takes no new_label")
-        if self.kind == JUXTAPOSE and self.new_label is None:
-            raise ValueError("juxtapose requires a new_label")
-
-    def __str__(self) -> str:
-        if self.kind == ATTACH:
-            return f"attach({self.target},{self.parent_label})"
-        return f"juxtapose({self.target},{self.parent_label},{self.new_label})"
+def attach(target: int, parent_label: Optional[str] = None) -> tuple:
+    """An action is the tuple ``(target, parent_label, new_label)``; an
+    attach is the one with no new label."""
+    return target, parent_label, None
 
 
-def attach(target: int, parent_label: Optional[str] = None) -> AjAction:
-    return AjAction(ATTACH, target, parent_label)
+def juxtapose(target: int, parent_label: Optional[str], new_label: str) -> tuple:
+    if new_label is None:
+        raise ValueError("juxtapose requires a new_label")
+    return target, parent_label, new_label
 
 
-def juxtapose(target: int, parent_label: Optional[str], new_label: str) -> AjAction:
-    return AjAction(JUXTAPOSE, target, parent_label, new_label)
+def action_kind(action: tuple) -> str:
+    return ATTACH if action[2] is None else JUXTAPOSE
+
+
+def _action_text(action: tuple) -> str:
+    target, parent_label, new_label = action
+    if new_label is None:
+        return f"attach({target},{parent_label})"
+    return f"juxtapose({target},{parent_label},{new_label})"
 
 
 _ACTION_RE = re.compile(
@@ -72,8 +65,8 @@ _ACTION_RE = re.compile(
 )
 
 
-def format_actions(actions: Iterable[AjAction]) -> str:
-    return " ".join(str(a) for a in actions)
+def format_actions(actions: Iterable[tuple]) -> str:
+    return " ".join(map(_action_text, actions))
 
 
 def parse_actions(text: str) -> list:
@@ -103,20 +96,20 @@ def parse_actions(text: str) -> list:
 INITIAL_STATE = EMPTY_TREE
 
 
-def check_depth(depth: int, action: AjAction) -> None:
+def check_depth(depth: int, action: tuple) -> None:
     """The legality rule shared by every consumer of actions, on a state
     whose rightmost chain has ``depth`` nodes: the empty tree (depth 0)
     admits only ``attach(0, <label>)``, any other tree a target on its
     rightmost chain."""
+    target, parent_label, new_label = action
     if depth == 0:
-        if action.kind != ATTACH or action.target != 0 or action.parent_label is None:
+        if new_label is not None or target != 0 or parent_label is None:
             raise IllegalActionError(
                 "the empty tree only admits attach(0, <label>)", action
             )
-    elif not 0 <= action.target < depth:
+    elif not 0 <= target < depth:
         raise IllegalActionError(
-            f"target {action.target} outside rightmost chain of length {depth}",
-            action,
+            f"target {target} outside rightmost chain of length {depth}", action
         )
 
 
@@ -125,7 +118,7 @@ def label_choices(labels) -> list:
     return [None] + sorted(labels)
 
 
-def action_at(index: int, depth: int, choices) -> AjAction:
+def action_at(index: int, depth: int, choices) -> tuple:
     """The action at ``index`` of the action space of a state whose rightmost
     chain has ``depth`` nodes, with ``choices = label_choices(V)`` of width W.
     On the empty tree, index k is attach(0, choices[k + 1]); otherwise index
@@ -182,34 +175,36 @@ def close_chain(chain: list, depth: int):
     return node
 
 
-def step(chain: list, leaf: Leaf, action: AjAction) -> None:
+def step(chain: list, leaf: Leaf, action: tuple) -> None:
     """Apply a legal ``action`` to the open ``chain`` in place, integrating
-    ``leaf``: the one attach/juxtapose rule. Frames above ``action.target``
-    are left untouched, so chains may share them."""
+    ``leaf``: the one attach/juxtapose rule. Frames above the action's
+    target are left untouched, so chains may share them."""
+    target, parent_label, new_label = action
     if not chain:
         # Degenerate first action: parent_label becomes the new root.
-        chain.append([action.parent_label, [leaf]])
+        chain.append([parent_label, [leaf]])
         return
-    if action.kind == ATTACH:
-        below = close_chain(chain, action.target + 1)
+    if new_label is None:
+        below = close_chain(chain, target + 1)
         if below is not None:
             chain[-1][1].append(below)
     else:
-        chain.append([action.new_label, [close_chain(chain, action.target)]])
-    if action.parent_label is None:
+        chain.append([new_label, [close_chain(chain, target)]])
+    if parent_label is None:
         chain[-1][1].append(leaf)
     else:
-        chain.append([action.parent_label, [leaf]])
+        chain.append([parent_label, [leaf]])
 
 
-def apply_action(state: ConstituencyTree, token: Token, action: AjAction) -> ConstituencyTree:
+def apply_action(state: ConstituencyTree, token: Token, action: tuple) -> ConstituencyTree:
     """Execute one action, integrating ``token`` into the partial tree.
 
     Only the chain down to the target is rebuilt. An opened chain shorter
     than ``target + 1`` is the whole chain, so ``check_depth`` rules as on
     the full one."""
+    target, _, _ = action
     chain = []
-    open_chain(chain, state.root, action.target + 1)
+    open_chain(chain, state.root, target + 1)
     check_depth(len(chain), action)
     step(chain, Leaf(token, state.length), action)
     return ConstituencyTree(close_chain(chain, 0))

@@ -59,10 +59,9 @@ from ajparse.oracle import oracle_action_sequence
 from ajparse.predictor import _NONE_KEY, _node_tag, collect_labels
 from ajparse.scoring import ScoreReport, _sentence_brackets
 from ajparse.transition import (
-    ATTACH,
-    AjAction,
     INITIAL_STATE,
     IllegalActionError,
+    action_kind,
     apply_action,
     attach,
     juxtapose,
@@ -176,31 +175,28 @@ def reference_score(gold: list, predicted) -> ScoreReport:
 def reference_apply_action(state, token, action):
     """Execute one action on a persistent tree, rebuilding the target and
     its ancestors, with its own copy of the legality rule."""
+    target, parent_label, new_label = action
     leaf = Leaf(token, state.length)
     chain = rightmost_chain(state)
     depth = len(chain)
     if depth == 0:
-        if action.kind != ATTACH or action.target != 0 or action.parent_label is None:
+        if new_label is not None or target != 0 or parent_label is None:
             raise IllegalActionError(
                 "the empty tree only admits attach(0, <label>)", action
             )
-        return ConstituencyTree(Internal(action.parent_label, (leaf,)))
-    if not 0 <= action.target < depth:
+        return ConstituencyTree(Internal(parent_label, (leaf,)))
+    if not 0 <= target < depth:
         raise IllegalActionError(
-            f"target {action.target} outside rightmost chain of length {depth}",
+            f"target {target} outside rightmost chain of length {depth}",
             action,
         )
-    new_child = (
-        leaf
-        if action.parent_label is None
-        else Internal(action.parent_label, (leaf,))
-    )
-    target_node = chain[action.target]
-    if action.kind == ATTACH:
+    new_child = leaf if parent_label is None else Internal(parent_label, (leaf,))
+    target_node = chain[target]
+    if new_label is None:
         replacement = Internal(target_node.label, target_node.children + (new_child,))
     else:
-        replacement = Internal(action.new_label, (target_node, new_child))
-    return ConstituencyTree(replace_on_rightmost_chain(chain, action.target, replacement))
+        replacement = Internal(new_label, (target_node, new_child))
+    return ConstituencyTree(replace_on_rightmost_chain(chain, target, replacement))
 
 
 def reference_last_action(root: Internal):
@@ -418,7 +414,7 @@ def teacher_steps(tree):
         context = tuple(tokens[max(0, i - 2) : i])
         steps.append((state, token, context, prev_kind, action))
         state = apply_action(state, token, action)
-        prev_kind = action.kind
+        prev_kind = action_kind(action)
     return steps
 
 
@@ -577,6 +573,7 @@ def reference_train(trees, epochs: int, seed: int):
         totals = Counter()
         for idx in order:
             for state, token, context, prev_kind, action in examples[idx]:
+                gold_d, gold_parent, gold_new = action
                 chain = rightmost_chain(state)
                 feats = featurize(chain, token, context, prev_kind)
                 for w in factors:
@@ -587,14 +584,14 @@ def reference_train(trees, epochs: int, seed: int):
                 if len(chain) > 1:
                     pred_d = max(range(len(targets)), key=targets.__getitem__)
                     totals["target"] += 1
-                    if pred_d == action.target:
+                    if pred_d == gold_d:
                         hits["target"] += 1
                     else:
-                        target_w.update(target_features(chain, action.target, token), 1.0)
+                        target_w.update(target_features(chain, gold_d, token), 1.0)
                         target_w.update(target_features(chain, pred_d, token), -1.0)
                 for factor, w, scores, gold in (
-                    ("parent", parent_w, parent_scores, action.parent_label),
-                    ("new", new_w, new_scores, action.new_label),
+                    ("parent", parent_w, parent_scores, gold_parent),
+                    ("new", new_w, new_scores, gold_new),
                 ):
                     pred = max(scores, key=scores.__getitem__)
                     totals[factor] += 1
@@ -632,8 +629,8 @@ def _step_candidates(weights, labels, state, token, context, prev_kind):
         *weights, featurize(chain, token, context, prev_kind), chain, token, [None] + labels,
     )
     return [
-        (t[a.target] + p[a.parent_label] + n[a.new_label], a)
-        for a in reference_legal_actions(state, labels)
+        (t[d] + p[parent] + n[new], (d, parent, new))
+        for d, parent, new in reference_legal_actions(state, labels)
     ]
 
 
@@ -647,12 +644,13 @@ def _label_sort_key(label: Optional[str]):
     return (0, "") if label is None else (1, label)
 
 
-def _action_sort_key(action: AjAction):
+def _action_sort_key(action):
+    target, parent_label, new_label = action
     return (
-        0 if action.kind == ATTACH else 1,
-        action.target,
-        _label_sort_key(action.parent_label),
-        _label_sort_key(action.new_label),
+        new_label is not None,
+        target,
+        _label_sort_key(parent_label),
+        _label_sort_key(new_label),
     )
 
 
@@ -678,7 +676,7 @@ def reference_decode_beam(scorer, tokens, beam: int):
                 candidates.append((score + s, _action_sort_key(action), rank, state, action))
         candidates.sort(key=lambda c: (-c[0], c[1], c[2]))
         items = [
-            (total, rank, apply_action(state, token, action), action.kind)
+            (total, rank, apply_action(state, token, action), action_kind(action))
             for rank, (total, _, _, state, action) in enumerate(candidates[:beam])
         ]
     return items[0][2]

@@ -93,12 +93,19 @@ def _translation_with_one_more_reduce(state, action):
     return isr.translate_action(state, action) + [REDUCE]
 
 
+def _translation_with_a_reduce_first(state, action):
+    # On the empty stack of a first step, isr_apply raises on this reduce.
+    return [REDUCE] + isr.translate_action(state, action)
+
+
 @pytest.mark.parametrize("name, mutant, check", [
     ("phi", _phi_marks_one_deeper, check_bijection),
     ("gamma", _gamma_drops_bottom_projection, check_bijection),
     ("gamma", _gamma_drops_bottom_projection, check_translation),
     ("translate_action", _translation_with_one_more_reduce, check_translation),
-], ids=["phi-bijection", "gamma-bijection", "gamma-translation", "translate-translation"])
+    ("translate_action", _translation_with_a_reduce_first, check_translation),
+], ids=["phi-bijection", "gamma-bijection", "gamma-translation", "translate-translation",
+        "translate-raises"])
 def test_checks_report_a_broken_map(monkeypatch, name, mutant, check):
     # Negative controls: each check compares with !=, so a wrong value (or a
     # mark gamma rejects) must show as a failure, not pass or raise.

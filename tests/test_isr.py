@@ -110,6 +110,8 @@ def test_reduce_requires_item_above_projection():
     bad = (s[0],)  # lone projection
     with pytest.raises(IllegalStackError):
         isr_apply(bad, REDUCE)
+    with pytest.raises(IllegalStackError):  # no projection at all
+        isr_apply((leaf("a", 0), leaf("b", 1)), REDUCE)
 
 
 def stacks_for_legality():

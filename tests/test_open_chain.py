@@ -49,9 +49,8 @@ def _check_oracle(tree):
     actions = oracle_action_sequence(tree, case_tally=tally)
     assert actions == reference_oracle(tree, case_tally=ref_tally)
     assert tally == ref_tally
-    step = last_action(tree)
-    action, root, case = reference_last_action(tree.root)
-    assert (step.action, step.predecessor.root, step.case) == (action, root, case)
+    action, predecessor, case = last_action(tree)
+    assert (action, predecessor.root, case) == reference_last_action(tree.root)
     return actions
 
 

@@ -36,38 +36,38 @@ def test_rejects_unary_chains():
 
 def test_single_leaf_tree():
     t = ConstituencyTree(Internal("S", (leaf("a", 0),)))
-    step = last_action(t)
-    assert step.action == attach(0, "S")
-    assert step.case == "2-1"
-    assert step.predecessor.is_empty
+    action, predecessor, case = last_action(t)
+    assert action == attach(0, "S")
+    assert case == "2-1"
+    assert predecessor.is_empty
     assert oracle_action_sequence(t) == [attach(0, "S")]
 
 
 def test_last_leaf_with_siblings_attaches_bare():
     t = ConstituencyTree(Internal("S", (leaf("a", 0), leaf("b", 1))))
-    step = last_action(t)
-    assert step.action == attach(0, None)
-    assert step.case == "1-3"
-    assert tree_equal(step.predecessor, ConstituencyTree(Internal("S", (leaf("a", 0),))))
+    action, predecessor, case = last_action(t)
+    assert action == attach(0, None)
+    assert case == "1-3"
+    assert tree_equal(predecessor, ConstituencyTree(Internal("S", (leaf("a", 0),))))
 
 
 def test_single_internal_sibling_is_juxtapose():
     t = ConstituencyTree(
         Internal("S", (Internal("NP", (leaf("a", 0),)), Internal("VP", (leaf("b", 1),))))
     )
-    step = last_action(t)
-    assert step.action == juxtapose(0, "VP", "S")
-    assert step.case == "2-2"
-    assert tree_equal(step.predecessor, ConstituencyTree(Internal("NP", (leaf("a", 0),))))
+    action, predecessor, case = last_action(t)
+    assert action == juxtapose(0, "VP", "S")
+    assert case == "2-2"
+    assert tree_equal(predecessor, ConstituencyTree(Internal("NP", (leaf("a", 0),))))
 
 
 def test_leaf_sibling_is_attach_not_juxtapose():
     # A single left sibling that is a leaf cannot be undone as juxtapose:
     # the predecessor root would be a bare leaf.
     t = ConstituencyTree(Internal("S", (leaf("a", 0), Internal("NP", (leaf("b", 1),)))))
-    step = last_action(t)
-    assert step.action == attach(0, "NP")
-    assert step.case == "2-3"
+    action, _, case = last_action(t)
+    assert action == attach(0, "NP")
+    assert case == "2-3"
 
 
 def test_golden_sequence(fig_tree):
@@ -114,7 +114,6 @@ def test_undo_chain_matches_sequence(fig_tree):
     actions = oracle_action_sequence(fig_tree)
     t = fig_tree
     for expected in reversed(actions):
-        step = last_action(t)
-        assert step.action == expected
-        t = step.predecessor
+        action, t, _ = last_action(t)
+        assert action == expected
     assert t.is_empty

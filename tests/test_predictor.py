@@ -6,6 +6,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import ajparse.predictor
 from ajparse.predictor import (
     ActionScorer,
     ModelFormatError,
@@ -18,7 +19,6 @@ from ajparse.predictor import (
 )
 from ajparse.scoring import score
 from ajparse.synth import generate_corpus
-from ajparse.transition import AjAction
 from ajparse.tree import Internal, Token, tree_equal
 from ajparse.treebank import tokens_of, write_bracketed
 from test_train_reference import relabel
@@ -231,13 +231,13 @@ def test_decode_builds_few_actions_per_step(trained, small_corpus, monkeypatch, 
     """Decoding builds an action only for a candidate that can enter the
     beam, not for each of the depth x (labels + 1)**2 it scores."""
     built = []
-    post_init = AjAction.__post_init__
+    action_at = ajparse.predictor.action_at
 
-    def counting(self):
-        built.append(self)
-        post_init(self)
+    def counting(*args):
+        built.append(args)
+        return action_at(*args)
 
-    monkeypatch.setattr(AjAction, "__post_init__", counting)
+    monkeypatch.setattr(ajparse.predictor, "action_at", counting)
     sentences = [tokens_of(t) for t in small_corpus[100:]]
     for tokens in sentences:
         decode_beam(trained, tokens, beam)

@@ -5,9 +5,11 @@ import reference
 from ajparse.isr import SHIFT, translate_action
 from ajparse.oracle import oracle_action_sequence
 from ajparse.transition import (
+    ATTACH,
     INITIAL_STATE,
-    AjAction,
+    JUXTAPOSE,
     IllegalActionError,
+    action_kind,
     apply_action,
     apply_sequence,
     attach,
@@ -16,7 +18,7 @@ from ajparse.transition import (
     legal_actions,
     parse_actions,
 )
-from ajparse.tree import Internal, Token, collapse_unary_chains, rightmost_chain
+from ajparse.tree import Internal, Token, collapse_unary_chains, rightmost_chain, tree_equal
 from ajparse.treebank import tokens_of
 
 from test_tree import trees
@@ -28,13 +30,10 @@ def tok(word, pos="T"):
 
 def test_action_validation():
     with pytest.raises(ValueError):
-        AjAction("merge", 0)
-    with pytest.raises(ValueError):
-        attach(-1, "S")
-    with pytest.raises(ValueError):
-        AjAction("attach", 0, "S", "X")  # attach takes no new_label
-    with pytest.raises(ValueError):
-        AjAction("juxtapose", 0, "S", None)  # juxtapose requires one
+        juxtapose(0, "S", None)  # juxtapose requires a new label
+    state = apply_action(INITIAL_STATE, tok("a"), attach(0, "S"))
+    with pytest.raises(IllegalActionError):
+        apply_action(state, tok("b"), attach(-1, "S"))
 
 
 def test_action_str_roundtrip():
@@ -51,6 +50,23 @@ def test_parse_actions_rejects_garbage():
         parse_actions("juxtapose(0,NP)")
     with pytest.raises(ValueError):
         parse_actions("attach(0,NP,S)")
+    with pytest.raises(ValueError):
+        parse_actions("x attach(0,NP)")  # junk before the first action
+
+
+@settings(max_examples=100)
+@given(trees(allow_unary=False))
+def test_action_text_roundtrip_property(t):
+    """Oracle actions survive their text form, and each action's text
+    starts with its kind."""
+    t = collapse_unary_chains(t)
+    acts = oracle_action_sequence(t)
+    parsed = parse_actions(format_actions(acts))
+    assert parsed == acts
+    assert tree_equal(apply_sequence(tokens_of(t), parsed), t)
+    for a in acts:
+        assert action_kind(a) in (ATTACH, JUXTAPOSE)
+        assert format_actions([a]).startswith(action_kind(a) + "(")
 
 
 def test_first_action_creates_root():
