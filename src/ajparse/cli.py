@@ -8,6 +8,10 @@ machine-readable summary line ``RESULT ok=<k> fail=<j>``; the exit status is
 from __future__ import annotations
 
 import argparse
+import contextlib
+import itertools
+import os
+import stat
 import sys
 from collections import Counter
 
@@ -32,26 +36,82 @@ def _result(ok: int, fail: int) -> int:
     return 0 if fail == 0 else 1
 
 
+@contextlib.contextmanager
+def _output_file(path: str):
+    """Yield a text file for the lines of the output ``path`` as they are
+    made. They go to a temporary file beside ``path`` (beside its target, if
+    ``path`` is a symlink), which ``os.replace`` moves over it when the block
+    ends without error, with the permission bits of the file it replaces. An
+    error removes the temporary file and leaves ``path`` as it was. An OS
+    error of the output names ``path`` and is raised only when the block
+    ends, after the input has been read, so that an error of the input comes
+    first; until then the lines go to ``os.devnull``. A device or a pipe,
+    such as ``/dev/stdout``, cannot be replaced and is written in place."""
+    try:
+        mode = os.stat(path).st_mode
+    except OSError:
+        mode = None
+    if mode is not None and not (stat.S_ISREG(mode) or stat.S_ISDIR(mode)):
+        with open(path, "w", encoding="utf-8") as out:
+            yield out
+        return
+    target = os.path.realpath(path) if os.path.islink(path) else path
+    head = os.path.dirname(target)
+    failed = None
+    for n in itertools.count():
+        # Not named after the output, whose name may be as long as a name
+        # can be.
+        temp = os.path.join(head, f".ajparse-{os.getpid()}-{n}.tmp")
+        try:
+            fd = os.open(temp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+        except FileExistsError:
+            continue
+        except OSError as err:
+            temp, failed, fd = None, err, os.open(os.devnull, os.O_WRONLY)
+        break
+    try:
+        with open(fd, "w", encoding="utf-8") as out:
+            yield out
+        if failed is None:
+            try:
+                if mode is not None:
+                    # A file that may not be written is not replaced either.
+                    os.close(os.open(target, os.O_WRONLY))
+                    os.chmod(temp, stat.S_IMODE(mode))
+                os.replace(temp, target)
+                temp = None
+            except OSError as err:
+                failed = err
+        if failed is not None:
+            raise OSError(failed.errno, failed.strerror, path) from None
+    finally:
+        if temp is not None:
+            os.remove(temp)
+
+
 def _each_entry(args, work, output=None) -> tuple:
     """Run ``work`` on each entry of ``args.input`` as it is read and count
     ``(ok, fail)``. An entry fails when ``work`` raises ``ValueError``, whose
     text goes to stderr; otherwise the line ``work`` returns is written to
-    ``output``, if given. Lines and entry errors are kept until the whole
-    file has been read, so a load error leaves an existing output file as it
-    was and is the only error printed."""
+    ``output``, if given, as it is made (see ``_output_file``). Entry errors
+    are kept until the whole file has been read and the output is in place,
+    so that a load error leaves an existing output file as it was and is the
+    only error printed."""
     entries = iter_corpus(args.input, normalization=not args.no_normalize, strict=args.strict)
-    lines, errors = [], []
-    for entry in entries:
-        try:
-            lines.append(work(entry))
-        except ValueError as err:
-            errors.append(f"entry {entry.id}: {err}")
-    if output:
-        with open(output, "w", encoding="utf-8") as out:
-            out.writelines(line + "\n" for line in lines)
+    ok, errors = 0, []
+    with _output_file(output) if output else contextlib.nullcontext() as out:
+        for entry in entries:
+            try:
+                line = work(entry)
+            except ValueError as err:
+                errors.append(f"entry {entry.id}: {err}")
+                continue
+            ok += 1
+            if output:
+                out.write(line + "\n")
     for error in errors:
         print(error, file=sys.stderr)
-    return len(lines), len(errors)
+    return ok, len(errors)
 
 
 def cmd_oracle(args) -> int:
@@ -159,22 +219,23 @@ def _sentence_tokens(line: str) -> list:
 
 
 def cmd_parse(args) -> int:
+    # Sentence errors wait, as entry errors do in _each_entry, so that an
+    # error that stops the command is the only one printed.
     scorer = predictor.ActionScorer.load(args.model)
-    with open(args.input, encoding="utf-8") as fh:
-        lines = [line for line in fh if line.split()]
-    ok = fail = 0
-    with open(args.output, "w", encoding="utf-8") as out:
-        for i, line in enumerate(lines):
+    ok, errors = 0, []
+    with open(args.input, encoding="utf-8") as fh, _output_file(args.output) as out:
+        for i, line in enumerate(line for line in fh if line.split()):
             try:
                 tree = predictor.decode_beam(scorer, _sentence_tokens(line), args.beam)
             except ValueError as err:
-                fail += 1
-                print(f"sentence {i}: {err}", file=sys.stderr)
+                errors.append(f"sentence {i}: {err}")
                 out.write("\n")
                 continue
             out.write(write_bracketed(tree) + "\n")
             ok += 1
-    return _result(ok, fail)
+    for error in errors:
+        print(error, file=sys.stderr)
+    return _result(ok, len(errors))
 
 
 def cmd_score(args) -> int:

@@ -4,18 +4,22 @@ import io
 import logging
 import os
 import re
+import stat
 import sys
+import threading
 import tracemalloc
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from ajparse import cli
 from ajparse.cli import main
 from ajparse.predictor import ActionScorer, ModelFormatError, decode_right_branching
 from ajparse.synth import generate_corpus
 from ajparse.tree import rightmost_chain, tree_equal
 from ajparse.treebank import (
-    TreebankFormatError, load_corpus, parse_bracketed, tokens_of, write_bracketed, write_corpus,
+    TreebankFormatError, iter_corpus, load_corpus, parse_bracketed, tokens_of, write_bracketed,
+    write_corpus,
 )
 from treebank_texts import mangled_treebanks
 
@@ -60,6 +64,14 @@ def load_error(path, **options):
     return str(info.value)
 
 
+def _words(corpus_path, words_path):
+    """Write the sentences of a treebank file as ``parse`` input, one line
+    of ``word_POS`` items each."""
+    with open(words_path, "w", encoding="utf-8") as out:
+        for entry in iter_corpus(str(corpus_path)):
+            out.write(" ".join(f"{t.word}_{t.pos}" for t in tokens_of(entry.tree)) + "\n")
+
+
 def test_verify_fixture(capsys, sample_path):
     code, out, _ = run(capsys, "verify", sample_path)
     assert code == 0
@@ -97,6 +109,7 @@ def test_strict_load_error_leaves_output_file_untouched(capsys, tmp_path, comman
     code, out, _ = run(capsys, command, str(bad), str(out_path))
     assert (code, result_line(out)) == (1, "RESULT ok=0 fail=1")
     assert out_path.read_bytes() == b"earlier output\n"
+    assert sorted(os.listdir(tmp_path)) == ["bad.mrg", "out.txt"]
 
 
 def test_lenient_skip_warnings_precede_entry_errors(capsys, tmp_path, warnings_to_stderr):
@@ -128,6 +141,153 @@ def test_oracle_to_a_missing_directory_prints_only_the_os_error(capsys, tmp_path
     code, out, err = run(capsys, "oracle", str(p), str(target), "--no-normalize")
     assert (code, out) == (1, "RESULT ok=0 fail=1\n")
     assert err == f"[Errno 2] No such file or directory: {str(target)!r}\n"
+
+
+WRITING_COMMANDS = ["oracle", "translate-isr", "parse"]
+
+
+@pytest.fixture
+def writing_argv(tmp_path, sample_path):
+    """``writing_argv(command, output)``: the argv of one of
+    ``WRITING_COMMANDS`` that writes ``output`` from the fixture. ``parse``
+    reads the fixture's words, with a model trained on it, from
+    ``tmp_path/inputs``."""
+    inputs = tmp_path / "inputs"
+    inputs.mkdir()
+    words, model = str(inputs / "words.txt"), str(inputs / "m.model")
+    _words(sample_path, words)
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        main(["train", sample_path, "--model", model, "--epochs", "1"])
+
+    def argv(command, output):
+        if command == "parse":
+            return ["parse", words, str(output), "--model", model]
+        return [command, sample_path, str(output)]
+
+    return argv
+
+
+@pytest.mark.parametrize("command", WRITING_COMMANDS)
+def test_output_over_an_existing_file_keeps_its_mode(capsys, tmp_path, writing_argv, command):
+    fresh, kept = tmp_path / "fresh.txt", tmp_path / "kept.txt"
+    run(capsys, *writing_argv(command, fresh))
+    kept.write_text("earlier output, longer than the new one\n" * 100)
+    kept.chmod(0o604)
+    code, out, _ = run(capsys, *writing_argv(command, kept))
+    assert (code, result_line(out)) == (0, "RESULT ok=3 fail=0")
+    assert kept.read_bytes() == fresh.read_bytes()
+    assert stat.S_IMODE(kept.stat().st_mode) == 0o604
+    umask = os.umask(0)
+    os.umask(umask)
+    assert stat.S_IMODE(fresh.stat().st_mode) == 0o666 & ~umask  # as open() makes it
+    assert sorted(os.listdir(tmp_path)) == ["fresh.txt", "inputs", "kept.txt"]
+
+
+@pytest.mark.skipif(os.geteuid() == 0, reason="root may write any file")
+def test_output_over_a_read_only_file_is_refused(capsys, tmp_path, sample_path):
+    output = tmp_path / "out.txt"
+    output.write_bytes(b"earlier output\n")
+    output.chmod(0o444)
+    code, out, err = run(capsys, "oracle", sample_path, str(output))
+    assert (code, out) == (1, "RESULT ok=0 fail=1\n")
+    assert err == f"[Errno 13] Permission denied: {str(output)!r}\n"
+    assert output.read_bytes() == b"earlier output\n"
+    assert os.listdir(tmp_path) == ["out.txt"]
+
+
+@pytest.mark.parametrize("command", WRITING_COMMANDS)
+def test_output_through_a_symlink_replaces_its_target(capsys, tmp_path, writing_argv, command):
+    fresh = tmp_path / "fresh.txt"
+    run(capsys, *writing_argv(command, fresh))
+    elsewhere, link = tmp_path / "elsewhere", tmp_path / "link.txt"
+    elsewhere.mkdir()
+    target = elsewhere / "target.txt"
+    link.symlink_to(os.path.join("elsewhere", "target.txt"))
+    target.write_text("earlier output\n")
+    for dangling in (False, True):
+        if dangling:
+            target.unlink()
+        code, out, _ = run(capsys, *writing_argv(command, link))
+        assert (code, result_line(out)) == (0, "RESULT ok=3 fail=0")
+        assert os.readlink(link) == os.path.join("elsewhere", "target.txt")
+        assert target.read_bytes() == fresh.read_bytes()
+        assert os.listdir(elsewhere) == ["target.txt"]
+    assert sorted(os.listdir(tmp_path)) == ["elsewhere", "fresh.txt", "inputs", "link.txt"]
+
+
+def test_output_name_of_the_longest_length(capsys, tmp_path, sample_path):
+    output = tmp_path / ("x" * 255)
+    code, out, _ = run(capsys, "oracle", sample_path, str(output))
+    assert (code, result_line(out)) == (0, "RESULT ok=3 fail=0")
+    assert os.listdir(tmp_path) == ["x" * 255]
+
+
+def test_output_to_a_pipe_is_written_in_place(capsys, tmp_path, sample_path):
+    fresh, pipe, received = tmp_path / "fresh.txt", tmp_path / "pipe", []
+    run(capsys, "oracle", sample_path, str(fresh))
+    os.mkfifo(pipe)
+
+    def read():
+        with open(pipe, "rb") as fh:
+            received.append(fh.read())
+
+    reader = threading.Thread(target=read, daemon=True)
+    reader.start()
+    code, out, _ = run(capsys, "oracle", sample_path, str(pipe))
+    reader.join(timeout=10)
+    assert (code, result_line(out)) == (0, "RESULT ok=3 fail=0")
+    assert received == [fresh.read_bytes()]
+    assert stat.S_ISFIFO(pipe.stat().st_mode)
+    assert sorted(os.listdir(tmp_path)) == ["fresh.txt", "pipe"]
+
+
+@pytest.mark.parametrize(
+    "command, name",
+    [("oracle", "format_actions"), ("translate-isr", "format_isr_actions"),
+     ("parse", "write_bracketed")],
+)
+def test_an_error_after_the_first_line_leaves_the_output_as_it_was(capsys, tmp_path, monkeypatch,
+                                                                    writing_argv, command, name):
+    real, calls = getattr(cli, name), []
+
+    def second_call_fails(*args):
+        calls.append(args)
+        if len(calls) == 2:
+            raise RuntimeError("boom")
+        return real(*args)
+
+    monkeypatch.setattr(cli, name, second_call_fails)
+    output = tmp_path / "out.txt"
+    output.write_bytes(b"earlier output\n")
+    code, out, err = run(capsys, *writing_argv(command, output))
+    assert (code, out, err) == (1, "RESULT ok=0 fail=1\n", "internal error: RuntimeError: boom\n")
+    assert output.read_bytes() == b"earlier output\n"
+    assert sorted(os.listdir(tmp_path)) == ["inputs", "out.txt"]
+
+
+def test_parse_decode_error_after_failing_sentences_is_the_only_error(capsys, tmp_path,
+                                                                       writing_argv):
+    # The undecodable byte comes after the reader's first chunk, so it is
+    # met only once the failing sentences before it have been decoded.
+    argv = writing_argv("parse", tmp_path / "out.txt")
+    argv[1] = str(tmp_path / "inputs" / "bad.txt")
+    with open(argv[1], "wb") as fh:
+        fh.write(b"Arthur_NNP sees_VBZ\n" + b"gr(ail_NN\n" * 2000 + b"\xff_NN\n")
+    (tmp_path / "out.txt").write_bytes(b"earlier output\n")
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (1, "RESULT ok=0 fail=1\n")
+    assert err.startswith("'utf-8' codec can't decode byte 0xff") and err.count("\n") == 1
+    assert (tmp_path / "out.txt").read_bytes() == b"earlier output\n"
+    assert sorted(os.listdir(tmp_path)) == ["inputs", "out.txt"]
+
+
+@pytest.mark.parametrize("command", WRITING_COMMANDS)
+def test_an_input_error_comes_before_the_output_error(capsys, tmp_path, writing_argv, command):
+    argv = writing_argv(command, tmp_path / "missing" / "out.txt")
+    argv[1] = str(tmp_path / "no-such-input")
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (1, "RESULT ok=0 fail=1\n")
+    assert err == f"[Errno 2] No such file or directory: {argv[1]!r}\n"
 
 
 @pytest.mark.parametrize(
@@ -457,22 +617,35 @@ def test_score_longer_predicted_file_reports_its_load_error_not_the_count(capsys
 
 @pytest.fixture(scope="module")
 def heap_peak(tmp_path_factory):
-    """``heap_peak(command, sentences)``: the file size and the heap peak of
-    one corpus command on a ``synth`` file (seed 5) of that many sentences,
-    each measured once per module."""
+    """``heap_peak(command, sentences)``: the input file size and the heap
+    peak of one corpus command on a ``synth`` file (seed 5) of that many
+    sentences, each measured once per module. ``parse`` reads the file's
+    sentences with a model of one label, which keeps decoding cheap."""
     directory = tmp_path_factory.mktemp("peaks")
     sample = os.path.join(os.path.dirname(__file__), "fixtures", "sample.mrg")
-    with contextlib.redirect_stdout(io.StringIO()):
-        main(["stats", sample])  # imports and caches are not the commands' heap
+    one_label, model = directory / "one-label.mrg", str(directory / "one-label.model")
+    one_label.write_text("(S (NN a) (NN b))\n")
+    _words(sample, directory / "sample.txt")
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        # Imports and caches are not the commands' heap.
+        main(["stats", sample])
+        main(["train", str(one_label), "--model", model, "--epochs", "1"])
+        main(["parse", str(directory / "sample.txt"), str(directory / "sample.out"),
+              "--model", model])
     peaks = {}
 
     def measure(command, sentences):
         path = directory / f"{sentences}.mrg"
-        if (command, sentences) not in peaks:
+        if not path.exists():
+            write_corpus(generate_corpus(sentences, seed=5), str(path))
+        if command == "parse":
+            path = directory / f"{sentences}.txt"
             if not path.exists():
-                write_corpus(generate_corpus(sentences, seed=5), str(path))
+                _words(directory / f"{sentences}.mrg", path)
+        if (command, sentences) not in peaks:
             argv = {"oracle": [path, directory / "actions.tsv"], "score": [path, path],
-                    "translate-isr": [path, directory / "isr.txt"]}.get(command, [path])
+                    "translate-isr": [path, directory / "isr.txt"],
+                    "parse": [path, directory / "parsed.mrg", "--model", model]}.get(command, [path])
             with contextlib.redirect_stdout(io.StringIO()):
                 tracemalloc.start()
                 try:
@@ -497,9 +670,9 @@ def test_corpus_commands_hold_one_tree_at_a_time(heap_peak):
 
 
 def test_corpus_command_peaks_do_not_grow_with_the_file(heap_peak):
-    """A file four times as long leaves the peak of each command that writes
-    no output lines about where it was."""
-    for command in ("verify", "stats", "score"):
+    """A file four times as long leaves the peak of each command about where
+    it was: no command holds its input or its output lines."""
+    for command in ("verify", "stats", "score", "oracle", "translate-isr", "parse"):
         peaks = heap_peak(command, 300)[1], heap_peak(command, 1200)[1]
         assert peaks[1] < 1.5 * peaks[0], (command, peaks)
 

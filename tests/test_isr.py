@@ -21,7 +21,6 @@ from ajparse.isr import (
 from ajparse.oracle import oracle_action_sequence
 from ajparse.transition import INITIAL_STATE, apply_action, attach, juxtapose
 from ajparse.tree import (
-    ConstituencyTree,
     EMPTY_TREE,
     Internal,
     Leaf,

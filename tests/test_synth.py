@@ -1,4 +1,4 @@
-from ajparse.synth import generate_corpus, generate_tree
+from ajparse.synth import generate_corpus
 from ajparse.tree import has_unary_chains, iter_leaves, tree_equal
 
 
