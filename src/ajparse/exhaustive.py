@@ -52,12 +52,6 @@ def enumerate_subtrees(n_leaves: int, start: int, labels, unary_budget: int = 0)
         yield leaf
         for lbl in labels:
             yield Internal(lbl, (leaf,))
-        if unary_budget > 0:
-            for child in enumerate_subtrees(1, start, labels, unary_budget - 1):
-                if isinstance(child, Internal):
-                    for lbl in labels:
-                        yield Internal(lbl, (child,))
-        return
     for first in range(1, n_leaves):
         for left in enumerate_subtrees(first, start, labels, unary_budget):
             rest = n_leaves - first

@@ -26,7 +26,7 @@ from .transition import (
     label_choices,
     step,
 )
-from .tree import ConstituencyTree, Internal, Leaf, Token, iter_nodes
+from .tree import LABEL_SEPARATOR, ConstituencyTree, Internal, Leaf, Token, iter_nodes
 from .treebank import tokens_of
 
 MODEL_MAGIC = "ajparse-model"
@@ -104,12 +104,14 @@ def _target_features(chain, depth: int, token: Token):
 
 
 class _AveragedRows:
-    """Perceptron weights for one factor: a row of weights per feature, with
-    lazily-updated running averages per slot. The label factors have a slot
-    per entry of ``label_choices(labels)``, and a row holds only the slots
-    that updates have touched; any other slot weighs 0.0. The target factor
-    has one slot, as its features already name the depth they score, and a
+    """Perceptron weights for one table: a row of weights per feature, with
+    lazily-updated running averages per slot. A label row holds only the
+    slots that updates have touched; any other slot weighs 0.0. The target
+    table has one slot, as its features name the depth they score, and a
     row is a one-weight list: ``[w]`` takes 64 B where ``{0: w}`` takes 224.
+    Dict target rows would drop the ``width > 1`` forks, but on perfbench's
+    parse-many-labels they raised the ``tracemalloc`` peak of ``train`` from
+    2,054 to 2,145 kB and of beam-1 ``parse`` from 580 to 624 kB.
     The running totals and last-update steps are ``width`` slots per feature.
     """
 
@@ -155,9 +157,17 @@ class _AveragedRows:
 def slot_keys(labels, path: str) -> list:
     """The model-file name of each slot; None is written ``<none>``.
 
-    A label spelled ``<none>`` or given twice would share a name with
-    another slot, so the weights of the two could not be told apart.
+    A parse writes labels as bracketed text that ``score`` reads back, so
+    each needs a nonempty part on each side of every chain separator and no
+    whitespace or parenthesis, and the first token needs some label. A
+    label spelled ``<none>`` or given twice would share a name with another
+    slot, so the weights of the two could not be told apart.
     """
+    if not labels:
+        raise ModelFormatError(f"{path}: the label vocabulary is empty")
+    for label in labels:
+        if "" in label.split(LABEL_SEPARATOR) or any(c.isspace() or c in "()" for c in label):
+            raise ModelFormatError(f"{path}: label {label!r} cannot be written in a parse")
     keys = [_NONE_KEY if c is None else c for c in label_choices(labels)]
     if len(set(keys)) != len(keys):
         raise ModelFormatError(
@@ -171,15 +181,16 @@ class ActionScorer:
     """Averaged weights for the three action factors plus the label vocabulary.
 
     Each table maps a feature to a row of weights: a one-weight list in
-    ``target_weights``, and in ``parent_weights`` and ``new_weights`` a dict
-    from a slot of ``label_choices(labels)`` to its weight, holding only
-    the slots the feature has a weight for.
+    ``target_weights``, and in ``label_weights`` a dict from slot to weight,
+    holding only the slots the feature has a weight for. The parent and new
+    factors read the same features and share the label rows: slot ``s`` of
+    ``label_choices(labels)``, of width W, is parent slot ``s`` and new slot
+    ``W + s``, saved under ``[parent]`` and ``[new]``.
     """
 
     labels: list
     target_weights: dict
-    parent_weights: dict
-    new_weights: dict
+    label_weights: dict
     epoch_accuracy: list = field(default_factory=list)
 
     def save(self, path: str) -> None:
@@ -190,13 +201,14 @@ class ActionScorer:
             fh.write("[target]\n")
             for k in sorted(self.target_weights):
                 fh.write(f"{k}\t{self.target_weights[k][0]!r}\n")
-            for name, rows in (("parent", self.parent_weights), ("new", self.new_weights)):
+            order = sorted(range(len(keys)), key=keys.__getitem__)
+            for name, offset in (("parent", 0), ("new", len(keys))):
                 fh.write(f"[{name}]\n")
-                for feat in sorted(rows):
-                    row = rows[feat]
-                    for s in sorted(row, key=keys.__getitem__):
-                        if row[s]:
-                            fh.write(f"{feat}\t{keys[s]}\t{row[s]!r}\n")
+                for feat in sorted(self.label_weights):
+                    row = self.label_weights[feat]
+                    for s in order:
+                        if row.get(offset + s):
+                            fh.write(f"{feat}\t{keys[s]}\t{row[offset + s]!r}\n")
             fh.write("[end]\n")
 
     @classmethod
@@ -221,7 +233,8 @@ class ActionScorer:
             labels = label_line[1:]
             keys = slot_keys(labels, path)
             slots = {key: s for s, key in enumerate(keys)}
-            tables = {"target": {}, "parent": {}, "new": {}}
+            offsets = {"target": None, "parent": 0, "new": len(keys)}
+            target_rows, label_rows = {}, {}
             current = None
             for line in fh:
                 line = line.rstrip("\n")
@@ -229,7 +242,7 @@ class ActionScorer:
                     section = line.strip("[]")
                     if section == "end":
                         break
-                    if section not in tables:
+                    if section not in offsets:
                         raise ModelFormatError(f"{path}: unknown section {line}")
                     current = section
                     continue
@@ -252,17 +265,16 @@ class ActionScorer:
                         f"{path}: [{current}] weight {parts[-1]!r} is not a finite number"
                     )
                 if current == "target":
-                    tables[current][parts[0]] = [weight]
+                    target_rows[parts[0]] = [weight]
                 elif parts[1] in slots:
                     # A label outside the vocabulary has no slot and is never scored.
-                    rows = tables[current]
-                    row = rows.get(parts[0])
+                    row = label_rows.get(parts[0])
                     if row is None:
-                        row = rows[parts[0]] = {}
-                    row[slots[parts[1]]] = weight
+                        row = label_rows[parts[0]] = {}
+                    row[offsets[current] + slots[parts[1]]] = weight
             else:
                 raise ModelFormatError(f"{path}: file ends before [end]")
-        return cls(labels, tables["target"], tables["parent"], tables["new"])
+        return cls(labels, target_rows, label_rows)
 
 
 def _label_scores(rows: dict, feats, width: int) -> list:
@@ -284,22 +296,19 @@ def _label_scores(rows: dict, feats, width: int) -> list:
 _NO_ROW = (0.0,)
 
 
-def _factor_scores(target_rows, parent_rows, new_rows, feats, chain, token, width):
+def _factor_scores(target_rows, label_rows, feats, chain, token, width):
     """Score the three factors of one step.
 
     Returns the target score of each chain depth (``[0.0]`` on the empty
     tree, whose only target is 0) and, for the parent and new factors, the
-    score of each of the ``width`` label slots.
+    score of each of the ``width`` label slots, the halves of ``label_rows``.
     """
     targets = [
         sum(target_rows.get(f, _NO_ROW)[0] for f in _target_features(chain, d, token))
         for d in range(len(chain))
     ] or [0.0]
-    return (
-        targets,
-        _label_scores(parent_rows, feats, width),
-        _label_scores(new_rows, feats, width),
-    )
+    labels = _label_scores(label_rows, feats, 2 * width)
+    return targets, labels[:width], labels[width:]
 
 
 def _internal_labels(trees):
@@ -339,8 +348,7 @@ def train(trees, epochs: int, seed: int) -> ActionScorer:
     choices = label_choices(labels)
     width = len(choices)
     slot_of = {c: s for s, c in enumerate(choices)}
-    factors = _AveragedRows(1), _AveragedRows(width), _AveragedRows(width)
-    target_w, parent_w, new_w = factors
+    factors = target_w, label_w = _AveragedRows(1), _AveragedRows(2 * width)
 
     examples = [(tokens_of(tree), oracle_action_sequence(tree)) for tree in trees]
     rng = random.Random(seed)
@@ -357,7 +365,7 @@ def train(trees, epochs: int, seed: int) -> ActionScorer:
                 for w in factors:
                     w.tick()
                 targets, parent_scores, new_scores = _factor_scores(
-                    target_w.w, parent_w.w, new_w.w, feats, chain, token, width
+                    target_w.w, label_w.w, feats, chain, token, width
                 )
                 # First-max argmaxes: ties go to the smallest depth, then to
                 # None, then to the first label in sorted order.
@@ -369,17 +377,17 @@ def train(trees, epochs: int, seed: int) -> ActionScorer:
                     else:
                         target_w.update(_target_features(chain, gold_d, token), 0, 1.0)
                         target_w.update(_target_features(chain, pred_d, token), 0, -1.0)
-                for factor, w, scores, gold in (
-                    ("parent", parent_w, parent_scores, slot_of[gold_parent]),
-                    ("new", new_w, new_scores, slot_of[gold_new]),
+                for factor, offset, scores, gold in (
+                    ("parent", 0, parent_scores, slot_of[gold_parent]),
+                    ("new", width, new_scores, slot_of[gold_new]),
                 ):
                     pred = scores.index(max(scores))
                     totals[factor] += 1
                     if pred == gold:
                         hits[factor] += 1
                     else:
-                        w.update(feats, gold, 1.0)
-                        w.update(feats, pred, -1.0)
+                        label_w.update(feats, offset + gold, 1.0)
+                        label_w.update(feats, offset + pred, -1.0)
         history.append(
             {
                 factor: (hits[factor] / totals[factor] if totals[factor] else 1.0)
@@ -419,7 +427,7 @@ def decode_beam(scorer: ActionScorer, tokens, beam: int) -> ConstituencyTree:
         stepped = []
         for score, rank, chain, prev_kind in items:
             t, p, n = _factor_scores(
-                scorer.target_weights, scorer.parent_weights, scorer.new_weights,
+                scorer.target_weights, scorer.label_weights,
                 featurize(chain, token, context, prev_kind), chain, token, width,
             )
             if chain:
@@ -448,10 +456,6 @@ def decode_beam(scorer: ActionScorer, tokens, beam: int) -> ConstituencyTree:
             step(successor, Leaf(token, i), action)
             items.append((-neg_total, rank, successor, action_kind(action)))
     return ConstituencyTree(close_chain(items[0][2], 0))
-
-
-def decode_greedy(scorer: ActionScorer, tokens) -> ConstituencyTree:
-    return decode_beam(scorer, tokens, 1)
 
 
 def majority_label(trees) -> str:

@@ -535,21 +535,34 @@ def _factor_scores(target_w, parent_w, new_w, feats, chain, token, choices):
     return targets, parent, new
 
 
-def label_dict(rows: dict, labels) -> dict:
-    """Label rows, each a dict from slot to weight, as a dict keyed by
-    ``(feature, label key)``, zeros left out."""
+def label_dict(rows: dict, labels) -> tuple:
+    """``ActionScorer.label_weights``, each row a dict from slot to weight,
+    as the parent and the new weights, each keyed by ``(feature, label
+    key)``, zeros left out. Of the ``2 * W`` slots, the first W are the
+    parent factor's."""
     keys = [_NONE_KEY] + sorted(labels)
-    return {(f, keys[s]): v for f, row in rows.items() for s, v in row.items() if v}
+    width = len(keys)
+    return tuple(
+        {
+            (f, keys[s - offset]): v
+            for f, row in rows.items()
+            for s, v in row.items()
+            if v and offset <= s < offset + width
+        }
+        for offset in (0, width)
+    )
 
 
-def label_rows(weights: dict, labels) -> dict:
-    """The inverse of ``label_dict``: a dict from slot to weight per
-    feature. Keys naming no label are dropped."""
+def label_rows(parent: dict, new: dict, labels) -> dict:
+    """The inverse of ``label_dict``: one dict from slot to weight per
+    feature, the new weights' slots offset by the width. Keys naming no
+    label are dropped."""
     keys = [_NONE_KEY] + sorted(labels)
     rows = {}
-    for (f, key), v in weights.items():
-        if key in keys:
-            rows.setdefault(f, {})[keys.index(key)] = v
+    for offset, weights in ((0, parent), (len(keys), new)):
+        for (f, key), v in weights.items():
+            if key in keys:
+                rows.setdefault(f, {})[offset + keys.index(key)] = v
     return rows
 
 
@@ -662,8 +675,7 @@ def reference_decode_beam(scorer, tokens, beam: int):
         raise ValueError("beam must be >= 1")
     weights = (
         {f: row[0] for f, row in scorer.target_weights.items()},
-        label_dict(scorer.parent_weights, scorer.labels),
-        label_dict(scorer.new_weights, scorer.labels),
+        *label_dict(scorer.label_weights, scorer.labels),
     )
     items = [(0.0, 0, INITIAL_STATE, "none")]  # (score, rank, state, prev_kind)
     for i, token in enumerate(tokens):

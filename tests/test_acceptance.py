@@ -37,7 +37,6 @@ from ajparse.isr import EMPTY_STACK, REDUCE
 from ajparse.oracle import oracle_action_sequence
 from ajparse.predictor import (
     decode_beam,
-    decode_greedy,
     decode_right_branching,
     majority_label,
     train,
@@ -219,7 +218,7 @@ def test_criterion_8_predictor_end_to_end(big_split, big_model, tmp_path):
     train_set, test_set = big_split
     assert len(train_set) >= 5000
 
-    greedy = [decode_greedy(big_model, tokens_of(t)) for t in test_set]
+    greedy = [decode_beam(big_model, tokens_of(t), 1) for t in test_set]
     greedy_f1 = score(test_set, greedy).f1
 
     label = majority_label(train_set)
@@ -233,7 +232,7 @@ def test_criterion_8_predictor_end_to_end(big_split, big_model, tmp_path):
 
     one = train_set[:1]
     memorizer = train(one, epochs=10, seed=0)
-    assert score(one, [decode_greedy(memorizer, tokens_of(one[0]))]).f1 == 100.0
+    assert score(one, [decode_beam(memorizer, tokens_of(one[0]), 1)]).f1 == 100.0
 
     # Byte-identical determinism of models and parses.
     small = train_set[:200]
@@ -245,8 +244,8 @@ def test_criterion_8_predictor_end_to_end(big_split, big_model, tmp_path):
     assert pa.read_bytes() == pb.read_bytes()
     from ajparse.treebank import write_bracketed
 
-    parses_a = [write_bracketed(decode_greedy(a, tokens_of(t))) for t in test_set[:50]]
-    parses_b = [write_bracketed(decode_greedy(b, tokens_of(t))) for t in test_set[:50]]
+    parses_a = [write_bracketed(decode_beam(a, tokens_of(t), 1)) for t in test_set[:50]]
+    parses_b = [write_bracketed(decode_beam(b, tokens_of(t), 1)) for t in test_set[:50]]
     assert parses_a == parses_b
 
     print(f"PASS criterion 8: greedy F1 {greedy_f1:.2f} > baseline"
@@ -258,7 +257,7 @@ def test_criterion_9_linear_decoding(big_model):
     # One action per token: the decoded tree covers exactly the input.
     for n in (1, 5, 40):
         tokens = [Token(f"w{i}", "NN") for i in range(n)]
-        tree = decode_greedy(big_model, tokens)
+        tree = decode_beam(big_model, tokens, 1)
         assert tree.length == n
 
     def right_branching_time(n, reps=3):
@@ -266,7 +265,7 @@ def test_criterion_9_linear_decoding(big_model):
         best = float("inf")
         for _ in range(reps):
             start = time.perf_counter()
-            tree = decode_greedy(big_model, tokens)
+            tree = decode_beam(big_model, tokens, 1)
             best = min(best, time.perf_counter() - start)
             assert tree.length == n
         return best

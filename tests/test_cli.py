@@ -726,6 +726,18 @@ def test_train_refuses_label_spelled_like_no_label(capsys, tmp_path):
     assert not model.exists()
 
 
+def test_parse_refuses_model_label_it_cannot_write(capsys, tmp_path):
+    """A label holding a space would be written as two atoms, which
+    ``score`` cannot read back, so the model does not load."""
+    model, sents, output = tmp_path / "space.model", tmp_path / "in.txt", tmp_path / "o.mrg"
+    model.write_text("ajparse-model\t1\nlabels\tNP\tN P\n[end]\n")
+    sents.write_text("the_DT king_NN\n")
+    code, out, err = run(capsys, "parse", str(sents), str(output), "--model", str(model))
+    assert (code, result_line(out)) == (1, "RESULT ok=0 fail=1")
+    assert "'N P'" in err
+    assert not output.exists()
+
+
 def test_parse_rejects_short_weight_line(capsys, tmp_path, corpus_file):
     model, sents = _trained_model(capsys, tmp_path, corpus_file)
     lines = model.read_text().splitlines(keepends=True)

@@ -36,7 +36,7 @@ def scorers(draw):
     labels = draw(st.lists(st.sampled_from(LABELS), min_size=1, max_size=5, unique=True))
     if draw(st.booleans()):
         # Every candidate ties, so order falls to the action key and the rank.
-        return ActionScorer(labels, {}, {}, {})
+        return ActionScorer(labels, {}, {})
     # A few small integer weights: many exact ties, and not only within an item.
     weight = st.sampled_from([-1.0, 1.0, 2.0])
     feats = st.sampled_from(["w=the", "w=king", "p=NN", "prev=attach", "chain=empty",
@@ -45,8 +45,11 @@ def scorers(draw):
     return ActionScorer(
         labels,
         {f: [w] for f, w in draw(st.dictionaries(feats, weight, max_size=4)).items()},
-        reference.label_rows(draw(st.dictionaries(keys, weight, max_size=6)), labels),
-        reference.label_rows(draw(st.dictionaries(keys, weight, max_size=6)), labels),
+        reference.label_rows(
+            draw(st.dictionaries(keys, weight, max_size=6)),
+            draw(st.dictionaries(keys, weight, max_size=6)),
+            labels,
+        ),
     )
 
 
@@ -104,7 +107,7 @@ def test_decoded_tree_holds_the_input_and_round_trips(scorer, tokens, beam):
 @pytest.mark.parametrize("tokens, beam", [([], 1), ([], 0), ([Token("a", "DT")], 0),
                                           ([Token("a", "DT")], -3)])
 def test_decode_beam_errors_match_reference(tokens, beam):
-    scorer = ActionScorer(["S"], {}, {}, {})
+    scorer = ActionScorer(["S"], {}, {})
     with pytest.raises(ValueError) as ours:
         decode_beam(scorer, tokens, beam)
     with pytest.raises(ValueError) as ref:

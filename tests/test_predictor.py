@@ -10,9 +10,9 @@ import ajparse.predictor
 from ajparse.predictor import (
     ActionScorer,
     ModelFormatError,
+    _factor_scores,
     collect_labels,
     decode_beam,
-    decode_greedy,
     decode_right_branching,
     majority_label,
     train,
@@ -60,40 +60,34 @@ def test_epoch_accuracy_recorded(trained):
 def test_memorizes_single_tree(small_corpus):
     one = small_corpus[:1]
     scorer = train(one, epochs=10, seed=0)
-    pred = decode_greedy(scorer, tokens_of(one[0]))
+    pred = decode_beam(scorer, tokens_of(one[0]), 1)
     assert tree_equal(pred, one[0])
     assert score(one, [pred]).f1 == 100.0
 
 
 def test_decode_produces_full_tree(trained, small_corpus):
     for t in small_corpus[100:110]:
-        pred = decode_greedy(trained, tokens_of(t))
+        pred = decode_beam(trained, tokens_of(t), 1)
         assert pred.length == t.length
 
 
 def test_decode_rejects_empty_or_bad_beam(trained):
     with pytest.raises(ValueError):
-        decode_greedy(trained, [])
+        decode_beam(trained, [], 1)
     with pytest.raises(ValueError):
         decode_beam(trained, tokens_of(generate_corpus(1, seed=0)[0]), 0)
 
 
-def test_beam_one_equals_greedy(trained, small_corpus):
-    for t in small_corpus[100:]:
-        toks = tokens_of(t)
-        assert tree_equal(decode_greedy(trained, toks), decode_beam(trained, toks, 1))
-
-
 def test_beam_search_not_worse(trained, small_corpus):
     test = small_corpus[100:]
-    greedy = [decode_greedy(trained, tokens_of(t)) for t in test]
+    greedy = [decode_beam(trained, tokens_of(t), 1) for t in test]
     beam = [decode_beam(trained, tokens_of(t), 10) for t in test]
     assert score(test, beam).f1 >= score(test, greedy).f1 - 0.5
 
 
 def test_beats_right_branching_baseline(trained, small_corpus):
     test = small_corpus[100:]
-    greedy = [decode_greedy(trained, tokens_of(t)) for t in test]
+    greedy = [decode_beam(trained, tokens_of(t), 1) for t in test]
     lbl = majority_label(small_corpus[:100])
     baseline = [decode_right_branching(tokens_of(t), lbl) for t in test]
     assert score(test, greedy).f1 > score(test, baseline).f1
@@ -127,7 +121,7 @@ def test_seed_changes_shuffle_order(small_corpus):
     a = train(small_corpus[:30], epochs=2, seed=1)
     b = train(small_corpus[:30], epochs=2, seed=2)
     # Different shuffles virtually always yield different weights.
-    assert a.target_weights != b.target_weights or a.parent_weights != b.parent_weights
+    assert a.target_weights != b.target_weights or a.label_weights != b.label_weights
 
 
 def test_model_save_load_roundtrip(trained, tmp_path, small_corpus):
@@ -137,7 +131,7 @@ def test_model_save_load_roundtrip(trained, tmp_path, small_corpus):
     assert loaded.labels == trained.labels
     for t in small_corpus[100:105]:
         toks = tokens_of(t)
-        assert tree_equal(decode_greedy(trained, toks), decode_greedy(loaded, toks))
+        assert tree_equal(decode_beam(trained, toks, 1), decode_beam(loaded, toks, 1))
 
 
 @settings(max_examples=30, deadline=None)
@@ -182,6 +176,47 @@ def test_model_load_validates_format(tmp_path):
         p.write_text(f"ajparse-model\t1\nlabels\t{labels}\n[end]\n")
         with pytest.raises(ModelFormatError, match="repeated or spelled '<none>'"):
             ActionScorer.load(str(p))
+    # A parse writes each label into bracketed text that score reads back,
+    # and with no label the first token has no action.
+    for line in ("labels", "labels\t", "labels\tNP\t", "labels\tNP\tN P", "labels\tN\xa0P",
+                 "labels\tN(P", "labels\tNP)", "labels\tS+", "labels\t+S", "labels\tS++VP"):
+        p.write_text(f"ajparse-model\t1\n{line}\n[end]\n", encoding="utf-8")
+        with pytest.raises(ModelFormatError):
+            ActionScorer.load(str(p))
+        with pytest.raises(ModelFormatError):
+            ActionScorer(line.split("\t")[1:], {}, {}).save(str(tmp_path / "out.model"))
+    assert not (tmp_path / "out.model").exists()
+
+
+# One feature with different [parent] and [new] weights for the same
+# labels, <none> included; the sections are in save's order.
+SLOT_RANGES_MODEL = """\
+ajparse-model\t1
+labels\tNP\tS
+[target]
+t.d=0\t0.5
+[parent]
+c0=S\tS\t4.0
+w=the\t<none>\t1.5
+w=the\tNP\t2.0
+[new]
+w=the\t<none>\t-0.25
+w=the\tNP\t3.0
+w=the\tS\t0.125
+[end]
+"""
+
+
+def test_label_sections_keep_their_own_slot_ranges(tmp_path):
+    p = tmp_path / "slots.model"
+    p.write_text(SLOT_RANGES_MODEL)
+    scorer = ActionScorer.load(str(p))
+    _, parent, new = _factor_scores(
+        scorer.target_weights, scorer.label_weights, ("w=the", "c0=S"), [], Token("the", "DT"), 3
+    )
+    assert (parent, new) == ([1.5, 2.0, 4.0], [-0.25, 3.0, 0.125])
+    scorer.save(str(p))
+    assert p.read_text() == SLOT_RANGES_MODEL
 
 
 # sha256 of the model file and of the parses of small_corpus[100:], one

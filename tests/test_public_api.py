@@ -10,7 +10,7 @@ PUBLIC = {
     "LabelFormatError", "Leaf", "ModelFormatError", "REDUCE", "SHIFT",
     "ScoreReport", "Token", "TreebankFormatError", "apply_action",
     "apply_sequence", "attach", "collapse_unary_chains", "decode_beam",
-    "decode_greedy", "decode_right_branching", "extract_brackets",
+    "decode_right_branching", "extract_brackets",
     "format_actions", "format_report", "gamma", "has_unary_chains",
     "is_legal_stack", "isr_apply", "iter_corpus", "juxtapose", "last_action",
     "legal_actions", "load_corpus", "normalize", "oracle_action_sequence",

@@ -62,8 +62,9 @@ def test_train_matches_reference(corpus, epochs, seed):
     labels, target, parent, new, history = reference.reference_train(corpus, epochs, seed)
     assert scorer.labels == labels
     assert _reprs({f: row[0] for f, row in scorer.target_weights.items()}) == _reprs(target)
-    assert _reprs(reference.label_dict(scorer.parent_weights, labels)) == _reprs(parent)
-    assert _reprs(reference.label_dict(scorer.new_weights, labels)) == _reprs(new)
+    assert tuple(map(_reprs, reference.label_dict(scorer.label_weights, labels))) == (
+        _reprs(parent), _reprs(new)
+    )
     assert scorer.epoch_accuracy == history
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp, "m.model")
@@ -87,8 +88,7 @@ def test_train_matches_reference(corpus, epochs, seed):
                 reference.target_features(tree_chain, d, token) for d in range(len(tree_chain))
             ]
             t, p, n = _factor_scores(
-                scorer.target_weights, scorer.parent_weights, scorer.new_weights,
-                feats, chain, token, len(choices),
+                scorer.target_weights, scorer.label_weights, feats, chain, token, len(choices)
             )
             ref_t, ref_p, ref_n = reference._factor_scores(
                 target, parent, new, feats, tree_chain, token, choices
