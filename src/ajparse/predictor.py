@@ -112,7 +112,9 @@ class _AveragedRows:
     Dict target rows would drop the ``width > 1`` forks, but on perfbench's
     parse-many-labels they raised the ``tracemalloc`` peak of ``train`` from
     2,054 to 2,145 kB and of beam-1 ``parse`` from 580 to 624 kB.
-    The running totals and last-update steps are ``width`` slots per feature.
+    The running totals and last-update steps stay dense lists of ``width``
+    slots per feature: dicts of the touched slots raised ``train``'s peak
+    from 1,621 to 1,700 kB there. ``averaged()`` spends the table.
     """
 
     def __init__(self, width: int):
@@ -138,12 +140,18 @@ class _AveragedRows:
 
     def averaged(self) -> dict:
         """Averaged rows: a label row keeps the slots whose average is not
-        zero, and features with no such slot are left out."""
+        zero, and features with no such slot are left out. This spends the
+        table: each feature's row, totals and stamps are dropped as its
+        averaged row is made, so the two tables are never held whole at
+        once, and the table is empty afterwards."""
         if self.steps == 0:
+            self.w.clear()
+            self._totals.clear()
+            self._stamps.clear()
             return {}
         out = {}
-        for f, row in self.w.items():
-            totals, stamps = self._totals[f], self._stamps[f]
+        for f in list(self.w):
+            row, totals, stamps = self.w.pop(f), self._totals.pop(f), self._stamps.pop(f)
             avg = {}
             for s, v in (row.items() if self.width > 1 else enumerate(row)):
                 a = (totals[s] + (self.steps - stamps[s]) * v) / self.steps
@@ -350,7 +358,12 @@ def train(trees, epochs: int, seed: int) -> ActionScorer:
     slot_of = {c: s for s, c in enumerate(choices)}
     factors = target_w, label_w = _AveragedRows(1), _AveragedRows(2 * width)
 
-    examples = [(tokens_of(tree), oracle_action_sequence(tree)) for tree in trees]
+    # One tuple per distinct action, shared by every step that takes it.
+    shared = {}
+    examples = [
+        (tokens_of(tree), [shared.setdefault(a, a) for a in oracle_action_sequence(tree)])
+        for tree in trees
+    ]
     rng = random.Random(seed)
     order = list(range(len(examples)))
     history = []
@@ -407,11 +420,17 @@ def decode_beam(scorer: ActionScorer, tokens, beam: int) -> ConstituencyTree:
     its ``legal_actions`` index, and subtracts their log-sum-exp so that path
     scores are comparable across items; without it, raw perceptron margins
     accumulate incomparably across alternative prefixes and wide beams
-    degrade. Only candidates whose total reaches the beam-th best total are
-    sorted; float rounding is monotone, so they include the whole beam. Only
-    the beam's members become actions. Ties break on ``(k % W != 0, k)`` for
-    the index k of width W: attach before juxtapose, then target depth, then
-    parent and new label order (None first); then on item rank.
+    degrade. The step carries the beam-th best total over the items scored
+    so far as a running cut; while fewer are known it is the lowest, which
+    keeps them all. Each item keeps only the candidates that reach the cut
+    and drops its other totals before the next item is scored, so the step
+    never holds every item's depth x (L+1)**2 totals. Once ``beam`` totals
+    are known the cut only rises, so the kept candidates include all that
+    reach the final cut, and only those are sorted; float rounding is
+    monotone, so they include the whole beam. Only the beam's members become actions. Ties break on
+    ``(k % W != 0, k)`` for the index k of width W: attach before
+    juxtapose, then target depth, then parent and new label order (None
+    first); then on item rank.
     Items are open chains: a successor copies the frames that ``step``
     edits, from the action's target down, and shares those above.
     """
@@ -424,7 +443,7 @@ def decode_beam(scorer: ActionScorer, tokens, beam: int) -> ConstituencyTree:
     items = [(0.0, 0, [], "none")]  # (score, rank, chain, prev_kind)
     for i, token in enumerate(tokens):
         context = tuple(tokens[max(0, i - 2) : i])
-        stepped = []
+        best, kept = [], []
         for score, rank, chain, prev_kind in items:
             t, p, n = _factor_scores(
                 scorer.target_weights, scorer.label_weights,
@@ -441,12 +460,12 @@ def decode_beam(scorer: ActionScorer, tokens, beam: int) -> ConstituencyTree:
                 # The cut needs a total order; a sum of finite weights can
                 # still overflow to inf, and inf - inf is nan.
                 raise ValueError("step scores overflow the float range")
-            stepped.append(([score + (s - lse) for s in scores], rank, chain))
-        cut = heapq.nlargest(beam, itertools.chain.from_iterable(s[0] for s in stepped))[-1]
-        candidates = []
-        for totals, rank, chain in stepped:
+            totals = [score + (s - lse) for s in scores]
+            best = heapq.nlargest(beam, itertools.chain(best, totals))
+            cut = best[-1]
             for k in itertools.compress(range(len(totals)), map(cut.__le__, totals)):
-                candidates.append((-totals[k], k % width != 0, k, rank, chain))
+                kept.append((-totals[k], k % width != 0, k, rank, chain))
+        candidates = [c for c in kept if -c[0] >= cut]
         candidates.sort()  # (k, rank) is unique, so no two chains are compared
         items = []
         for rank, (neg_total, _, k, _, chain) in enumerate(candidates[:beam]):

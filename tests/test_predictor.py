@@ -1,12 +1,14 @@
 import hashlib
 import random
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import ajparse.predictor
+from ajparse.oracle import oracle_action_sequence
 from ajparse.predictor import (
     ActionScorer,
     ModelFormatError,
@@ -20,7 +22,7 @@ from ajparse.predictor import (
 from ajparse.scoring import score
 from ajparse.synth import generate_corpus
 from ajparse.tree import Internal, Token, tree_equal
-from ajparse.treebank import tokens_of, write_bracketed
+from ajparse.treebank import parse_bracketed, tokens_of, write_bracketed
 from test_train_reference import relabel
 
 
@@ -278,6 +280,49 @@ def test_decode_builds_few_actions_per_step(trained, small_corpus, monkeypatch, 
         decode_beam(trained, tokens, beam)
     steps = sum(map(len, sentences))
     assert len(built) <= 2 * beam * steps, len(built) / steps
+
+
+def _decode_peak(scorer, tokens, beam) -> int:
+    tracemalloc.start()
+    try:
+        decode_beam(scorer, tokens, beam)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_beam_ten_holds_little_more_than_greedy(small_corpus):
+    """A beam step keeps only the candidates that reach the best totals so
+    far, not every item's depth x (labels + 1)**2 totals until the cut."""
+    rng = random.Random(13)
+    corpus = [relabel(t, rng, 2) for t in small_corpus[:40]]
+    scorer = train(corpus[:30], epochs=1, seed=0)
+    assert len(scorer.labels) == 8
+    tokens = next(toks for toks in map(tokens_of, corpus[30:]) if len(toks) == 10)
+    greedy, wide = _decode_peak(scorer, tokens, 1), _decode_peak(scorer, tokens, 10)
+    assert wide < 3 * greedy, wide / greedy
+
+
+def test_training_shares_one_tuple_per_action(monkeypatch):
+    """Equal oracle steps of different sentences are one object in the
+    examples that training replays, though the oracle builds each anew."""
+    trees = [
+        parse_bracketed(f"(S (NP (DT the) (NN {noun})) (VP (VBD {verb})))")
+        for noun, verb in (("king", "slept"), ("dog", "ran"))
+    ]
+    first, second = map(oracle_action_sequence, trees)
+    assert first == second and first[0] is not second[0]
+    replayed = []
+    teacher_steps = ajparse.predictor._teacher_steps
+
+    def recording(tokens, actions):
+        replayed.append(actions)
+        return teacher_steps(tokens, actions)
+
+    monkeypatch.setattr(ajparse.predictor, "_teacher_steps", recording)
+    train(trees, epochs=1, seed=0)
+    first, second = replayed
+    assert first == second and all(a is b for a, b in zip(first, second))
 
 
 # Before token i a right-branching tree's chain holds i nodes, so a step

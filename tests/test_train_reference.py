@@ -132,14 +132,21 @@ def test_sparse_rows_average_as_dense_rows(width_run):
                 rows.tick()
             else:
                 rows.update(*op)
-    # The last feature is never updated, so it has no row on either side.
-    for ours, ref in ((sparse.w, dense.w), (sparse.averaged(), dense.averaged())):
+
+    def assert_rows_match(ours, ref):
+        # The last feature is never updated, so it has no row on either side.
         assert set(ours) == set(ref)
         for f in FEATURES:
             dense_row = ref.get(f, [0.0] * width)
             row = ours.get(f, {})
             assert [repr(row.get(s, 0.0)) for s in range(width)] == list(map(repr, dense_row))
-    assert all(all(row.values()) for row in sparse.averaged().values())
+
+    assert_rows_match(sparse.w, dense.w)
+    averaged = sparse.averaged()
+    assert_rows_match(averaged, dense.averaged())
+    assert all(all(row.values()) for row in averaged.values())
+    # Averaging spends the live table.
+    assert sparse.w == sparse._totals == sparse._stamps == {}
 
 
 # Weights whose sums show the order of the additions.
