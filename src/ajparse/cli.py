@@ -117,7 +117,7 @@ def _each_entry(args, work, output=None) -> tuple:
 def cmd_oracle(args) -> int:
     def work(entry):
         actions = oracle_action_sequence(entry.tree)
-        return f"{entry.id}\t{entry.tree.length}\t{format_actions(actions)}"
+        return f"{entry.id}\t{len(actions)}\t{format_actions(actions)}"
 
     return _result(*_each_entry(args, work, args.output))
 
@@ -140,7 +140,7 @@ def cmd_translate_isr(args) -> int:
         stack = _replay_checked(isr_actions, tokens)
         if len(stack) != 1 or not node_equal(stack[0], entry.tree.root):
             raise ValueError("replayed stack does not hold the gold tree")
-        n = entry.tree.length
+        n = len(tokens)
         m = sum(isinstance(node, Internal) for node in iter_nodes(entry.tree.root))
         if len(isr_actions) != n + 2 * m:
             raise ValueError(f"length {len(isr_actions)} != n + 2m = {n + 2 * m}")

@@ -27,7 +27,7 @@ from .isr import (
 )
 from .oracle import oracle_action_sequence
 from .transition import INITIAL_STATE, apply_action, apply_sequence, legal_actions
-from .tree import ConstituencyTree, Internal, Leaf, Token, end_index, node_equal, rightmost_chain
+from .tree import ConstituencyTree, Internal, Leaf, Token, node_equal, rightmost_chain
 
 MAX_LEAVES = 6
 MAX_VOCAB = 3
@@ -42,13 +42,14 @@ def _token(i: int) -> Token:
 
 
 def enumerate_subtrees(n_leaves: int, start: int, labels, unary_budget: int = 0):
-    """All subtree shapes over ``n_leaves`` leaves starting at index ``start``.
+    """All subtree shapes over ``n_leaves`` leaves, whose tokens are
+    ``_token(start)`` onwards.
 
     With ``unary_budget`` 0 the yield is unary-chain-free; a positive budget
     additionally allows that many internal-over-internal unary links.
     """
     if n_leaves == 1:
-        leaf = Leaf(_token(start), start)
+        leaf = Leaf(_token(start))
         yield leaf
         for lbl in labels:
             yield Internal(lbl, (leaf,))
@@ -106,21 +107,22 @@ class CheckReport:
 
 def _enumerate_final_trees(n_max: int, labels):
     """Forward-enumerate every legal action sequence of length <= n_max and
-    count the resulting trees, keyed by (length, root node)."""
+    count the resulting trees."""
     results = Counter()
     sequences = 0
-    # Depth-first over states; every prefix is itself a complete sequence.
-    frontier = [INITIAL_STATE]
+    # Depth-first over states, each beside its token count; every prefix is
+    # itself a complete sequence.
+    frontier = [(INITIAL_STATE, 0)]
     while frontier:
-        state = frontier.pop()
-        if state.length >= n_max:
+        state, n = frontier.pop()
+        if n >= n_max:
             continue
-        token = _token(state.length)
+        token = _token(n)
         for action in legal_actions(state, labels):
             succ = apply_action(state, token, action)
             sequences += 1
             results[succ] += 1
-            frontier.append(succ)
+            frontier.append((succ, n + 1))
     return results, sequences
 
 
@@ -149,7 +151,7 @@ def enumerate_augmented(n_max: int, labels):
     tree, bare-leaf roots, and ``AUGMENTED_UNARY_BUDGET`` levels of unary
     chaining."""
     yield None, -1
-    yield Leaf(_token(0), 0), -1
+    yield Leaf(_token(0)), -1
     for n in range(1, n_max + 1):
         for root in enumerate_subtrees(n, 0, labels, AUGMENTED_UNARY_BUDGET):
             if isinstance(root, Internal):
@@ -159,11 +161,12 @@ def enumerate_augmented(n_max: int, labels):
 
 def check_bijection(n_max: int, labels, report: CheckReport) -> None:
     """phi/gamma inverse identities plus the one-reduce-steps-the-mark lemma."""
-    prev_root, prev_mark, prev_stack = None, None, None
+    stack = None
     for aug in enumerate_augmented(n_max, labels):
         report.augmented_checked += 1
-        root, mark = aug
-        stack = gamma(aug)
+        # Marks are enumerated in order per tree, so a mark >= 0 follows its
+        # tree at mark - 1, whose stack one reduce should give.
+        below, stack = stack, gamma(aug)
         if not is_legal_stack(stack):
             report.failures.append(f"gamma({aug!r}) is not a legal stack")
             continue
@@ -172,21 +175,13 @@ def check_bijection(n_max: int, labels, report: CheckReport) -> None:
             # A stack that phi does not map back may hold nothing to reduce.
             report.failures.append(f"phi(gamma({aug!r})) = {back!r}")
             continue
-        if mark >= 0:
-            reduced = isr_apply(stack, REDUCE)
-            # Marks are enumerated in order per tree, so gamma at mark - 1
-            # is usually the previous iteration's stack.
-            if prev_root is root and prev_mark == mark - 1:
-                expected = prev_stack
-            else:
-                expected = gamma((root, mark - 1))
-            if reduced != expected:
+        if aug[1] >= 0:
+            if isr_apply(stack, REDUCE) != below:
                 report.failures.append(
                     f"reduce on gamma({aug!r}) does not step the mark"
                 )
             else:
                 report.reduce_lemma_checked += 1
-        prev_root, prev_mark, prev_stack = root, mark, stack
 
     for stack in enumerate_legal_stacks(n_max, labels):
         report.stacks_checked += 1
@@ -208,38 +203,37 @@ def enumerate_legal_stacks(max_tokens: int, labels):
     to it, so the set of stacks yielded does not depend on the search order;
     depth-first order keeps the frontier, and so the heap, small.
 
-    Duplicates are found by a string key per stack element, carried beside
-    each queued stack: a leaf is its index, a projection ``[`` and its label,
+    Each queued stack is carried beside its shift count, which bounds its
+    shifts, and beside a string key per stack element, which finds
+    duplicates: a leaf is its position, a projection ``[`` and its label,
     and an internal node ``(label child-keys...)``. Shift appends the leaf
-    index, project inserts ``[label`` under the top string, and reduce joins
-    the strings above the topmost ``[`` into one ``(label ...)`` string. A
-    tuple of strings hashes in C on cached ``str`` hashes, and ``isr_apply``
-    runs only for an unseen key; it still makes every stack, and
-    ``is_legal_stack`` still checks each one. Only moves that keep a stack
-    legal are tried: a reduce needs a projection, a project a subtree on
-    top, and a shift an empty stack or one that starts with a projection.
+    position, project inserts ``[label`` under the top string, and reduce
+    joins the strings above the topmost ``[`` into one ``(label ...)``
+    string. A tuple of strings hashes in C on cached ``str`` hashes, and
+    ``isr_apply`` runs only for an unseen key; it still makes every stack,
+    and ``is_legal_stack`` still checks each one. Only moves that keep a
+    stack legal are tried: a reduce needs a projection, a project a subtree
+    on top, and a shift an empty stack or one that starts with a projection.
     """
     cap = 2 * max_tokens + EXTRA_INTERNAL
     seen = {()}
     # Weight (total node count plus projections) is tracked incrementally:
     # shift and project add one, reduce folds a projection into one node,
     # so a stack at the cap can only reduce.
-    queue = [(EMPTY_STACK, (), 0)]
+    queue = [(EMPTY_STACK, (), 0, 0)]
     yield EMPTY_STACK
     projections = [(project(lbl), "[" + lbl) for lbl in labels]
     tokens = [(_token(i), str(i)) for i in range(max_tokens)]
     while queue:
-        stack, key, weight = queue.pop()
+        stack, key, weight, consumed = queue.pop()
         moves = []
         reduced_key = _reduce_key(key)
         if reduced_key is not None:
             moves.append((REDUCE, None, reduced_key, weight))
         if weight < cap:
-            if not stack or isinstance(stack[0], str):
-                consumed = end_index(stack[-1]) if stack else 0
-                if consumed < max_tokens:
-                    token, leaf_key = tokens[consumed]
-                    moves.append((SHIFT, token, key + (leaf_key,), weight + 1))
+            if (not stack or isinstance(stack[0], str)) and consumed < max_tokens:
+                token, leaf_key = tokens[consumed]
+                moves.append((SHIFT, token, key + (leaf_key,), weight + 1))
             if stack:
                 for pj, pj_key in projections:
                     moves.append((pj, None, key[:-1] + (pj_key,) + key[-1:], weight + 1))
@@ -253,7 +247,7 @@ def enumerate_legal_stacks(max_tokens: int, labels):
             if not is_legal_stack(succ):
                 continue
             seen.add(succ_key)
-            queue.append((succ, succ_key, succ_weight))
+            queue.append((succ, succ_key, succ_weight, consumed + (action == SHIFT)))
             yield succ
 
 

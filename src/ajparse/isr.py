@@ -22,7 +22,6 @@ from .tree import (
     Internal,
     Leaf,
     Token,
-    end_index,
     rightmost_chain,
 )
 
@@ -66,11 +65,11 @@ def isr_apply(stack: tuple, action: str, next_token: Optional[Token] = None) -> 
     if action == SHIFT:
         if next_token is None:
             raise IllegalStackError("shift requires the next token")
-        # The top element holds the last shifted leaf; a projection on top,
-        # which no move makes, holds none.
+        # In order, a projection goes beneath its finished first child, so
+        # no move leaves one on top; a stack with one there is rejected.
         if stack and isinstance(stack[-1], str):
             raise IllegalStackError("shift requires a completed subtree on top")
-        return stack + (Leaf(next_token, end_index(stack[-1]) if stack else 0),)
+        return stack + (Leaf(next_token),)
     if action == REDUCE:
         # Pop down to the nearest projected nonterminal.
         idx = len(stack) - 1

@@ -338,7 +338,7 @@ def _teacher_steps(tokens, actions):
     prev_kind = "none"
     for i, (token, action) in enumerate(zip(tokens, actions)):
         yield chain, token, tuple(tokens[max(0, i - 2) : i]), prev_kind, action
-        step(chain, Leaf(token, i), action)
+        step(chain, Leaf(token), action)
         prev_kind = action_kind(action)
 
 
@@ -472,7 +472,7 @@ def decode_beam(scorer: ActionScorer, tokens, beam: int) -> ConstituencyTree:
             action = action_at(k, len(chain), choices)
             d, _, _ = action
             successor = chain[:d] + [[label, list(kids)] for label, kids in chain[d:]]
-            step(successor, Leaf(token, i), action)
+            step(successor, Leaf(token), action)
             items.append((-neg_total, rank, successor, action_kind(action)))
     return ConstituencyTree(close_chain(items[0][2], 0))
 

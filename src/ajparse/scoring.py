@@ -1,6 +1,6 @@
 """PARSEVAL-style bracket scoring: exact match, F1, labeled precision/recall.
 
-Brackets are (label, start, end) triples over leaf indices, one per internal
+Brackets are (label, start, end) triples over leaf positions, one per internal
 node after restoring collapsed unary chains (a collapsed ``A+B`` node gives
 ``A`` and ``B`` over its span); POS preterminals stored on leaves are
 excluded. Corpus scores are micro-averaged and use multiset intersection;
@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from itertools import zip_longest
+from itertools import count, zip_longest
 
 from .tree import ConstituencyTree, Internal, LabelFormatError, chain_labels, fold, iter_leaves
 
@@ -30,6 +30,11 @@ class ScoreReport:
 
 def extract_brackets(tree: ConstituencyTree) -> Counter:
     brackets = Counter()
+    position = count()  # the fold visits leaves left to right
+
+    def leaf_span(leaf) -> tuple:
+        i = next(position)
+        return i, i
 
     def span(node: Internal, spans: list) -> tuple:
         starts, ends = zip(*spans)
@@ -39,21 +44,20 @@ def extract_brackets(tree: ConstituencyTree) -> Counter:
         return start, end
 
     if tree.root is not None:
-        fold(tree.root, lambda leaf: (leaf.index, leaf.index), span)
+        fold(tree.root, leaf_span, span)
     return brackets
 
 
 def _sentence_brackets(i: int, g: ConstituencyTree, p: ConstituencyTree) -> tuple:
     """The brackets of gold ``g`` and predicted ``p``, sentence ``i``, once
     their words are checked to agree; POS tags are not compared."""
-    if g.length != p.length:
-        raise ValueError(f"sentence {i}: gold has {g.length} tokens, predicted has {p.length}")
-    for j, (gl, pl) in enumerate(zip(iter_leaves(g.root), iter_leaves(p.root))):
-        if gl.token.word != pl.token.word:
-            raise ValueError(
-                f"sentence {i}: token {j} is {gl.token.word!r} in gold"
-                f" but {pl.token.word!r} in predicted"
-            )
+    gold = [leaf.token.word for leaf in iter_leaves(g.root)]
+    pred = [leaf.token.word for leaf in iter_leaves(p.root)]
+    if len(gold) != len(pred):
+        raise ValueError(f"sentence {i}: gold has {len(gold)} tokens, predicted has {len(pred)}")
+    for j, (gw, pw) in enumerate(zip(gold, pred)):
+        if gw != pw:
+            raise ValueError(f"sentence {i}: token {j} is {gw!r} in gold but {pw!r} in predicted")
     try:
         return extract_brackets(g), extract_brackets(p)
     except LabelFormatError as err:

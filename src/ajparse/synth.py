@@ -19,57 +19,54 @@ _PREPS = ["of", "in", "with", "near"]
 _DETS = ["the", "a"]
 
 
-def _leaf(counter, word, pos) -> Leaf:
-    leaf = Leaf(Token(word, pos), counter[0])
-    counter[0] += 1
-    return leaf
+def _leaf(word, pos) -> Leaf:
+    return Leaf(Token(word, pos))
 
 
-def _np(rng, counter, depth):
+def _np(rng, depth):
     roll = rng.random()
     if depth > 0 and roll < 0.25:
-        head = _np(rng, counter, 0)
-        pp = _pp(rng, counter, depth - 1)
+        head = _np(rng, 0)
+        pp = _pp(rng, depth - 1)
         return Internal("NP", (head, pp))
     if roll < 0.45:
-        return Internal("NP", (_leaf(counter, rng.choice(_PROPER), "NNP"),))
+        return Internal("NP", (_leaf(rng.choice(_PROPER), "NNP"),))
     if roll < 0.75:
         return Internal(
             "NP",
-            (_leaf(counter, rng.choice(_DETS), "DT"), _leaf(counter, rng.choice(_NOUNS), "NN")),
+            (_leaf(rng.choice(_DETS), "DT"), _leaf(rng.choice(_NOUNS), "NN")),
         )
     return Internal(
         "NP",
         (
-            _leaf(counter, rng.choice(_DETS), "DT"),
-            _leaf(counter, rng.choice(_ADJS), "JJ"),
-            _leaf(counter, rng.choice(_NOUNS), "NN"),
+            _leaf(rng.choice(_DETS), "DT"),
+            _leaf(rng.choice(_ADJS), "JJ"),
+            _leaf(rng.choice(_NOUNS), "NN"),
         ),
     )
 
 
-def _pp(rng, counter, depth):
+def _pp(rng, depth):
     return Internal(
         "PP",
-        (_leaf(counter, rng.choice(_PREPS), "IN"), _np(rng, counter, depth)),
+        (_leaf(rng.choice(_PREPS), "IN"), _np(rng, depth)),
     )
 
 
-def _vp(rng, counter, depth):
-    verb = _leaf(counter, rng.choice(_VERBS), "VBZ")
-    obj = _np(rng, counter, depth)
+def _vp(rng, depth):
+    verb = _leaf(rng.choice(_VERBS), "VBZ")
+    obj = _np(rng, depth)
     if rng.random() < 0.3:
-        return Internal("VP", (verb, obj, _pp(rng, counter, depth - 1)))
+        return Internal("VP", (verb, obj, _pp(rng, depth - 1)))
     return Internal("VP", (verb, obj))
 
 
 def generate_tree(rng: random.Random, max_depth: int = 2) -> ConstituencyTree:
-    counter = [0]
-    subject = _np(rng, counter, max_depth)
-    vp = _vp(rng, counter, max_depth)
+    subject = _np(rng, max_depth)
+    vp = _vp(rng, max_depth)
     children = [subject, vp]
     if rng.random() < 0.5:
-        children.append(_leaf(counter, ".", "."))
+        children.append(_leaf(".", "."))
     return ConstituencyTree(Internal("S", tuple(children)))
 
 

@@ -206,7 +206,7 @@ def apply_action(state: ConstituencyTree, token: Token, action: tuple) -> Consti
     chain = []
     open_chain(chain, state.root, target + 1)
     check_depth(len(chain), action)
-    step(chain, Leaf(token, state.length), action)
+    step(chain, Leaf(token), action)
     return ConstituencyTree(close_chain(chain, 0))
 
 
@@ -223,5 +223,5 @@ def apply_sequence(tokens, actions) -> ConstituencyTree:
             check_depth(len(chain), action)
         except IllegalActionError as err:
             raise IllegalActionError(err.reason, action, step=i) from err
-        step(chain, Leaf(token, i), action)
+        step(chain, Leaf(token), action)
     return ConstituencyTree(close_chain(chain, 0))

@@ -10,7 +10,7 @@ by Python's recursion limit.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Iterator, Optional, Union
 
 # Joins the labels of a collapsed unary chain, e.g. "S+NP".
@@ -33,8 +33,10 @@ class Token:
 
 @dataclass(frozen=True)
 class Leaf:
+    """A token in a tree. Its position is its place among the tree's
+    leaves, left to right, so equal tokens make equal, shareable leaves."""
+
     token: Token
-    index: int
 
 
 @dataclass(frozen=True)
@@ -104,29 +106,21 @@ def fold(root: Node, on_leaf: Callable, on_internal: Callable):
     return values[0]
 
 
-def end_index(node: Optional[Node]) -> int:
-    """One past the index of the last leaf under ``node``, 0 for None: the
-    number of leaves under a root whose leaves are indexed 0..n-1 from left
-    to right, as in every tree the package builds."""
-    if node is None:
-        return 0
-    while isinstance(node, Internal):
-        node = node.children[-1]
-    return node.index + 1
-
-
 @dataclass(frozen=True)
 class ConstituencyTree:
     """A rooted tree over a token sequence; ``root is None`` means the
     empty tree (zero tokens)."""
 
     root: Optional[Internal]
-    length: int = field(init=False)
 
     def __post_init__(self):
         if self.root is not None and not isinstance(self.root, Internal):
             raise ValueError("non-empty tree must have an internal root")
-        object.__setattr__(self, "length", end_index(self.root))
+
+    @property
+    def length(self) -> int:
+        """The number of tokens, counted by a walk over the leaves."""
+        return sum(1 for _ in iter_leaves(self.root))
 
     @property
     def is_empty(self) -> bool:
@@ -211,7 +205,7 @@ def node_equal(a: Optional[Node], b: Optional[Node]) -> bool:
         if isinstance(x, Leaf) != isinstance(y, Leaf):
             return False
         if isinstance(x, Leaf):
-            if x.token.word != y.token.word or x.index != y.index:
+            if x.token.word != y.token.word:
                 return False
             # POS tags only count when both sides carry them.
             if x.token.pos and y.token.pos and x.token.pos != y.token.pos:

@@ -75,10 +75,10 @@ def _read(pieces, normalization: bool):
     raised as it closed, offset relative to the entry. An unclosed entry is last, ``end`` None.
 
     Within one call, equal words, tags and labels are one ``str`` object and
-    equal (tag, word) pairs one ``Token``, so a loaded corpus holds each
+    equal (tag, word) pairs one ``Leaf``, so a loaded corpus holds each
     distinct value once."""
     # Each word, tag and label (raw or stripped) maps to itself, each
-    # (tag, word) pair to its token.
+    # (tag, word) pair to its leaf.
     shared = {}
 
     def normal_node(label, kids):
@@ -93,7 +93,7 @@ def _read(pieces, normalization: bool):
     # Open brackets, innermost last: [offset, label, kept children, dropped
     # children, the first child's entry root, atom offsets].
     stack = []
-    leaves, plus, failure = 0, None, None
+    plus, failure = None, None
     base = 0  # the offset of the piece ``text`` in the whole
     for text in pieces:
         for m in _TOKEN.finditer(text):
@@ -102,16 +102,13 @@ def _read(pieces, normalization: bool):
                 start = base + m.start()
             if kind == _PRETERMINAL:
                 pair = m.group(1, 2)
-                token = shared.get(pair)
-                if token is None:
+                node = root = shared.get(pair)
+                if node is None:
                     tag, word = pair
                     tag, word = shared.setdefault(tag, tag), shared.setdefault(word, word)
-                    token = shared[tag, word] = Token(word, tag)
-                node = root = Leaf(token, leaves)
-                if normalization and token.pos == _TRACE_TAG:
+                    node = root = shared[tag, word] = Leaf(Token(word, tag))
+                if normalization and node.token.pos == _TRACE_TAG:
                     node = None
-                else:
-                    leaves += 1
             elif kind == _OPEN:
                 label = m.group(3)
                 label = shared.setdefault(label, label)
@@ -159,7 +156,7 @@ def _read(pieces, normalization: bool):
                     parent[2].append(node)
             else:
                 yield start, base + m.end(), root, plus, failure
-                leaves, plus, failure = 0, None, None
+                plus, failure = None, None
         base += len(text)
     if stack:
         failure = failure or TreebankFormatError("unbalanced parentheses", stack[-1][0] - start)
@@ -210,20 +207,12 @@ def normalize(tree: ConstituencyTree) -> ConstituencyTree:
     """Remove trace elements, strip functional tags, collapse unary chains."""
     if tree.root is None:
         return tree
-    kept = 0
-
-    def reindex(leaf: Leaf) -> Optional[Leaf]:
-        nonlocal kept
-        if leaf.token.pos == _TRACE_TAG:
-            return None
-        kept += 1
-        return Leaf(leaf.token, kept - 1)
 
     def rebuild(node: Internal, children: list) -> Optional[Internal]:
         kids = [c for c in children if c is not None]
         return collapsed_node(_strip_label(node.label), kids) if kids else None
 
-    root = fold(tree.root, reindex, rebuild)
+    root = fold(tree.root, lambda leaf: None if leaf.token.pos == _TRACE_TAG else leaf, rebuild)
     if root is None:
         raise DegenerateSentenceError(_DEGENERATE)
     return ConstituencyTree(root)

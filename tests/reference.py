@@ -6,8 +6,8 @@ versions that rebuild the changed chain ancestors after every action;
 property tests require the two to agree. The same holds for ``phi``, whose
 reduce is one pass in ``ajparse``, and ``gamma``: the version here reduces at
 the topmost projection until none is left, and the one here returns the
-stack with a count of every leaf, which ``ajparse`` reads off the rightmost
-leaf instead (``tree.end_index``). ``decode_beam`` scores
+stack with a count of every leaf of the tree, which the tests compare with
+the leaves of ``gamma``'s stack. ``decode_beam`` scores
 each step as a list of floats, breaks ties on the action index and builds
 actions only for the beam's members; ``reference_decode_beam`` builds every
 legal action of every item and sorts them, breaking ties on the action's
@@ -27,7 +27,8 @@ and then normalizes the whole tree. ``legal_actions`` maps each index of the
 action space to its action; ``reference_legal_actions`` lists the actions
 by nested loops over depths and labels. ``extract_brackets`` splits each
 collapsed label once as it folds the tree; ``reference_extract_brackets``
-restores the unary chains as a new tree and then folds that.
+restores the unary chains as a new tree and then folds that, numbering the
+leaves with a count of its own.
 ``enumerate_legal_stacks`` searches depth-first and removes duplicate stacks
 by a tuple of strings per stack; ``reference_enumerate_legal_stacks``
 searches breadth-first, removes duplicates by the stacks themselves and
@@ -126,6 +127,12 @@ def reference_extract_brackets(tree) -> Counter:
         return out
 
     brackets = Counter()
+    leaves = 0
+
+    def leaf_span(leaf) -> tuple:
+        nonlocal leaves
+        leaves += 1
+        return leaves - 1, leaves - 1
 
     def span(node, spans: list) -> tuple:
         starts, ends = zip(*spans)
@@ -135,7 +142,7 @@ def reference_extract_brackets(tree) -> Counter:
 
     if tree.root is not None:
         restored = fold(tree.root, lambda leaf: leaf, expand)
-        fold(restored, lambda leaf: (leaf.index, leaf.index), span)
+        fold(restored, leaf_span, span)
     return brackets
 
 
@@ -176,7 +183,7 @@ def reference_apply_action(state, token, action):
     """Execute one action on a persistent tree, rebuilding the target and
     its ancestors, with its own copy of the legality rule."""
     target, parent_label, new_label = action
-    leaf = Leaf(token, state.length)
+    leaf = Leaf(token)
     chain = rightmost_chain(state)
     depth = len(chain)
     if depth == 0:
@@ -717,8 +724,8 @@ def _tokenize(text: str):
     return tokens
 
 
-def _close_bracket(off, label, atoms, children, index):
-    """The node for one bracket pair; ``index`` numbers a new leaf."""
+def _close_bracket(off, label, atoms, children):
+    """The node for one bracket pair."""
     if atoms and children:
         raise TreebankFormatError("token outside a preterminal pair", atoms[0][1])
     if atoms:
@@ -726,7 +733,7 @@ def _close_bracket(off, label, atoms, children, index):
             raise TreebankFormatError("multiple tokens in one preterminal", atoms[1][1])
         if not label:
             raise TreebankFormatError("preterminal without a POS tag", off)
-        return Leaf(Token(atoms[0][0], label), index)
+        return Leaf(Token(atoms[0][0], label))
     if not children:
         raise TreebankFormatError("empty constituent", off)
     if not label:
@@ -743,7 +750,6 @@ def reference_parse_bracketed(text: str) -> ConstituencyTree:
     if tokens[0][0] != "(":
         raise TreebankFormatError(f"expected '(' but found {tokens[0][0]!r}", tokens[0][1])
     frames = []  # open brackets, innermost last: (offset, label, atoms, children)
-    leaves = 0
     pos, n = 0, len(tokens)
     while True:
         tok, off = tokens[pos]
@@ -756,9 +762,7 @@ def reference_parse_bracketed(text: str) -> ConstituencyTree:
             frames.append((off, label, [], []))
         elif tok == ")":
             off, label, atoms, children = frames.pop()
-            node = _close_bracket(off, label, atoms, children, leaves)
-            if atoms:
-                leaves += 1
+            node = _close_bracket(off, label, atoms, children)
             if not frames:
                 break
             frames[-1][3].append(node)
@@ -792,14 +796,9 @@ def _reference_strip_label(label: str) -> str:
 def reference_normalize(tree: ConstituencyTree) -> ConstituencyTree:
     if tree.root is None:
         return tree
-    kept = 0
 
-    def reindex(leaf):
-        nonlocal kept
-        if leaf.token.pos == "-NONE-":
-            return None
-        kept += 1
-        return Leaf(leaf.token, kept - 1)
+    def keep(leaf):
+        return None if leaf.token.pos == "-NONE-" else leaf
 
     def rebuild(node, children):
         children = [c for c in children if c is not None]
@@ -807,7 +806,7 @@ def reference_normalize(tree: ConstituencyTree) -> ConstituencyTree:
             return None
         return collapsed_node(_reference_strip_label(node.label), children)
 
-    root = fold(tree.root, reindex, rebuild)
+    root = fold(tree.root, keep, rebuild)
     if root is None:
         raise DegenerateSentenceError("normalization removed the entire sentence")
     return ConstituencyTree(root)

@@ -738,6 +738,32 @@ def test_parse_refuses_model_label_it_cannot_write(capsys, tmp_path):
     assert not output.exists()
 
 
+@pytest.mark.parametrize("body, message", [
+    ("label\tNP\n[end]\n", "missing label vocabulary"),
+    ("labels\tNP\n[bogus]\n[end]\n", "unknown section [bogus]"),
+    ("labels\tNP\nt.d=0\t1.0\n[target]\n[end]\n", "weight line outside a section"),
+], ids=["no-labels", "unknown-section", "weight-before-section"])
+def test_parse_rejects_malformed_model_file(capsys, tmp_path, body, message):
+    model, sents, output = tmp_path / "bad.model", tmp_path / "in.txt", tmp_path / "o.mrg"
+    model.write_text("ajparse-model\t1\n" + body)
+    sents.write_text("the_DT king_NN\n")
+    code, out, err = run(capsys, "parse", str(sents), str(output), "--model", str(model))
+    assert (code, result_line(out)) == (1, "RESULT ok=0 fail=1")
+    assert f"{model}: {message}" in err
+
+
+def test_parse_reads_words_without_a_tag(capsys, tmp_path):
+    """A word with no ``_POS`` is written as an ``XX`` leaf; ``_NN``, whose
+    only underscore leads, is a word, not a tag."""
+    model, sents, output = tmp_path / "m.model", tmp_path / "in.txt", tmp_path / "o.mrg"
+    model.write_text("ajparse-model\t1\nlabels\tS\n[end]\n")
+    sents.write_text("Arthur waves _NN\n")
+    code, out, _ = run(capsys, "parse", str(sents), str(output), "--model", str(model))
+    assert (code, result_line(out)) == (0, "RESULT ok=1 fail=0")
+    leaves = re.findall(r"\((\S+) ([^\s()]+)\)", output.read_text())
+    assert leaves == [("XX", "Arthur"), ("XX", "waves"), ("XX", "_NN")]
+
+
 def test_parse_rejects_short_weight_line(capsys, tmp_path, corpus_file):
     model, sents = _trained_model(capsys, tmp_path, corpus_file)
     lines = model.read_text().splitlines(keepends=True)

@@ -11,7 +11,7 @@ from ajparse.exhaustive import (
     run_all_checks,
 )
 from ajparse.isr import REDUCE, is_legal_stack
-from ajparse.tree import end_index, has_unary_chains
+from ajparse.tree import has_unary_chains, iter_leaves
 
 from reference import reference_enumerate_legal_stacks
 
@@ -50,13 +50,14 @@ def test_enumerated_stacks_match_reference(max_tokens, vocab_size):
     # The string keys only remove duplicates: a wrong key drops stacks or
     # yields one twice, and either shows against the breadth-first search
     # that removes duplicates by the stacks themselves. Its shift count is
-    # carried along each path, so it also checks the count the search reads
-    # off the top element.
+    # carried along each path, so it also checks that every shift left its
+    # leaf on the stack.
     labels = ["A", "B", "C"][:vocab_size]
     stacks = list(enumerate_legal_stacks(max_tokens, labels))
     assert len(set(stacks)) == len(stacks)
     expected = set(reference_enumerate_legal_stacks(max_tokens, labels))
-    assert {(s, end_index(s[-1]) if s else 0) for s in stacks} == expected
+    leaves = [sum(1 for e in s if not isinstance(e, str) for _ in iter_leaves(e)) for s in stacks]
+    assert set(zip(stacks, leaves)) == expected
 
 
 def test_stack_search_tries_only_legal_moves(monkeypatch):

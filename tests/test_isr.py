@@ -25,7 +25,7 @@ from ajparse.tree import (
     Internal,
     Leaf,
     Token,
-    end_index,
+    iter_leaves,
     node_equal,
     rightmost_chain,
 )
@@ -39,13 +39,13 @@ def tok(word, pos="T"):
     return Token(word, pos)
 
 
-def leaf(word, index, pos="T"):
-    return Leaf(Token(word, pos), index)
+def leaf(word, pos="T"):
+    return Leaf(Token(word, pos))
 
 
-def consumed(stack):
-    """The tokens a stack has shifted, read as the shift reads them."""
-    return end_index(stack[-1]) if stack else 0
+def stack_words(stack):
+    """The words of the leaves a stack holds, bottom to top."""
+    return [l.token.word for e in stack if not isinstance(e, str) for l in iter_leaves(e)]
 
 
 def test_isr_action_validation():
@@ -59,7 +59,7 @@ def test_isr_action_validation():
 def test_isr_apply_rejects_unknown_actions(action):
     # A move that is no action is a plain ValueError, which the stack
     # search does not catch as an illegal move, whatever the stack.
-    for stack in (EMPTY_STACK, (leaf("a", 0),)):
+    for stack in (EMPTY_STACK, (leaf("a"),)):
         with pytest.raises(ValueError) as info:
             isr_apply(stack, action, tok("b"))
         assert not isinstance(info.value, IllegalStackError)
@@ -74,13 +74,13 @@ def test_isr_action_format_roundtrip():
     assert parse_isr_actions(text) == acts
 
 
-def test_shift_pushes_indexed_leaf():
+def test_shift_pushes_a_leaf():
     s = isr_apply(EMPTY_STACK, SHIFT, tok("a"))
-    assert s == (leaf("a", 0),) and consumed(s) == 1
+    assert s == (leaf("a"),)
     with pytest.raises(IllegalStackError):
         isr_apply(EMPTY_STACK, SHIFT)  # no token supplied
     with pytest.raises(IllegalStackError):
-        isr_apply(("A",), SHIFT, tok("a"))  # no leaf to count from
+        isr_apply(("A",), SHIFT, tok("a"))  # a projection on top
 
 
 def test_project_inserts_beneath_top():
@@ -110,11 +110,11 @@ def test_reduce_requires_item_above_projection():
     with pytest.raises(IllegalStackError):
         isr_apply(bad, REDUCE)
     with pytest.raises(IllegalStackError):  # no projection at all
-        isr_apply((leaf("a", 0), leaf("b", 1)), REDUCE)
+        isr_apply((leaf("a"), leaf("b")), REDUCE)
 
 
 def stacks_for_legality():
-    t = leaf("a", 0)
+    t = leaf("a")
     return [
         (),
         (t,),
@@ -136,7 +136,7 @@ def test_legality_closed_form_matches_reduce_simulation():
 
 
 def test_consecutive_projections_are_legal():
-    s = ("S", "NP", leaf("a", 0))
+    s = ("S", "NP", leaf("a"))
     assert is_legal_stack(s)
     root, mark = phi(s)
     assert mark == 1
@@ -145,7 +145,7 @@ def test_consecutive_projections_are_legal():
 
 def test_phi_rejects_illegal_stacks():
     with pytest.raises(IllegalStackError):
-        phi((leaf("a", 0), leaf("b", 1)))
+        phi((leaf("a"), leaf("b")))
 
 
 def test_phi_of_empty_and_single_leaf():
@@ -156,11 +156,11 @@ def test_phi_of_empty_and_single_leaf():
 
 
 def test_gamma_rejects_marks_outside_the_chain():
-    root = Internal("S", (leaf("a", 0),))
+    root = Internal("S", (leaf("a"),))
     assert gamma((root, -1)) == (root,)
-    assert gamma((root, 0)) == ("S", leaf("a", 0))
-    assert gamma((leaf("a", 0), -1)) == (leaf("a", 0),)
-    for aug in ((root, -2), (root, 1), (root, 2), (None, 0), (None, -2), (leaf("a", 0), 0)):
+    assert gamma((root, 0)) == ("S", leaf("a"))
+    assert gamma((leaf("a"), -1)) == (leaf("a"),)
+    for aug in ((root, -2), (root, 1), (root, 2), (None, 0), (None, -2), (leaf("a"), 0)):
         with pytest.raises(ValueError, match="out of range"):
             gamma(aug)
 
@@ -171,7 +171,7 @@ def test_gamma_worked_example():
     t = parse_bracketed("(S (NP (T a)) (VP (T b)))")
     stack = gamma((t.root, 1))
     # The NP child is pushed whole, not opened.
-    assert stack == ("S", t.root.children[0], "VP", leaf("b", 1))
+    assert stack == ("S", t.root.children[0], "VP", leaf("b"))
     assert isinstance(stack[1], Internal) and stack[1].label == "NP"
 
 
@@ -317,13 +317,13 @@ def isr_walks(keep_legal=True):
 
 @settings(max_examples=300)
 @given(isr_walk_steps(keep_legal=False))
-def test_shift_indexes_each_leaf_by_the_shifts_before_it(steps):
+def test_stack_holds_the_shifted_tokens_in_order(steps):
     shifts = 0
     for move, stack in steps:
         if move == SHIFT:
-            assert stack[-1] == leaf(f"w{shifts}", shifts)
+            assert stack[-1] == leaf(f"w{shifts}")
             shifts += 1
-        assert consumed(stack) == shifts
+        assert stack_words(stack) == [f"w{i}" for i in range(shifts)]
 
 
 @settings(max_examples=200)
@@ -384,4 +384,4 @@ def test_gamma_consumed_is_the_leaf_count(stack):
     for mark in range(-1, len(rightmost_chain(root))):
         marked = (root, mark)
         rebuilt = gamma(marked)
-        assert (rebuilt, consumed(rebuilt)) == reference_gamma(marked)
+        assert (rebuilt, len(stack_words(rebuilt))) == reference_gamma(marked)

@@ -57,7 +57,7 @@ def _check_oracle(tree):
 def _check_replay(tokens, actions):
     tree = apply_sequence(tokens, actions)
     assert tree == reference_apply_sequence(tokens, actions)
-    assert [leaf.index for leaf in iter_leaves(tree.root)] == list(range(len(tokens)))
+    assert [leaf.token for leaf in iter_leaves(tree.root)] == list(tokens)
     assert translate_sequence(tokens, actions) == reference_translate_sequence(
         tokens, actions
     )

@@ -17,8 +17,8 @@ from ajparse.treebank import tokens_of
 from test_tree import trees
 
 
-def leaf(word, index, pos="T"):
-    return Leaf(Token(word, pos), index)
+def leaf(word, pos="T"):
+    return Leaf(Token(word, pos))
 
 
 def test_rejects_empty_tree():
@@ -27,7 +27,7 @@ def test_rejects_empty_tree():
 
 
 def test_rejects_unary_chains():
-    t = ConstituencyTree(Internal("S", (Internal("NP", (leaf("a", 0),)),)))
+    t = ConstituencyTree(Internal("S", (Internal("NP", (leaf("a"),)),)))
     with pytest.raises(ValueError):
         last_action(t)
     with pytest.raises(ValueError):
@@ -35,7 +35,7 @@ def test_rejects_unary_chains():
 
 
 def test_single_leaf_tree():
-    t = ConstituencyTree(Internal("S", (leaf("a", 0),)))
+    t = ConstituencyTree(Internal("S", (leaf("a"),)))
     action, predecessor, case = last_action(t)
     assert action == attach(0, "S")
     assert case == "2-1"
@@ -44,27 +44,27 @@ def test_single_leaf_tree():
 
 
 def test_last_leaf_with_siblings_attaches_bare():
-    t = ConstituencyTree(Internal("S", (leaf("a", 0), leaf("b", 1))))
+    t = ConstituencyTree(Internal("S", (leaf("a"), leaf("b"))))
     action, predecessor, case = last_action(t)
     assert action == attach(0, None)
     assert case == "1-3"
-    assert tree_equal(predecessor, ConstituencyTree(Internal("S", (leaf("a", 0),))))
+    assert tree_equal(predecessor, ConstituencyTree(Internal("S", (leaf("a"),))))
 
 
 def test_single_internal_sibling_is_juxtapose():
     t = ConstituencyTree(
-        Internal("S", (Internal("NP", (leaf("a", 0),)), Internal("VP", (leaf("b", 1),))))
+        Internal("S", (Internal("NP", (leaf("a"),)), Internal("VP", (leaf("b"),))))
     )
     action, predecessor, case = last_action(t)
     assert action == juxtapose(0, "VP", "S")
     assert case == "2-2"
-    assert tree_equal(predecessor, ConstituencyTree(Internal("NP", (leaf("a", 0),))))
+    assert tree_equal(predecessor, ConstituencyTree(Internal("NP", (leaf("a"),))))
 
 
 def test_leaf_sibling_is_attach_not_juxtapose():
     # A single left sibling that is a leaf cannot be undone as juxtapose:
     # the predecessor root would be a bare leaf.
-    t = ConstituencyTree(Internal("S", (leaf("a", 0), Internal("NP", (leaf("b", 1),)))))
+    t = ConstituencyTree(Internal("S", (leaf("a"), Internal("NP", (leaf("b"),)))))
     action, _, case = last_action(t)
     assert action == attach(0, "NP")
     assert case == "2-3"

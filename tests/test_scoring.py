@@ -1,3 +1,5 @@
+import itertools
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -118,8 +120,10 @@ def test_format_report_lines():
 def _reworded(tree, k):
     """``tree`` with another word at leaf ``k``."""
 
+    position = itertools.count()
+
     def leaf(node):
-        return Leaf(Token("changed", node.token.pos), k) if node.index == k else node
+        return Leaf(Token("changed", node.token.pos)) if next(position) == k else node
 
     return ConstituencyTree(fold(tree.root, leaf, lambda n, kids: Internal(n.label, tuple(kids))))
 

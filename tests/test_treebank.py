@@ -87,15 +87,12 @@ def test_normalize_keeps_bracket_tags():
     assert n.length == 3
 
 
-def test_normalize_removes_traces_and_reindexes():
+def test_normalize_removes_traces():
     t = parse_bracketed("(S (NP (-NONE- *T*)) (VP (VBZ runs) (NP (NN home))))")
     n = normalize(t)
     assert n.length == 2
     leaves = tokens_of(n)
     assert [tok.word for tok in leaves] == ["runs", "home"]
-    from ajparse.tree import iter_leaves
-
-    assert [l.index for l in iter_leaves(n.root)] == [0, 1]
 
 
 def test_normalize_collapses_unary_chains():
@@ -289,14 +286,12 @@ def _entry_root(root):
 
 @st.composite
 def written_trees(draw, max_depth=4):
-    """Trees of arbitrary atoms, leaves indexed 0..n-1, whose root the
-    reader does not unwrap down to a leaf."""
-    leaves = [0]
+    """Trees of arbitrary atoms whose root the reader does not unwrap down
+    to a leaf."""
 
     def node(depth):
         if depth and (depth == max_depth or draw(st.booleans())):
-            leaves[0] += 1
-            return Leaf(Token(draw(ATOMS), draw(ATOMS)), leaves[0] - 1)
+            return Leaf(Token(draw(ATOMS), draw(ATOMS)))
         kids = [node(depth + 1) for _ in range(draw(st.integers(1, 3)))]
         return Internal(draw(WRITTEN_LABELS), tuple(kids))
 
