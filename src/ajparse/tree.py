@@ -2,6 +2,7 @@
 
 Trees are immutable values: leaves carry tokens (word + optional POS tag),
 internal nodes carry a category label and an ordered, non-empty child tuple.
+Both node kinds are ``tuple`` subclasses of their fields.
 All tree-producing operations return new trees. Every tree walk in the
 package goes through the iterative traversals here (``iter_nodes``,
 ``iter_leaves``, ``fold``, ``rightmost_chain``), so tree depth is not bounded
@@ -10,6 +11,7 @@ by Python's recursion limit.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from dataclasses import dataclass
 from typing import Callable, Iterator, Optional, Union
 
@@ -31,24 +33,31 @@ class Token:
             raise ValueError("token word must be non-empty")
 
 
-@dataclass(frozen=True)
-class Leaf:
-    """A token in a tree. Its position is its place among the tree's
-    leaves, left to right, so equal tokens make equal, shareable leaves."""
+class Leaf(namedtuple("Leaf", "token")):
+    """A token in a tree: the 1-tuple ``(token,)``. Its position is its
+    place among the tree's leaves, left to right, so equal tokens make
+    equal, shareable leaves."""
 
-    token: Token
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Internal:
-    label: str
-    children: tuple  # of Leaf | Internal, non-empty
+class Internal(namedtuple("Internal", "label children")):
+    """The 2-tuple ``(label, children)``, ``children`` a non-empty tuple of
+    ``Leaf | Internal``.
 
-    def __post_init__(self):
-        if not self.label:
+    Nodes are tuples, so a build makes no instance dict, and hashing,
+    comparing and reading a field (``namedtuple``'s getters) run in C. A
+    node equals a plain tuple of its fields, which no check compares it
+    with."""
+
+    __slots__ = ()
+
+    def __new__(cls, label: str, children: tuple):
+        if not label:
             raise ValueError("internal node label must be non-empty")
-        if not self.children:
+        if not children:
             raise ValueError("internal node must have at least one child")
+        return tuple.__new__(cls, (label, children))
 
 
 Node = Union[Leaf, Internal]
@@ -121,10 +130,6 @@ class ConstituencyTree:
     def length(self) -> int:
         """The number of tokens, counted by a walk over the leaves."""
         return sum(1 for _ in iter_leaves(self.root))
-
-    @property
-    def is_empty(self) -> bool:
-        return self.root is None
 
 
 EMPTY_TREE = ConstituencyTree(None)

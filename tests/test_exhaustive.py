@@ -11,7 +11,16 @@ from ajparse.exhaustive import (
     run_all_checks,
 )
 from ajparse.isr import REDUCE, is_legal_stack
-from ajparse.tree import has_unary_chains, iter_leaves
+from ajparse.transition import legal_actions
+from ajparse.tree import (
+    EMPTY_TREE,
+    ConstituencyTree,
+    Internal,
+    Leaf,
+    has_unary_chains,
+    iter_leaves,
+    iter_nodes,
+)
 
 from reference import reference_enumerate_legal_stacks
 
@@ -74,6 +83,26 @@ def test_stack_search_tries_only_legal_moves(monkeypatch):
     stacks = sum(1 for _ in enumerate_legal_stacks(3, ["A", "B"]))
     assert stacks == 28822
     assert calls == stacks - 1
+
+
+def test_nodes_never_equal_stacks_pairs_or_actions():
+    # A node equals a plain tuple of its fields, and stacks, (root, mark)
+    # pairs and actions are plain tuples, so a check comparing across them
+    # could pass by a match between kinds. Over the bound, none occurs.
+    labels = ["A", "B"]
+    pairs = set(exhaustive.enumerate_augmented(3, labels))
+    stacks = set(enumerate_legal_stacks(3, labels))
+    roots = {root for root, _ in pairs} | {e for s in stacks for e in s if not isinstance(e, str)}
+    nodes = {node for root in roots for node in iter_nodes(root)}
+    leaves = [n for n in nodes if isinstance(n, Leaf)]
+    internals = [n for n in nodes if isinstance(n, Internal)]
+    states = [EMPTY_TREE] + [ConstituencyTree(n) for n in internals]
+    actions = {a for state in states for a in legal_actions(state, labels)}
+    assert actions and all(len(a) == 3 for a in actions)
+    for others in (stacks, pairs, actions):
+        assert not nodes & others
+    assert len(leaves) == 3 and internals
+    assert all(leaf != node for leaf in leaves for node in internals)
 
 
 def _phi_marks_one_deeper(stack):

@@ -39,7 +39,7 @@ def test_single_leaf_tree():
     action, predecessor, case = last_action(t)
     assert action == attach(0, "S")
     assert case == "2-1"
-    assert predecessor.is_empty
+    assert predecessor.root is None
     assert oracle_action_sequence(t) == [attach(0, "S")]
 
 
@@ -116,4 +116,4 @@ def test_undo_chain_matches_sequence(fig_tree):
     for expected in reversed(actions):
         action, t, _ = last_action(t)
         assert action == expected
-    assert t.is_empty
+    assert t.root is None

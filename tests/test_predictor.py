@@ -343,13 +343,14 @@ def deep_scorer(deep_tree):
 @pytest.fixture
 def node_builds(monkeypatch):
     built = []
-    post_init = Internal.__post_init__
+    new = Internal.__new__
 
-    def counting(self):
-        built.append(self)
-        post_init(self)
+    def counting(cls, *args, **kwargs):
+        node = new(cls, *args, **kwargs)
+        built.append(node)
+        return node
 
-    monkeypatch.setattr(Internal, "__post_init__", counting)
+    monkeypatch.setattr(Internal, "__new__", staticmethod(counting))
     return built
 
 

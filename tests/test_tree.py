@@ -1,3 +1,5 @@
+import pickle
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -33,15 +35,34 @@ def test_token_requires_word():
         Token("")
 
 
-def test_internal_requires_label_and_children():
+def test_nodes_keep_the_dataclass_contract():
+    # Counterexample text writes nodes with !r, so the repr stays the one
+    # the frozen dataclasses wrote.
+    kids = (Leaf(Token("a", "D")), Internal("VP", (Leaf(Token("b")),)))
+    node = Internal("S", kids)
+    assert repr(node) == (
+        "Internal(label='S', children=(Leaf(token=Token(word='a', pos='D')), "
+        "Internal(label='VP', children=(Leaf(token=Token(word='b', pos='')),))))"
+    )
+    twin = Internal(label="S", children=(Leaf(token=Token("a", "D")), kids[1]))
+    assert twin == node and twin is not node and hash(twin) == hash(node)
+    assert twin.children[0] == kids[0] and hash(twin.children[0]) == hash(kids[0])
+    assert (node.label, node.children, kids[0].token) == ("S", kids, Token("a", "D"))
+    # A node is a tuple of its fields, so it equals that plain tuple.
+    assert node == ("S", kids) and kids[0] == (Token("a", "D"),)
+    copied = pickle.loads(pickle.dumps(node))
+    assert copied == node and type(copied) is Internal and type(copied.children[0]) is Leaf
     with pytest.raises(ValueError):
-        Internal("", (leaf("a"),))
+        Internal("", kids)
     with pytest.raises(ValueError):
-        Internal("X", ())
+        Internal("A", ())
+    for obj, name in ((node, "label"), (node, "children"), (kids[0], "token")):
+        with pytest.raises(AttributeError):
+            setattr(obj, name, getattr(obj, name))
 
 
 def test_empty_tree_properties():
-    assert EMPTY_TREE.is_empty
+    assert EMPTY_TREE.root is None
     assert EMPTY_TREE.length == 0
     assert rightmost_chain(EMPTY_TREE) == []
 
