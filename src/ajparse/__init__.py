@@ -15,7 +15,6 @@ from .tree import (
     Token,
     collapse_unary_chains,
     has_unary_chains,
-    restore_unary_chains,
     rightmost_chain,
     tree_equal,
 )
@@ -30,9 +29,8 @@ from .transition import (
     format_actions,
     juxtapose,
     legal_actions,
-    parse_actions,
 )
-from .oracle import last_action, oracle_action_sequence
+from .oracle import oracle_action_sequence
 from .isr import (
     EMPTY_STACK,
     IllegalStackError,
@@ -57,14 +55,12 @@ from .treebank import (
     parse_bracketed,
     tokens_of,
     write_bracketed,
-    write_corpus,
 )
 from .scoring import ScoreReport, extract_brackets, format_report, score
 from .predictor import (
     ActionScorer,
     ModelFormatError,
     decode_beam,
-    decode_right_branching,
     train,
 )
 
@@ -96,7 +92,6 @@ __all__ = [
     "attach",
     "collapse_unary_chains",
     "decode_beam",
-    "decode_right_branching",
     "extract_brackets",
     "format_actions",
     "format_report",
@@ -106,16 +101,13 @@ __all__ = [
     "isr_apply",
     "iter_corpus",
     "juxtapose",
-    "last_action",
     "legal_actions",
     "load_corpus",
     "normalize",
     "oracle_action_sequence",
-    "parse_actions",
     "parse_bracketed",
     "phi",
     "project",
-    "restore_unary_chains",
     "rightmost_chain",
     "score",
     "tokens_of",
@@ -124,6 +116,5 @@ __all__ = [
     "translate_sequence",
     "tree_equal",
     "write_bracketed",
-    "write_corpus",
     "xi",
 ]

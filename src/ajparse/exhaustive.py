@@ -100,10 +100,6 @@ class CheckReport:
     translations_checked: int = 0
     failures: list = field(default_factory=list)
 
-    @property
-    def ok(self) -> bool:
-        return not self.failures
-
 
 def _enumerate_final_trees(n_max: int, labels):
     """Forward-enumerate every legal action sequence of length <= n_max and

@@ -51,13 +51,6 @@ def format_isr_actions(actions) -> str:
     return " ".join(actions)
 
 
-def parse_isr_actions(text: str) -> list:
-    return [
-        tok if tok in (SHIFT, REDUCE) else project(_projected_label(tok))
-        for tok in text.split()
-    ]
-
-
 EMPTY_STACK = ()
 
 

@@ -7,19 +7,12 @@ Input trees must not contain unary chains.
 
 from __future__ import annotations
 
-from .transition import attach, close_chain, juxtapose, open_chain
+from .transition import attach, juxtapose, open_chain
 from .tree import ConstituencyTree, Internal, has_unary_chains
 
 # Branch identifiers from the last-action decision table. "1-1" (a leaf that
 # is also the root) cannot occur on well-formed trees; seeing it is a bug.
 CASES = ("1-1", "1-2", "1-3", "2-1", "2-2", "2-3")
-
-
-def _require_oracle_input(tree: ConstituencyTree) -> None:
-    if tree.root is None:
-        raise ValueError("last_action requires a non-empty tree")
-    if has_unary_chains(tree):
-        raise ValueError("oracle input must not contain unary chains")
 
 
 def _undo_last(chain: list):
@@ -54,16 +47,6 @@ def _undo_last(chain: list):
     return attach(holder_depth, parent_label), f"{branch}-3"
 
 
-def last_action(tree: ConstituencyTree) -> tuple:
-    """``(action, predecessor, case)``: the last action that built ``tree``,
-    the tree it was applied to, and the decision-table branch taken."""
-    _require_oracle_input(tree)
-    chain = []
-    open_chain(chain, tree.root)
-    action, case = _undo_last(chain)
-    return action, ConstituencyTree(close_chain(chain, 0)), case
-
-
 def oracle_action_sequence(tree: ConstituencyTree, case_tally=None) -> list:
     """The unique action sequence rebuilding ``tree`` from the empty tree.
 
@@ -73,7 +56,8 @@ def oracle_action_sequence(tree: ConstituencyTree, case_tally=None) -> list:
     """
     if tree.root is None:
         return []
-    _require_oracle_input(tree)
+    if has_unary_chains(tree):
+        raise ValueError("oracle input must not contain unary chains")
     actions = []
     chain = []
     open_chain(chain, tree.root)

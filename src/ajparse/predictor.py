@@ -20,8 +20,6 @@ from .oracle import oracle_action_sequence
 from .transition import (
     action_at,
     action_kind,
-    apply_sequence,
-    attach,
     close_chain,
     label_choices,
     step,
@@ -247,7 +245,7 @@ class ActionScorer:
             for line in fh:
                 line = line.rstrip("\n")
                 if line.startswith("["):
-                    section = line.strip("[]")
+                    section = line[1:-1] if line.endswith("]") else line
                     if section == "end":
                         break
                     if section not in offsets:
@@ -475,17 +473,3 @@ def decode_beam(scorer: ActionScorer, tokens, beam: int) -> ConstituencyTree:
             step(successor, Leaf(token), action)
             items.append((-neg_total, rank, successor, action_kind(action)))
     return ConstituencyTree(close_chain(items[0][2], 0))
-
-
-def majority_label(trees) -> str:
-    counts = Counter(_internal_labels(trees))
-    if not counts:
-        raise ValueError("corpus has no internal nodes")
-    return min(counts, key=lambda l: (-counts[l], l))
-
-
-def decode_right_branching(tokens, label: str) -> ConstituencyTree:
-    """Deterministic baseline: each token attaches at the deepest chain node
-    under a single label."""
-    # Before token i the chain has i nodes.
-    return apply_sequence(tokens, [attach(max(i - 1, 0), label) for i in range(len(tokens))])

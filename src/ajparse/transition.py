@@ -8,7 +8,6 @@ to such a node beneath a freshly created parent.
 
 from __future__ import annotations
 
-import re
 from typing import Iterable, Optional
 
 from .tree import (
@@ -60,37 +59,8 @@ def _action_text(action: tuple) -> str:
     return f"juxtapose({target},{parent_label},{new_label})"
 
 
-_ACTION_RE = re.compile(
-    r"(attach|juxtapose)\s*\(\s*(\d+)\s*,\s*([^,()\s]+)\s*(?:,\s*([^,()\s]+)\s*)?\)"
-)
-
-
 def format_actions(actions: Iterable[tuple]) -> str:
     return " ".join(map(_action_text, actions))
-
-
-def parse_actions(text: str) -> list:
-    """Parse the serialized action format, e.g. ``attach(0,NP) juxtapose(0,VP,S)``.
-    Whitespace-insensitive; ``None`` denotes an absent parent_label."""
-    actions = []
-    pos = 0
-    for m in _ACTION_RE.finditer(text):
-        if text[pos : m.start()].strip():
-            raise ValueError(f"unparseable action text: {text[pos:m.start()]!r}")
-        kind, target, parent, new = m.group(1), int(m.group(2)), m.group(3), m.group(4)
-        parent_label = None if parent == "None" else parent
-        if kind == ATTACH:
-            if new is not None:
-                raise ValueError(f"attach takes two arguments: {m.group(0)!r}")
-            actions.append(attach(target, parent_label))
-        else:
-            if new is None:
-                raise ValueError(f"juxtapose takes three arguments: {m.group(0)!r}")
-            actions.append(juxtapose(target, parent_label, new))
-        pos = m.end()
-    if text[pos:].strip():
-        raise ValueError(f"unparseable action text: {text[pos:]!r}")
-    return actions
 
 
 INITIAL_STATE = EMPTY_TREE

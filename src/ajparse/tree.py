@@ -126,11 +126,6 @@ class ConstituencyTree:
         if self.root is not None and not isinstance(self.root, Internal):
             raise ValueError("non-empty tree must have an internal root")
 
-    @property
-    def length(self) -> int:
-        """The number of tokens, counted by a walk over the leaves."""
-        return sum(1 for _ in iter_leaves(self.root))
-
 
 EMPTY_TREE = ConstituencyTree(None)
 
@@ -184,21 +179,6 @@ def chain_labels(label: str) -> list:
     if not all(parts):
         raise LabelFormatError(f"malformed collapsed label: {label!r}")
     return parts
-
-
-def restore_unary_chains(tree: ConstituencyTree) -> ConstituencyTree:
-    """Expand separator-joined labels back into descending unary chains."""
-    if tree.root is None:
-        return tree
-
-    def expand(node: Internal, children: list) -> Internal:
-        parts = chain_labels(node.label)
-        out = Internal(parts[-1], tuple(children))
-        for part in reversed(parts[:-1]):
-            out = Internal(part, (out,))
-        return out
-
-    return ConstituencyTree(fold(tree.root, lambda leaf: leaf, expand))
 
 
 def node_equal(a: Optional[Node], b: Optional[Node]) -> bool:

@@ -247,7 +247,6 @@ def iter_corpus(
     output), whose labels are chain joins by construction.
     """
     with open(path, encoding="utf-8") as fh:
-        kept = 0
         for i, (offset, end, root, plus, error) in enumerate(_read(_pieces(fh), normalization)):
             if end is None:
                 raise TreebankFormatError("unbalanced '('", offset)
@@ -269,8 +268,7 @@ def iter_corpus(
                     raise TreebankFormatError(reason, offset=where, entry=i) from err
                 logger.warning("skipping malformed entry %d: %s", i, err)
                 continue
-            yield CorpusEntry(kept, ConstituencyTree(root))
-            kept += 1
+            yield CorpusEntry(i, ConstituencyTree(root))
 
 
 def load_corpus(
@@ -281,12 +279,6 @@ def load_corpus(
 ) -> list:
     """All entries of ``iter_corpus`` at once, in a list."""
     return list(iter_corpus(path, normalization, strict, plain_labels))
-
-
-def write_corpus(trees, path: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for tree in trees:
-            fh.write(write_bracketed(tree) + "\n")
 
 
 def tokens_of(tree: ConstituencyTree) -> list:

@@ -36,6 +36,11 @@ yields each with the number of shifts on the path that reached it.
 ``score`` reads the gold and predicted trees in lockstep and holds an error
 raised reading the predicted side until gold has been read;
 ``reference_score`` takes gold as a list and reads the predicted side after it.
+``reference_restore_unary_chains`` expands collapsed labels back into unary
+chains, the inverse the collapse round-trips compare against. The module
+also holds the baseline the predictor must beat (``majority_label`` and
+``decode_right_branching``) and ``write_corpus``, which writes trees one
+bracketed line each.
 """
 
 import logging
@@ -64,6 +69,7 @@ from ajparse.transition import (
     IllegalActionError,
     action_kind,
     apply_action,
+    apply_sequence,
     attach,
     juxtapose,
 )
@@ -80,7 +86,9 @@ from ajparse.tree import (
     iter_nodes,
     rightmost_chain,
 )
-from ajparse.treebank import CorpusEntry, DegenerateSentenceError, TreebankFormatError, tokens_of
+from ajparse.treebank import (
+    CorpusEntry, DegenerateSentenceError, TreebankFormatError, tokens_of, write_bracketed,
+)
 
 # The reference reader warns through the reader's logger, so that tests
 # compare the two readers' warnings from one place.
@@ -112,10 +120,9 @@ def reference_legal_actions(state, label_vocabulary) -> list:
     return actions
 
 
-def reference_extract_brackets(tree) -> Counter:
-    """One bracket per internal node of the tree with its unary chains
-    restored: each separator-joined label is expanded into a descending
-    chain of new nodes, and the new tree is folded again."""
+def reference_restore_unary_chains(tree: ConstituencyTree) -> ConstituencyTree:
+    """Expand each separator-joined label into a descending chain of new
+    nodes."""
 
     def expand(node, children: list) -> Internal:
         parts = node.label.split(LABEL_SEPARATOR)
@@ -126,6 +133,14 @@ def reference_extract_brackets(tree) -> Counter:
             out = Internal(part, (out,))
         return out
 
+    if tree.root is None:
+        return tree
+    return ConstituencyTree(fold(tree.root, lambda leaf: leaf, expand))
+
+
+def reference_extract_brackets(tree) -> Counter:
+    """One bracket per internal node of the tree with its unary chains
+    restored, folded again."""
     brackets = Counter()
     leaves = 0
 
@@ -140,9 +155,9 @@ def reference_extract_brackets(tree) -> Counter:
         brackets[(node.label, start, end)] += 1
         return start, end
 
-    if tree.root is not None:
-        restored = fold(tree.root, lambda leaf: leaf, expand)
-        fold(restored, leaf_span, span)
+    restored = reference_restore_unary_chains(tree)
+    if restored.root is not None:
+        fold(restored.root, leaf_span, span)
     return brackets
 
 
@@ -858,5 +873,28 @@ def reference_load_corpus(path: str, normalization=True, strict=True, plain_labe
                 raise TreebankFormatError(reason, offset=where, entry=i) from err
             logger.warning("skipping malformed entry %d: %s", i, err)
             continue
-        entries.append(CorpusEntry(len(entries), tree))
+        entries.append(CorpusEntry(i, tree))
     return entries
+
+
+def write_corpus(trees, path: str) -> None:
+    """Write each tree as one bracketed line."""
+    with open(path, "w", encoding="utf-8") as fh:
+        for tree in trees:
+            fh.write(write_bracketed(tree) + "\n")
+
+
+def majority_label(trees) -> str:
+    """The most frequent internal label, the first in sorted order on a tie."""
+    counts = Counter(node.label for tree in trees for node in iter_nodes(tree.root)
+                     if isinstance(node, Internal))
+    if not counts:
+        raise ValueError("corpus has no internal nodes")
+    return min(counts, key=lambda label: (-counts[label], label))
+
+
+def decode_right_branching(tokens, label: str) -> ConstituencyTree:
+    """The baseline parse: each token attaches at the deepest chain node
+    under a single label."""
+    # Before token i the chain has i nodes.
+    return apply_sequence(tokens, [attach(max(i - 1, 0), label) for i in range(len(tokens))])

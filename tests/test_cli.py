@@ -14,13 +14,13 @@ from hypothesis import given, settings, strategies as st
 
 from ajparse import cli
 from ajparse.cli import main
-from ajparse.predictor import ActionScorer, ModelFormatError, decode_right_branching
+from ajparse.predictor import ActionScorer, ModelFormatError
 from ajparse.synth import generate_corpus
 from ajparse.tree import rightmost_chain, tree_equal
 from ajparse.treebank import (
     TreebankFormatError, iter_corpus, load_corpus, parse_bracketed, tokens_of, write_bracketed,
-    write_corpus,
 )
+from reference import decode_right_branching, write_corpus
 from treebank_texts import mangled_treebanks
 
 
@@ -123,6 +123,20 @@ def test_lenient_skip_warnings_precede_entry_errors(capsys, tmp_path, warnings_t
         "skipping malformed entry 1: empty constituent (offset 10)",
         "entry 0: oracle input must not contain unary chains",
     ]
+
+
+def test_lenient_entries_keep_their_file_numbers(capsys, tmp_path, warnings_to_stderr):
+    # Entry 1 is malformed and skipped, entry 2 has a unary chain; the
+    # warning, the entry error and the output ids all count file entries.
+    p, out_path = tmp_path / "mixed.mrg", tmp_path / "out.tsv"
+    p.write_text("(S (NN a))\n(S (NN b) ())\n(S (NP (NN c)))\n(S (NN d))\n")
+    code, out, err = run(capsys, "oracle", str(p), str(out_path), "--lenient", "--no-normalize")
+    assert (code, result_line(out)) == (1, "RESULT ok=2 fail=1")
+    assert err.splitlines() == [
+        "skipping malformed entry 1: empty constituent (offset 10)",
+        "entry 2: oracle input must not contain unary chains",
+    ]
+    assert [line.split("\t")[0] for line in out_path.read_text().splitlines()] == ["0", "3"]
 
 
 def test_strict_load_error_after_a_failing_entry_is_the_only_error(capsys, tmp_path):
@@ -698,6 +712,32 @@ def test_parse_rejects_model_cut_before_end(capsys, tmp_path, corpus_file):
     assert "ends before [end]" in err
 
 
+def test_every_prefix_of_a_model_file_loads_whole_or_fails_by_name(capsys, tmp_path,
+                                                                  sample_path):
+    """Only the whole file, with or without its final newline, loads; any
+    shorter prefix makes ``parse`` end in a named model error. Cut at every
+    byte of the first two lines and of the last three, and at every line
+    boundary between them."""
+    model, sents = _trained_model(capsys, tmp_path, sample_path)
+    data = model.read_bytes()
+    whole = ActionScorer.load(str(model))
+    starts = [0] + [i + 1 for i, byte in enumerate(data) if byte == ord("\n")]
+    cuts = {*range(starts[2] + 1), *starts, *range(starts[-4], len(data) + 1)}
+    prefix, output = tmp_path / "cut.model", tmp_path / "o.mrg"
+    loaded = []
+    for cut in sorted(cuts):
+        prefix.write_bytes(data[:cut])
+        code, out, err = run(capsys, "parse", str(sents), str(output), "--model", str(prefix))
+        if code == 0:
+            assert ActionScorer.load(str(prefix)) == whole, cut
+            loaded.append(cut)
+            continue
+        assert (code, out) == (1, "RESULT ok=0 fail=1\n"), cut
+        assert err.startswith(f"{prefix}: ") and err.count("\n") == 1, (cut, err)
+        assert not output.exists()
+    assert loaded == [len(data) - 1, len(data)]
+
+
 def test_parse_rejects_non_integer_model_version(capsys, tmp_path, corpus_file):
     model, sents = _trained_model(capsys, tmp_path, corpus_file)
     text = model.read_text()
@@ -834,12 +874,12 @@ def test_deeper_than_recursion_limit(capsys, tmp_path):
     levels = 1100  # CPython's default recursion limit is 1000 frames
     text = _right_branching(levels)
     tree = parse_bracketed(text)
-    assert tree.length == levels
+    assert len(tokens_of(tree)) == levels
     assert len(rightmost_chain(tree)) == levels
     assert write_bracketed(tree) == text
     assert tree_equal(parse_bracketed(write_bracketed(tree)), tree)
     baseline = decode_right_branching(tokens_of(tree), "S")
-    assert baseline.length == levels
+    assert len(tokens_of(baseline)) == levels
 
     gold = str(tmp_path / "deep.mrg")
     write_corpus([tree], gold)

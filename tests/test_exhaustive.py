@@ -21,6 +21,7 @@ from ajparse.tree import (
     iter_leaves,
     iter_nodes,
 )
+from ajparse.treebank import tokens_of
 
 from reference import reference_enumerate_legal_stacks
 
@@ -39,7 +40,7 @@ def test_enumerate_trees_unique_and_chain_free():
         assert not has_unary_chains(t)
         assert t not in seen
         seen.add(t)
-        assert t.length == 3
+        assert len(tokens_of(t)) == 3
 
 
 def test_unary_budget_adds_chains():
@@ -143,7 +144,7 @@ def test_checks_report_a_broken_map(monkeypatch, name, mutant, check):
     report = CheckReport()
     check(2, ["A"], report)
     assert report.failures
-    assert not run_all_checks(2, 1).ok
+    assert run_all_checks(2, 1).failures
 
 
 def test_bounds_enforced():
@@ -155,14 +156,14 @@ def test_bounds_enforced():
 
 def test_tiny_bounds_pass():
     report = run_all_checks(1, 1)
-    assert report.ok
+    assert not report.failures
     assert report.trees_checked == 1
     assert report.case_tally == {"2-1": 1}
 
 
 def test_small_bounds_pass_with_full_case_coverage():
     report = run_all_checks(3, 2)
-    assert report.ok
+    assert not report.failures
     for case in ("1-2", "1-3", "2-1", "2-2", "2-3"):
         assert report.case_tally.get(case, 0) > 0
     assert report.case_tally.get("1-1", 0) == 0
@@ -174,7 +175,6 @@ def test_corrupted_action_is_detected():
     from ajparse.oracle import oracle_action_sequence
     from ajparse.transition import apply_sequence, attach
     from ajparse.tree import tree_equal
-    from ajparse.treebank import tokens_of
 
     t = next(iter(enumerate_trees(3, ["A", "B"])))
     actions = oracle_action_sequence(t)
@@ -189,7 +189,7 @@ def test_reports_compose():
     check_oracle_uniqueness(2, ["A"], report)
     check_bijection(2, ["A"], report)
     check_translation(2, ["A"], report)
-    assert report.ok
+    assert not report.failures
     # 1 one-leaf tree plus 4 two-leaf trees over a single label.
     assert report.trees_checked == 5
     assert report.stacks_checked > 0

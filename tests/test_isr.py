@@ -10,7 +10,6 @@ from ajparse.isr import (
     gamma,
     is_legal_stack,
     isr_apply,
-    parse_isr_actions,
     phi,
     project,
     replay,
@@ -51,8 +50,6 @@ def stack_words(stack):
 def test_isr_action_validation():
     with pytest.raises(ValueError):
         project("")
-    with pytest.raises(ValueError):
-        parse_isr_actions("shift pop")
 
 
 @pytest.mark.parametrize("action", ["pop", "pj:", "Shift"])
@@ -70,8 +67,7 @@ def test_isr_action_format_roundtrip():
     text = format_isr_actions(acts)
     assert text == "shift pj:NP reduce"
     # One shared action per label, however it was made.
-    assert parse_isr_actions(text)[1] is project("NP") is acts[1]
-    assert parse_isr_actions(text) == acts
+    assert project("NP") is acts[1]
 
 
 def test_shift_pushes_a_leaf():
@@ -257,7 +253,7 @@ def test_length_law_on_corpus():
         tokens = tokens_of(t)
         acts = translate_sequence(tokens, oracle_action_sequence(t))
         m = _count_internal(t.root)
-        assert len(acts) == t.length + 2 * m
+        assert len(acts) == len(tokens) + 2 * m
         stack = replay(acts, tokens)
         assert len(stack) == 1
         assert node_equal(stack[0], t.root)
@@ -282,15 +278,15 @@ def test_per_step_translation_lands_on_gamma_xi(fig_tree):
 
 
 @st.composite
-def isr_walk_steps(draw, keep_legal=True, max_steps=14, max_tokens=6, labels=("A", "B")):
+def isr_walk_steps(draw, keep_legal=True, max_steps=14, max_tokens=6):
     """The ``(move, stack after it)`` steps of a random walk of shift,
-    project (to each of ``labels``) and reduce from the empty stack. Every
+    project (to ``A`` or ``B``) and reduce from the empty stack. Every
     move is one ``isr_apply`` accepts; with ``keep_legal`` each intermediate
     stack is also legal. The walk counts its own shifts and names the token
     of shift ``i`` ``w<i>``."""
     stack, shifts, steps = EMPTY_STACK, 0, []
     for _ in range(draw(st.integers(0, max_steps))):
-        moves = [project(label) for label in labels] + [REDUCE]
+        moves = [project("A"), project("B"), REDUCE]
         if shifts < max_tokens:
             moves.append(SHIFT)
         succs = []
@@ -324,18 +320,6 @@ def test_stack_holds_the_shifted_tokens_in_order(steps):
             assert stack[-1] == leaf(f"w{shifts}")
             shifts += 1
         assert stack_words(stack) == [f"w{i}" for i in range(shifts)]
-
-
-@settings(max_examples=200)
-@given(st.data())
-def test_isr_actions_round_trip_through_their_text(data):
-    # str.split() cuts at exactly the characters str.isspace() accepts.
-    label = st.text(min_size=1).filter(lambda text: text.split() == [text])
-    labels = data.draw(st.lists(label, min_size=1, max_size=3, unique=True))
-    acts = [move for move, _ in data.draw(isr_walk_steps(labels=labels))]
-    assert parse_isr_actions(format_isr_actions(acts)) == acts
-    for label in labels:
-        assert project(label) is project(label)
 
 
 @st.composite

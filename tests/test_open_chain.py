@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ajparse.isr import translate_sequence
-from ajparse.oracle import last_action, oracle_action_sequence
+from ajparse.oracle import oracle_action_sequence
 from ajparse.transition import (
     INITIAL_STATE,
     IllegalActionError,
@@ -49,8 +49,9 @@ def _check_oracle(tree):
     actions = oracle_action_sequence(tree, case_tally=tally)
     assert actions == reference_oracle(tree, case_tally=ref_tally)
     assert tally == ref_tally
-    action, predecessor, case = last_action(tree)
-    assert (action, predecessor.root, case) == reference_last_action(tree.root)
+    action, predecessor, _ = reference_last_action(tree.root)
+    assert actions[-1] == action
+    assert apply_sequence(tokens_of(tree)[:-1], actions[:-1]).root == predecessor
     return actions
 
 

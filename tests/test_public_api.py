@@ -10,14 +10,12 @@ PUBLIC = {
     "LabelFormatError", "Leaf", "ModelFormatError", "REDUCE", "SHIFT",
     "ScoreReport", "Token", "TreebankFormatError", "apply_action",
     "apply_sequence", "attach", "collapse_unary_chains", "decode_beam",
-    "decode_right_branching", "extract_brackets",
-    "format_actions", "format_report", "gamma", "has_unary_chains",
-    "is_legal_stack", "isr_apply", "iter_corpus", "juxtapose", "last_action",
-    "legal_actions", "load_corpus", "normalize", "oracle_action_sequence",
-    "parse_actions", "parse_bracketed", "phi", "project",
-    "restore_unary_chains", "rightmost_chain", "score", "tokens_of", "train",
-    "translate_action", "translate_sequence", "tree_equal", "write_bracketed",
-    "write_corpus", "xi",
+    "extract_brackets", "format_actions", "format_report", "gamma",
+    "has_unary_chains", "is_legal_stack", "isr_apply", "iter_corpus",
+    "juxtapose", "legal_actions", "load_corpus", "normalize",
+    "oracle_action_sequence", "parse_bracketed", "phi", "project",
+    "rightmost_chain", "score", "tokens_of", "train", "translate_action",
+    "translate_sequence", "tree_equal", "write_bracketed", "xi",
 }
 
 

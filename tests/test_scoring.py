@@ -9,7 +9,7 @@ from ajparse.synth import generate_corpus
 from ajparse.tree import (
     ConstituencyTree, Internal, LabelFormatError, Leaf, Token, collapse_unary_chains, fold,
 )
-from ajparse.treebank import parse_bracketed
+from ajparse.treebank import parse_bracketed, tokens_of
 
 from test_tree import trees
 
@@ -143,7 +143,7 @@ def gold_and_predicted(draw):
         elif change == "replace":
             tree = draw(trees(labels=labels))
         elif change == "reword":
-            tree = _reworded(tree, draw(st.integers(0, tree.length - 1)))
+            tree = _reworded(tree, draw(st.integers(0, len(tokens_of(tree)) - 1)))
         predicted.append(tree)
     predicted += draw(st.lists(trees(labels=labels), max_size=2))
     predicted = predicted[:draw(st.integers(max(0, len(gold) - 2), len(predicted)))]

