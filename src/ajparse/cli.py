@@ -27,6 +27,7 @@ from .treebank import (
     iter_corpus,
     load_corpus,
     tokens_of,
+    undecodable,
     write_bracketed,
 )
 
@@ -224,15 +225,18 @@ def cmd_parse(args) -> int:
     scorer = predictor.ActionScorer.load(args.model)
     ok, errors = 0, []
     with open(args.input, encoding="utf-8") as fh, _output_file(args.output) as out:
-        for i, line in enumerate(line for line in fh if line.split()):
-            try:
-                tree = predictor.decode_beam(scorer, _sentence_tokens(line), args.beam)
-            except ValueError as err:
-                errors.append(f"sentence {i}: {err}")
-                out.write("\n")
-                continue
-            out.write(write_bracketed(tree) + "\n")
-            ok += 1
+        try:
+            for i, line in enumerate(line for line in fh if line.split()):
+                try:
+                    tree = predictor.decode_beam(scorer, _sentence_tokens(line), args.beam)
+                except ValueError as err:
+                    errors.append(f"sentence {i}: {err}")
+                    out.write("\n")
+                    continue
+                out.write(write_bracketed(tree) + "\n")
+                ok += 1
+        except UnicodeDecodeError as err:
+            raise ValueError(undecodable(fh, err)) from None
     for error in errors:
         print(error, file=sys.stderr)
     return _result(ok, len(errors))

@@ -25,7 +25,7 @@ from .transition import (
     step,
 )
 from .tree import LABEL_SEPARATOR, ConstituencyTree, Internal, Leaf, Token, iter_nodes
-from .treebank import tokens_of
+from .treebank import tokens_of, undecodable
 
 MODEL_MAGIC = "ajparse-model"
 MODEL_VERSION = 1
@@ -220,66 +220,69 @@ class ActionScorer:
     @classmethod
     def load(cls, path: str) -> "ActionScorer":
         with open(path, encoding="utf-8") as fh:
-            header = fh.readline().rstrip("\n").split("\t")
-            if len(header) != 2 or header[0] != MODEL_MAGIC:
-                raise ModelFormatError(f"{path}: not a model file")
             try:
-                version = int(header[1])
-            except ValueError:
-                raise ModelFormatError(
-                    f"{path}: model version {header[1]!r} is not an integer"
-                ) from None
-            if version != MODEL_VERSION:
-                raise ModelFormatError(
-                    f"{path}: unsupported model version {header[1]}"
-                )
-            label_line = fh.readline().rstrip("\n").split("\t")
-            if label_line[0] != "labels":
-                raise ModelFormatError(f"{path}: missing label vocabulary")
-            labels = label_line[1:]
-            keys = slot_keys(labels, path)
-            slots = {key: s for s, key in enumerate(keys)}
-            offsets = {"target": None, "parent": 0, "new": len(keys)}
-            target_rows, label_rows = {}, {}
-            current = None
-            for line in fh:
-                line = line.rstrip("\n")
-                if line.startswith("["):
-                    section = line[1:-1] if line.endswith("]") else line
-                    if section == "end":
-                        break
-                    if section not in offsets:
-                        raise ModelFormatError(f"{path}: unknown section {line}")
-                    current = section
-                    continue
-                if current is None:
-                    raise ModelFormatError(f"{path}: weight line outside a section")
-                parts = line.split("\t")
-                width = 2 if current == "target" else 3
-                if len(parts) != width:
-                    raise ModelFormatError(
-                        f"{path}: [{current}] weight line has {len(parts)}"
-                        f" tab-separated fields, expected {width}"
-                    )
+                header = fh.readline().rstrip("\n").split("\t")
+                if len(header) != 2 or header[0] != MODEL_MAGIC:
+                    raise ModelFormatError(f"{path}: not a model file")
                 try:
-                    weight = float(parts[-1])
+                    version = int(header[1])
                 except ValueError:
-                    weight = math.nan
-                if not math.isfinite(weight):
-                    # Decoding needs a total order on scores.
                     raise ModelFormatError(
-                        f"{path}: [{current}] weight {parts[-1]!r} is not a finite number"
+                        f"{path}: model version {header[1]!r} is not an integer"
+                    ) from None
+                if version != MODEL_VERSION:
+                    raise ModelFormatError(
+                        f"{path}: unsupported model version {header[1]}"
                     )
-                if current == "target":
-                    target_rows[parts[0]] = [weight]
-                elif parts[1] in slots:
-                    # A label outside the vocabulary has no slot and is never scored.
-                    row = label_rows.get(parts[0])
-                    if row is None:
-                        row = label_rows[parts[0]] = {}
-                    row[offsets[current] + slots[parts[1]]] = weight
-            else:
-                raise ModelFormatError(f"{path}: file ends before [end]")
+                label_line = fh.readline().rstrip("\n").split("\t")
+                if label_line[0] != "labels":
+                    raise ModelFormatError(f"{path}: missing label vocabulary")
+                labels = label_line[1:]
+                keys = slot_keys(labels, path)
+                slots = {key: s for s, key in enumerate(keys)}
+                offsets = {"target": None, "parent": 0, "new": len(keys)}
+                target_rows, label_rows = {}, {}
+                current = None
+                for line in fh:
+                    line = line.rstrip("\n")
+                    if line.startswith("["):
+                        section = line[1:-1] if line.endswith("]") else line
+                        if section == "end":
+                            break
+                        if section not in offsets:
+                            raise ModelFormatError(f"{path}: unknown section {line}")
+                        current = section
+                        continue
+                    if current is None:
+                        raise ModelFormatError(f"{path}: weight line outside a section")
+                    parts = line.split("\t")
+                    width = 2 if current == "target" else 3
+                    if len(parts) != width:
+                        raise ModelFormatError(
+                            f"{path}: [{current}] weight line has {len(parts)}"
+                            f" tab-separated fields, expected {width}"
+                        )
+                    try:
+                        weight = float(parts[-1])
+                    except ValueError:
+                        weight = math.nan
+                    if not math.isfinite(weight):
+                        # Decoding needs a total order on scores.
+                        raise ModelFormatError(
+                            f"{path}: [{current}] weight {parts[-1]!r} is not a finite number"
+                        )
+                    if current == "target":
+                        target_rows[parts[0]] = [weight]
+                    elif parts[1] in slots:
+                        # A label outside the vocabulary has no slot and is never scored.
+                        row = label_rows.get(parts[0])
+                        if row is None:
+                            row = label_rows[parts[0]] = {}
+                        row[offsets[current] + slots[parts[1]]] = weight
+                else:
+                    raise ModelFormatError(f"{path}: file ends before [end]")
+            except UnicodeDecodeError as err:
+                raise ModelFormatError(undecodable(fh, err)) from None
         return cls(labels, target_rows, label_rows)
 
 

@@ -13,7 +13,9 @@ from collections import Counter
 from dataclasses import dataclass
 from itertools import count, zip_longest
 
-from .tree import ConstituencyTree, Internal, LabelFormatError, chain_labels, fold, iter_leaves
+from .tree import (
+    LABEL_SEPARATOR, ConstituencyTree, Internal, LabelFormatError, chain_labels, fold, iter_leaves,
+)
 
 
 @dataclass(frozen=True)
@@ -37,9 +39,14 @@ def extract_brackets(tree: ConstituencyTree) -> Counter:
         return i, i
 
     def span(node: Internal, spans: list) -> tuple:
-        starts, ends = zip(*spans)
-        start, end = min(starts), max(ends)
-        for label in chain_labels(node.label):
+        # Children's spans are contiguous, left to right.
+        start, end = spans[0][0], spans[-1][1]
+        label = node.label
+        if LABEL_SEPARATOR in label:
+            for part in chain_labels(label):
+                brackets[(part, start, end)] += 1
+        else:
+            # A plain label is its own one-label chain.
             brackets[(label, start, end)] += 1
         return start, end
 

@@ -182,10 +182,21 @@ def chain_labels(label: str) -> list:
 
 
 def node_equal(a: Optional[Node], b: Optional[Node]) -> bool:
-    # Equal pre-order sequences with equal child counts at every position
-    # describe the same shape, so a pairwise walk decides equality.
+    # Nodes are tuples, so ``a == b`` compares whole trees in C; trees built
+    # over the same tokens, as the corpus checks compare, make no Python call
+    # there. Equal tuples are equal trees, but unequal ones may still match:
+    # a POS tag counts only when both sides carry it. So the walk runs when
+    # ``==`` says False, and when it raises RecursionError on a tree deeper
+    # than C recursion allows.
     if a is None or b is None:
         return a is None and b is None
+    try:
+        if a == b:
+            return True
+    except RecursionError:
+        pass
+    # Equal pre-order sequences with equal child counts at every position
+    # describe the same shape, so a pairwise walk decides equality.
     for x, y in zip(iter_nodes(a), iter_nodes(b)):
         if isinstance(x, Leaf) != isinstance(y, Leaf):
             return False

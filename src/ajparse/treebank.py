@@ -82,11 +82,14 @@ def _read(pieces, normalization: bool):
     shared = {}
 
     def normal_node(label, kids):
-        # As ``normalize`` builds it: stripped, collapsed, None if no kids.
+        # As ``normalize`` builds it: stripped, collapsed, None if no kids. A
+        # label with no '-' or '=' strips to itself and is shared already.
         if not kids:
             return None
-        label = _strip_label(label)
-        return collapsed_node(shared.setdefault(label, label), kids)
+        if "-" in label or "=" in label:
+            label = _strip_label(label)
+            label = shared.setdefault(label, label)
+        return collapsed_node(label, kids)
 
     make = normal_node if normalization else lambda label, kids: Internal(label, tuple(kids))
 
@@ -218,16 +221,29 @@ def normalize(tree: ConstituencyTree) -> ConstituencyTree:
     return ConstituencyTree(root)
 
 
-def _pieces(lines) -> Iterator[str]:
-    """``lines`` joined into pieces that end where the count of ``(`` minus
-    ``)`` so far, the bracket depth until the reader raises, is 0 or below."""
+def undecodable(fh, err: UnicodeDecodeError) -> str:
+    """The error text for a byte of ``fh``, a file opened as UTF-8 text,
+    that is not UTF-8. It names the file and the byte; the decoder's own
+    position counts from the start of one read chunk, not of the file, so
+    it is left out."""
+    return f"{fh.name}: byte {err.object[err.start]:#04x} is not UTF-8 text ({err.reason})"
+
+
+def _pieces(fh) -> Iterator[str]:
+    """The lines of ``fh``, a file opened as UTF-8 text, joined into pieces
+    that end where the count of ``(`` minus ``)`` so far, the bracket depth
+    until the reader raises, is 0 or below. A byte that is not UTF-8 raises
+    ``TreebankFormatError``, naming the file."""
     piece, depth = [], 0
-    for line in lines:
-        piece.append(line)
-        depth += line.count("(") - line.count(")")
-        if depth <= 0:
-            yield "".join(piece)
-            piece = []
+    try:
+        for line in fh:
+            piece.append(line)
+            depth += line.count("(") - line.count(")")
+            if depth <= 0:
+                yield "".join(piece)
+                piece = []
+    except UnicodeDecodeError as err:
+        raise TreebankFormatError(undecodable(fh, err)) from None
     yield "".join(piece)
 
 

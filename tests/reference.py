@@ -37,10 +37,12 @@ yields each with the number of shifts on the path that reached it.
 raised reading the predicted side until gold has been read;
 ``reference_score`` takes gold as a list and reads the predicted side after it.
 ``reference_restore_unary_chains`` expands collapsed labels back into unary
-chains, the inverse the collapse round-trips compare against. The module
-also holds the baseline the predictor must beat (``majority_label`` and
-``decode_right_branching``) and ``write_corpus``, which writes trees one
-bracketed line each.
+chains, the inverse the collapse round-trips compare against.
+``node_equal`` compares two trees as tuples first and walks them only when
+that compare says False or runs out of recursion; ``reference_node_equal``
+always walks. The module also holds the baseline the predictor must beat
+(``majority_label`` and ``decode_right_branching``) and ``write_corpus``,
+which writes trees one bracketed line each.
 """
 
 import logging
@@ -136,6 +138,24 @@ def reference_restore_unary_chains(tree: ConstituencyTree) -> ConstituencyTree:
     if tree.root is None:
         return tree
     return ConstituencyTree(fold(tree.root, lambda leaf: leaf, expand))
+
+
+def reference_node_equal(a, b) -> bool:
+    """Tree equality by one pairwise pre-order walk, POS tags counting only
+    when both sides carry them."""
+    if a is None or b is None:
+        return a is None and b is None
+    for x, y in zip(iter_nodes(a), iter_nodes(b)):
+        if isinstance(x, Leaf) != isinstance(y, Leaf):
+            return False
+        if isinstance(x, Leaf):
+            if x.token.word != y.token.word:
+                return False
+            if x.token.pos and y.token.pos and x.token.pos != y.token.pos:
+                return False
+        elif x.label != y.label or len(x.children) != len(y.children):
+            return False
+    return True
 
 
 def reference_extract_brackets(tree) -> Counter:

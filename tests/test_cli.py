@@ -290,9 +290,36 @@ def test_parse_decode_error_after_failing_sentences_is_the_only_error(capsys, tm
     (tmp_path / "out.txt").write_bytes(b"earlier output\n")
     code, out, err = run(capsys, *argv)
     assert (code, out) == (1, "RESULT ok=0 fail=1\n")
-    assert err.startswith("'utf-8' codec can't decode byte 0xff") and err.count("\n") == 1
+    assert err == f"{argv[1]}: byte 0xff is not UTF-8 text (invalid start byte)\n"
     assert (tmp_path / "out.txt").read_bytes() == b"earlier output\n"
     assert sorted(os.listdir(tmp_path)) == ["inputs", "out.txt"]
+
+
+@pytest.mark.parametrize("command", [
+    "verify", "oracle", "translate-isr", "stats", "score-gold", "score-predicted", "train",
+    "parse",
+])
+def test_an_input_that_is_not_utf8_names_its_file(capsys, tmp_path, request, command):
+    bad, good, output = tmp_path / "bad.txt", tmp_path / "good.mrg", tmp_path / "out.txt"
+    bad.write_bytes(b"(S (NN a))\n(S (NN \xff))\n")
+    good.write_text("(S (NN a))\n(S (NN b))\n")
+    argv = {
+        "verify": ["verify", bad],
+        "oracle": ["oracle", bad, output],
+        "translate-isr": ["translate-isr", bad, output],
+        "stats": ["stats", bad],
+        "score-gold": ["score", bad, good],
+        "score-predicted": ["score", good, bad],
+        "train": ["train", bad, "--model", output],
+    }.get(command)
+    if command == "parse":
+        argv = request.getfixturevalue("writing_argv")("parse", output)
+        bad.write_bytes(b"a_NN\n\xff_NN\n")
+        argv[1] = bad
+    code, out, err = run(capsys, *map(str, argv))
+    assert (code, out) == (1, "RESULT ok=0 fail=1\n")
+    assert err == f"{bad}: byte 0xff is not UTF-8 text (invalid start byte)\n"
+    assert not output.exists()
 
 
 @pytest.mark.parametrize("command", WRITING_COMMANDS)
@@ -736,6 +763,17 @@ def test_every_prefix_of_a_model_file_loads_whole_or_fails_by_name(capsys, tmp_p
         assert err.startswith(f"{prefix}: ") and err.count("\n") == 1, (cut, err)
         assert not output.exists()
     assert loaded == [len(data) - 1, len(data)]
+    # A model cut inside a two-byte character fails by name too.
+    cafe = tmp_path / "cafe.mrg"
+    cafe.write_text("(S (NP (NN café)) (VP (VB b)))\n", encoding="utf-8")
+    run(capsys, "train", str(cafe), "--model", str(model), "--epochs", "1")
+    data = model.read_bytes()
+    prefix.write_bytes(data[:data.index("é".encode()) + 1])
+    output = tmp_path / "cafe.out"
+    code, out, err = run(capsys, "parse", str(sents), str(output), "--model", str(prefix))
+    assert (code, out) == (1, "RESULT ok=0 fail=1\n")
+    assert err == f"{prefix}: byte 0xc3 is not UTF-8 text (unexpected end of data)\n"
+    assert not output.exists()
 
 
 def test_parse_rejects_non_integer_model_version(capsys, tmp_path, corpus_file):

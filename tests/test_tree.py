@@ -1,4 +1,5 @@
 import pickle
+import sys
 
 import pytest
 from hypothesis import given, strategies as st
@@ -11,9 +12,11 @@ from ajparse.tree import (
     Leaf,
     Token,
     collapse_unary_chains,
+    fold,
     iter_nodes,
     has_unary_chains,
     iter_leaves,
+    node_equal,
     rightmost_chain,
     tree_equal,
 )
@@ -22,7 +25,9 @@ from ajparse.scoring import extract_brackets
 from ajparse.transition import apply_sequence
 from ajparse.treebank import normalize, parse_bracketed, tokens_of, write_bracketed
 
-from reference import reference_restore_unary_chains, replace_on_rightmost_chain
+from reference import (
+    reference_node_equal, reference_restore_unary_chains, replace_on_rightmost_chain,
+)
 
 
 def leaf(word, pos="T"):
@@ -184,6 +189,63 @@ def trees(draw, max_leaves=6, allow_unary=True, labels=labels):
     if isinstance(root, Leaf):
         root = Internal(draw(labels), (root,))
     return ConstituencyTree(root)
+
+
+def _rebuilt(node, kids):
+    return Internal(node.label, tuple(kids))
+
+
+def _fresh(lf):
+    return Leaf(Token(lf.token.word, lf.token.pos))
+
+
+# One node's edit: (kind of node, its rebuild). "no_pos" keeps the trees
+# equal, since a POS tag counts only when both sides carry it.
+_EDITS = {
+    "no_pos": (Leaf, lambda lf: Leaf(Token(lf.token.word))),
+    "word": (Leaf, lambda lf: Leaf(Token(lf.token.word + "'", lf.token.pos))),
+    "label": (Internal, lambda node, kids: Internal(node.label + "'", tuple(kids))),
+    "child_count": (Internal, lambda node, kids: Internal(
+        node.label, tuple(kids[:-1]) if len(kids) > 1 else (*kids, leaf("new")))),
+}
+
+
+@given(trees(), st.sampled_from(["fresh", *sorted(_EDITS)]), st.data())
+def test_node_equal_matches_the_walk(t, edit, data):
+    if edit == "fresh":
+        # An equal tree over fresh, equal tokens and new nodes.
+        edited = fold(t.root, _fresh, _rebuilt)
+    else:
+        kind, rebuild = _EDITS[edit]
+        target = data.draw(st.sampled_from([n for n in iter_nodes(t.root)
+                                            if isinstance(n, kind)]))
+        edited = fold(
+            t.root,
+            lambda lf: rebuild(lf) if lf is target else Leaf(lf.token),
+            lambda node, kids: rebuild(node, kids) if node is target else _rebuilt(node, kids),
+        )
+    for a, b in ((t.root, edited), (edited, t.root), (edited, None)):
+        assert node_equal(a, b) == reference_node_equal(a, b), (edit, a, b)
+
+
+def _deep(levels, bottom):
+    """``(S (T w0) (S ... (S bottom)))`` over new nodes, ``levels`` S deep."""
+    node = Internal("S", (bottom,))
+    for i in range(levels - 1):
+        node = Internal("S", (leaf(f"w{i}"), node))
+    return node
+
+
+@pytest.mark.parametrize("bottom, equal", [
+    (leaf("z"), True),
+    (Leaf(Token("z")), True),
+    (leaf("y"), False),
+], ids=["same", "no-pos", "other-word"])
+def test_node_equal_matches_the_walk_deeper_than_the_recursion_limit(bottom, equal):
+    # Each level nests two tuple compares, so ``==`` runs out of recursion here.
+    levels = 5 * sys.getrecursionlimit()
+    a, b = _deep(levels, leaf("z")), _deep(levels, bottom)
+    assert node_equal(a, b) == node_equal(b, a) == reference_node_equal(a, b) == equal
 
 
 @given(trees())
