@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import gc
 from collections import Counter
-from dataclasses import dataclass, field
 
 from .isr import (
     EMPTY_STACK,
@@ -89,16 +88,31 @@ def enumerate_trees(n_leaves: int, labels, unary_budget: int = 0):
             yield ConstituencyTree(node)
 
 
-@dataclass
 class CheckReport:
-    trees_checked: int = 0
-    sequences_enumerated: int = 0
-    case_tally: Counter = field(default_factory=Counter)
-    stacks_checked: int = 0
-    augmented_checked: int = 0
-    reduce_lemma_checked: int = 0
-    translations_checked: int = 0
-    failures: list = field(default_factory=list)
+    """The checks' counters and failure witnesses. Equal reports hold equal
+    fields; a report is mutable, so it has no hash."""
+
+    def __init__(self, trees_checked: int = 0, sequences_enumerated: int = 0,
+                 case_tally: Counter = None, stacks_checked: int = 0,
+                 augmented_checked: int = 0, reduce_lemma_checked: int = 0,
+                 translations_checked: int = 0, failures: list = None):
+        self.trees_checked = trees_checked
+        self.sequences_enumerated = sequences_enumerated
+        self.case_tally = Counter() if case_tally is None else case_tally
+        self.stacks_checked = stacks_checked
+        self.augmented_checked = augmented_checked
+        self.reduce_lemma_checked = reduce_lemma_checked
+        self.translations_checked = translations_checked
+        self.failures = [] if failures is None else failures
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return vars(self) == vars(other)
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={value!r}" for name, value in vars(self).items())
+        return f"CheckReport({fields})"
 
 
 def _enumerate_final_trees(n_max: int, labels):

@@ -14,7 +14,6 @@ import itertools
 import math
 import random
 from collections import Counter, defaultdict
-from dataclasses import dataclass, field
 
 from .oracle import oracle_action_sequence
 from .transition import (
@@ -182,7 +181,6 @@ def slot_keys(labels, path: str) -> list:
     return keys
 
 
-@dataclass
 class ActionScorer:
     """Averaged weights for the three action factors plus the label vocabulary.
 
@@ -192,12 +190,25 @@ class ActionScorer:
     factors read the same features and share the label rows: slot ``s`` of
     ``label_choices(labels)``, of width W, is parent slot ``s`` and new slot
     ``W + s``, saved under ``[parent]`` and ``[new]``.
+
+    Equal scorers hold equal fields; a scorer is mutable, so it has no hash.
     """
 
-    labels: list
-    target_weights: dict
-    label_weights: dict
-    epoch_accuracy: list = field(default_factory=list)
+    def __init__(self, labels: list, target_weights: dict, label_weights: dict,
+                 epoch_accuracy: list = None):
+        self.labels = labels
+        self.target_weights = target_weights
+        self.label_weights = label_weights
+        self.epoch_accuracy = [] if epoch_accuracy is None else epoch_accuracy
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return vars(self) == vars(other)
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={value!r}" for name, value in vars(self).items())
+        return f"ActionScorer({fields})"
 
     def save(self, path: str) -> None:
         keys = slot_keys(self.labels, path)

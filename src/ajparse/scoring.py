@@ -9,8 +9,7 @@ excluded. Corpus scores are micro-averaged and use multiset intersection;
 
 from __future__ import annotations
 
-from collections import Counter
-from dataclasses import dataclass
+from collections import Counter, namedtuple
 from itertools import count, zip_longest
 
 from .tree import (
@@ -18,16 +17,13 @@ from .tree import (
 )
 
 
-@dataclass(frozen=True)
-class ScoreReport:
-    em: float  # fraction in [0, 1]
-    f1: float  # percentages in [0, 100]
-    lp: float
-    lr: float
-    matched: int
-    gold_total: int
-    predicted_total: int
-    sentences: int
+class ScoreReport(
+    namedtuple("ScoreReport", "em f1 lp lr matched gold_total predicted_total sentences")
+):
+    """``em`` is a fraction in [0, 1]; ``f1``, ``lp`` and ``lr`` are
+    percentages in [0, 100]; the rest are counts."""
+
+    __slots__ = ()
 
 
 def extract_brackets(tree: ConstituencyTree) -> Counter:

@@ -12,7 +12,6 @@ by Python's recursion limit.
 from __future__ import annotations
 
 from collections import namedtuple
-from dataclasses import dataclass
 from typing import Callable, Iterator, Optional, Union
 
 # Joins the labels of a collapsed unary chain, e.g. "S+NP".
@@ -23,14 +22,15 @@ class LabelFormatError(ValueError):
     """A label cannot be split back into a unary chain."""
 
 
-@dataclass(frozen=True)
-class Token:
-    word: str
-    pos: str = ""
+class Token(namedtuple("Token", "word pos")):
+    """The 2-tuple ``(word, pos)``; ``pos`` is "" when the word has no tag."""
 
-    def __post_init__(self):
-        if not self.word:
+    __slots__ = ()
+
+    def __new__(cls, word: str, pos: str = ""):
+        if not word:
             raise ValueError("token word must be non-empty")
+        return tuple.__new__(cls, (word, pos))
 
 
 class Leaf(namedtuple("Leaf", "token")):
@@ -115,16 +115,39 @@ def fold(root: Node, on_leaf: Callable, on_internal: Callable):
     return values[0]
 
 
-@dataclass(frozen=True)
 class ConstituencyTree:
     """A rooted tree over a token sequence; ``root is None`` means the
-    empty tree (zero tokens)."""
+    empty tree (zero tokens).
 
-    root: Optional[Internal]
+    Not a 1-tuple, which would equal the final ISR stack ``(root,)``: a tree
+    equals only another tree, and ``root`` is read-only."""
 
-    def __post_init__(self):
-        if self.root is not None and not isinstance(self.root, Internal):
+    __slots__ = ("root",)
+
+    def __init__(self, root: Optional[Internal]):
+        if root is not None and not isinstance(root, Internal):
             raise ValueError("non-empty tree must have an internal root")
+        object.__setattr__(self, "root", root)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.root == other.root
+
+    def __hash__(self):
+        return hash((self.root,))
+
+    def __repr__(self):
+        return f"ConstituencyTree(root={self.root!r})"
+
+    def __reduce__(self):
+        return ConstituencyTree, (self.root,)
 
 
 EMPTY_TREE = ConstituencyTree(None)
@@ -145,12 +168,17 @@ def rightmost_chain(tree) -> list:
 def has_unary_chains(tree: ConstituencyTree) -> bool:
     """True iff some internal node's only child is another internal node.
     An internal node whose sole child is a leaf does not count."""
-    return any(
-        isinstance(node, Internal)
-        and len(node.children) == 1
-        and isinstance(node.children[0], Internal)
-        for node in iter_nodes(tree.root)
-    )
+    # The oracle runs this on every sentence, so it is a plain loop, not a
+    # generator; ``None`` and leaves are popped and dropped.
+    stack = [tree.root]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, Internal):
+            children = node.children
+            if len(children) == 1 and isinstance(children[0], Internal):
+                return True
+            stack.extend(children)
+    return False
 
 
 def collapse_unary_chains(tree: ConstituencyTree) -> ConstituencyTree:

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import logging
 import re
-from dataclasses import dataclass
+from collections import namedtuple
 from typing import Iterator, Optional
 
 from .tree import (
@@ -61,10 +61,10 @@ class DegenerateSentenceError(ValueError):
     """Normalization removed every token of the sentence."""
 
 
-@dataclass(frozen=True)
-class CorpusEntry:
-    id: int
-    tree: ConstituencyTree
+class CorpusEntry(namedtuple("CorpusEntry", "id tree")):
+    """A tree and its place in the file, skipped entries counted."""
+
+    __slots__ = ()
 
 
 def _read(pieces, normalization: bool):

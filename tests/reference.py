@@ -140,6 +140,17 @@ def reference_restore_unary_chains(tree: ConstituencyTree) -> ConstituencyTree:
     return ConstituencyTree(fold(tree.root, lambda leaf: leaf, expand))
 
 
+def reference_has_unary_chains(tree: ConstituencyTree) -> bool:
+    """Whether some internal node's only child is internal, over
+    ``iter_nodes``."""
+    return any(
+        isinstance(node, Internal)
+        and len(node.children) == 1
+        and isinstance(node.children[0], Internal)
+        for node in iter_nodes(tree.root)
+    )
+
+
 def reference_node_equal(a, b) -> bool:
     """Tree equality by one pairwise pre-order walk, POS tags counting only
     when both sides carry them."""

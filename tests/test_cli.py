@@ -1009,6 +1009,12 @@ def test_cut_and_mangled_treebanks_end_in_a_result_line(tmp_path_factory, text, 
         argv.append("--lenient")
     if no_normalize and command != "score":
         argv.append("--no-normalize")
+    _assert_ends_in_a_result_line(argv)
+
+
+def _assert_ends_in_a_result_line(argv):
+    """Run ``main(argv)``: it must print no ``internal error``, end in a
+    ``RESULT`` line and exit 0 exactly when that line counts no failure."""
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main(argv)
@@ -1016,3 +1022,64 @@ def test_cut_and_mangled_treebanks_end_in_a_result_line(tmp_path_factory, text, 
     ok_fail = re.fullmatch(r"RESULT ok=(\d+) fail=(\d+)", out.getvalue().splitlines()[-1])
     assert ok_fail, argv
     assert code == (0 if ok_fail.group(2) == "0" else 1), argv
+
+
+SAMPLE_PATH = os.path.join(os.path.dirname(__file__), "fixtures", "sample.mrg")
+with open(SAMPLE_PATH, encoding="utf-8") as fh:
+    SAMPLE_TEXT = fh.read()
+# The sample treebank whole or cut anywhere, which under --lenient leaves
+# whole entries to train on, and generated treebanks, cut and mangled.
+train_texts = st.one_of(
+    st.just(SAMPLE_TEXT),
+    st.integers(0, len(SAMPLE_TEXT)).map(lambda cut: SAMPLE_TEXT[:cut]),
+    mangled_treebanks(),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(text=train_texts, lenient=st.booleans(), epochs=st.integers(1, 2))
+def test_cut_and_mangled_treebanks_through_train_end_in_a_result_line(tmp_path_factory, text,
+                                                                      lenient, epochs):
+    work = tmp_path_factory.getbasetemp()
+    gold = work / "train.mrg"
+    gold.write_text(text, encoding="utf-8")
+    argv = ["train", str(gold), "--model", str(work / "fuzz.model"), "--epochs", str(epochs)]
+    _assert_ends_in_a_result_line(argv + ["--lenient"] if lenient else argv)
+
+
+@pytest.fixture(scope="module")
+def sample_model_bytes(tmp_path_factory):
+    model = tmp_path_factory.mktemp("model") / "sample.model"
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        assert main(["train", SAMPLE_PATH, "--model", str(model), "--epochs", "2"]) == 0
+    return model.read_bytes()
+
+
+# Items of a ``parse`` input line: words the sample model knows, with and
+# without tags, bare parentheses (read as -LRB-/-RRB-), parentheses inside
+# a word or tag, empty parts around the ``_`` separator, and non-ASCII text.
+SENTENCE_ITEMS = ("Arthur_NNP", "seeks_VBZ", "the_DT", "grail", "knight_NN", "(", ")_-RRB-",
+                  "(_(", "a(b_NN", "x_N)N", "_NN", "x_", "_", "__", "a_b_c", "café_NN", "0")
+SENTENCE_SEPARATORS = (" ", " ", " ", "\t", "\n", "\n", "\r\n", "", "\u00a0", "\x1c")
+MODEL_INSERTS = (b"\t", b"\n", b"[", b"]", b"[end]\n", b"nan", b"<none>", b"\xff", b"x\t1.0\n")
+
+
+@settings(max_examples=80, deadline=None)
+@given(items=st.lists(st.sampled_from(SENTENCE_ITEMS), max_size=10), rnd=st.randoms(),
+       damage=st.sampled_from(("none", "none", "cut", "insert")), at=st.floats(0, 1),
+       insert=st.sampled_from(MODEL_INSERTS), beam=st.sampled_from(["1", "3"]))
+def test_mangled_sentences_and_cut_models_through_parse_end_in_a_result_line(
+        tmp_path_factory, sample_model_bytes, items, rnd, damage, at, insert, beam):
+    work = tmp_path_factory.getbasetemp()
+    sents, model = work / "fuzz.txt", work / "parse.model"
+    sents.write_text("".join(item + rnd.choice(SENTENCE_SEPARATORS) for item in items),
+                     encoding="utf-8")
+    data = sample_model_bytes
+    i = int(at * len(data))
+    if damage == "cut":
+        data = data[:i]
+    elif damage == "insert":
+        data = data[:i] + insert + data[i:]
+    model.write_bytes(data)
+    _assert_ends_in_a_result_line(["parse", str(sents), str(work / "fuzz.mrg"),
+                                   "--model", str(model), "--beam", beam])

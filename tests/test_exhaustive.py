@@ -87,9 +87,10 @@ def test_stack_search_tries_only_legal_moves(monkeypatch):
 
 
 def test_nodes_never_equal_stacks_pairs_or_actions():
-    # A node equals a plain tuple of its fields, and stacks, (root, mark)
-    # pairs and actions are plain tuples, so a check comparing across them
-    # could pass by a match between kinds. Over the bound, none occurs.
+    # A node equals a plain tuple of its fields, a token the pair
+    # (word, pos), and stacks, (root, mark) pairs and actions are plain
+    # tuples, so a check comparing across them could pass by a match
+    # between kinds. Over the bound, none occurs.
     labels = ["A", "B"]
     pairs = set(exhaustive.enumerate_augmented(3, labels))
     stacks = set(enumerate_legal_stacks(3, labels))
@@ -100,9 +101,11 @@ def test_nodes_never_equal_stacks_pairs_or_actions():
     states = [EMPTY_TREE] + [ConstituencyTree(n) for n in internals]
     actions = {a for state in states for a in legal_actions(state, labels)}
     assert actions and all(len(a) == 3 for a in actions)
+    tokens = {leaf.token for leaf in leaves}
     for others in (stacks, pairs, actions):
-        assert not nodes & others
-    assert len(leaves) == 3 and internals
+        assert not nodes & others and not tokens & others
+    assert not tokens & nodes
+    assert len(leaves) == len(tokens) == 3 and internals
     assert all(leaf != node for leaf in leaves for node in internals)
 
 

@@ -26,7 +26,8 @@ from ajparse.transition import apply_sequence
 from ajparse.treebank import normalize, parse_bracketed, tokens_of, write_bracketed
 
 from reference import (
-    reference_node_equal, reference_restore_unary_chains, replace_on_rightmost_chain,
+    reference_has_unary_chains, reference_node_equal, reference_restore_unary_chains,
+    replace_on_rightmost_chain,
 )
 
 
@@ -226,6 +227,23 @@ def test_node_equal_matches_the_walk(t, edit, data):
         )
     for a, b in ((t.root, edited), (edited, t.root), (edited, None)):
         assert node_equal(a, b) == reference_node_equal(a, b), (edit, a, b)
+
+
+@given(trees(), st.data())
+def test_has_unary_chains_matches_the_walk(t, data):
+    assert has_unary_chains(t) == reference_has_unary_chains(t)
+    # A unary node over some internal node, at any depth, makes a chain.
+    target = data.draw(st.sampled_from([n for n in iter_nodes(t.root)
+                                        if isinstance(n, Internal)]))
+    linked = ConstituencyTree(fold(
+        t.root,
+        lambda lf: lf,
+        lambda node, kids: (Internal("U", (_rebuilt(node, kids),)) if node is target
+                            else _rebuilt(node, kids)),
+    ))
+    assert has_unary_chains(linked) and reference_has_unary_chains(linked)
+    collapsed = collapse_unary_chains(linked)
+    assert not has_unary_chains(collapsed) and not reference_has_unary_chains(collapsed)
 
 
 def _deep(levels, bottom):
