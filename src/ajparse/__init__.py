@@ -6,6 +6,8 @@ view with an explicit bijection between the two state spaces, treebank I/O,
 PARSEVAL scoring, and a linear-model action predictor with beam decoding.
 """
 
+from types import ModuleType as _ModuleType
+
 from .tree import (
     ConstituencyTree,
     EMPTY_TREE,
@@ -66,55 +68,6 @@ from .predictor import (
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "ATTACH",
-    "ActionScorer",
-    "ConstituencyTree",
-    "CorpusEntry",
-    "DegenerateSentenceError",
-    "EMPTY_STACK",
-    "EMPTY_TREE",
-    "INITIAL_STATE",
-    "IllegalActionError",
-    "IllegalStackError",
-    "Internal",
-    "JUXTAPOSE",
-    "LabelFormatError",
-    "Leaf",
-    "ModelFormatError",
-    "REDUCE",
-    "SHIFT",
-    "ScoreReport",
-    "Token",
-    "TreebankFormatError",
-    "apply_action",
-    "apply_sequence",
-    "attach",
-    "collapse_unary_chains",
-    "decode_beam",
-    "extract_brackets",
-    "format_actions",
-    "format_report",
-    "gamma",
-    "has_unary_chains",
-    "is_legal_stack",
-    "isr_apply",
-    "iter_corpus",
-    "juxtapose",
-    "legal_actions",
-    "load_corpus",
-    "normalize",
-    "oracle_action_sequence",
-    "parse_bracketed",
-    "phi",
-    "project",
-    "rightmost_chain",
-    "score",
-    "tokens_of",
-    "train",
-    "translate_action",
-    "translate_sequence",
-    "tree_equal",
-    "write_bracketed",
-    "xi",
-]
+# Every name imported above; not the submodules those imports bind.
+__all__ = sorted(name for name, value in globals().items()
+                 if not name.startswith("_") and not isinstance(value, _ModuleType))

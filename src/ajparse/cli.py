@@ -15,7 +15,7 @@ import stat
 import sys
 from collections import Counter
 
-from . import exhaustive, predictor, scoring, treebank
+from . import exhaustive, predictor, scoring
 from .isr import (
     EMPTY_STACK, SHIFT, format_isr_actions, is_legal_stack, isr_apply, translate_sequence,
 )
@@ -186,8 +186,10 @@ def cmd_enumerate_check(args) -> int:
 
 def cmd_train(args) -> int:
     trees = [e.tree for e in load_corpus(args.input, normalization=True, strict=args.strict)]
-    # A label the model file cannot name fails before training, not after.
-    predictor.slot_keys(predictor.collect_labels(trees), args.model)
+    if trees:
+        # A label the model file cannot name fails before training, not
+        # after; an empty corpus is train's own error, about the input.
+        predictor.slot_keys(predictor.collect_labels(trees), args.model)
     scorer = predictor.train(trees, epochs=args.epochs, seed=args.seed)
     for epoch, acc in enumerate(scorer.epoch_accuracy, start=1):
         line = " ".join(f"{k}={v:.4f}" for k, v in sorted(acc.items()))
@@ -245,23 +247,23 @@ def cmd_parse(args) -> int:
 def cmd_score(args) -> int:
     # Labels with the chain separator are legitimate here: predicted files
     # hold collapsed trees. The files stream in lockstep; the predicted side's
-    # skip warnings wait until gold has been read, and go if gold fails.
+    # skip lines wait until gold has been read, and go if gold fails.
     options = dict(normalization=True, strict=args.strict, plain_labels=False)
-    held = []
+    held, gold_read = [], False
 
     def gold():
+        nonlocal gold_read
         for entry in iter_corpus(args.gold, **options):
-            treebank.logger.addFilter(held.append)  # keeps each record, and drops it
             yield entry.tree
-            treebank.logger.removeFilter(held.append)
-        for record in held:
-            treebank.logger.handle(record)
+        gold_read = True
 
-    predicted = (e.tree for e in iter_corpus(args.predicted, **options))
+    predicted = (e.tree for e in iter_corpus(args.predicted, warn=held.append, **options))
     try:
         report = scoring.score(gold(), predicted)
     finally:
-        treebank.logger.removeFilter(held.append)
+        if gold_read:
+            for line in held:
+                print(line, file=sys.stderr)
     print(scoring.format_report(report))
     return _result(report.sentences, 0)
 

@@ -11,10 +11,10 @@ splits the entries and builds each node once, normalized if asked, as it closes.
 
 from __future__ import annotations
 
-import logging
 import re
+import sys
 from collections import namedtuple
-from typing import Iterator, Optional
+from typing import Callable, Iterator, Optional
 
 from .tree import (
     LABEL_SEPARATOR,
@@ -26,8 +26,6 @@ from .tree import (
     fold,
     iter_leaves,
 )
-
-logger = logging.getLogger(__name__)
 
 _WRAPPER_LABELS = ("", "TOP", "ROOT")
 # Atomic bracket-style tags kept verbatim by function-tag stripping.
@@ -247,17 +245,24 @@ def _pieces(fh) -> Iterator[str]:
     yield "".join(piece)
 
 
+def _to_stderr(line: str) -> None:
+    print(line, file=sys.stderr)
+
+
 def iter_corpus(
     path: str,
     normalization: bool = True,
     strict: bool = True,
     plain_labels: bool = True,
+    warn: Callable[[str], None] = _to_stderr,
 ) -> Iterator[CorpusEntry]:
     """Yield the corpus entries of a bracketed file in order, each as its
     bracket closes, so that a caller holds one tree at a time.
 
     Malformed trees raise in strict mode (naming the entry index) and are
-    skipped with a warning otherwise; entries before the error have been
+    skipped otherwise, each with the line ``skipping malformed entry <i>:
+    <error>`` passed to ``warn``, which by default prints it to the
+    ``sys.stderr`` of that moment; entries before the error have been
     yielded by then. ``plain_labels`` rejects the reserved chain separator
     in labels; turn it off for files of already-collapsed trees (e.g. parser
     output), whose labels are chain joins by construction.
@@ -282,7 +287,7 @@ def iter_corpus(
                     if isinstance(err, TreebankFormatError):
                         reason, where = err.reason, offset + (err.offset or 0)
                     raise TreebankFormatError(reason, offset=where, entry=i) from err
-                logger.warning("skipping malformed entry %d: %s", i, err)
+                warn(f"skipping malformed entry {i}: {err}")
                 continue
             yield CorpusEntry(i, ConstituencyTree(root))
 

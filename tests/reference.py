@@ -45,9 +45,9 @@ always walks. The module also holds the baseline the predictor must beat
 which writes trees one bracketed line each.
 """
 
-import logging
 import math
 import random
+import sys
 from collections import Counter, deque
 from operator import add
 from typing import Optional
@@ -91,10 +91,6 @@ from ajparse.tree import (
 from ajparse.treebank import (
     CorpusEntry, DegenerateSentenceError, TreebankFormatError, tokens_of, write_bracketed,
 )
-
-# The reference reader warns through the reader's logger, so that tests
-# compare the two readers' warnings from one place.
-logger = logging.getLogger("ajparse.treebank")
 
 
 def replace_on_rightmost_chain(chain: list, depth: int, new_node) -> Internal:
@@ -902,7 +898,9 @@ def reference_load_corpus(path: str, normalization=True, strict=True, plain_labe
                 if isinstance(err, TreebankFormatError):
                     reason, where = err.reason, offset + (err.offset or 0)
                 raise TreebankFormatError(reason, offset=where, entry=i) from err
-            logger.warning("skipping malformed entry %d: %s", i, err)
+            # The line the reader writes to stderr, so that tests compare the
+            # two readers' skips by what each prints.
+            print(f"skipping malformed entry {i}: {err}", file=sys.stderr)
             continue
         entries.append(CorpusEntry(i, tree))
     return entries

@@ -1,7 +1,6 @@
 import contextlib
 import hashlib
 import io
-import logging
 import os
 import re
 import stat
@@ -39,22 +38,6 @@ def run(capsys, *argv):
 
 def result_line(stdout):
     return stdout.strip().splitlines()[-1]
-
-
-@pytest.fixture
-def warnings_to_stderr():
-    """Write the reader's skip warnings to ``sys.stderr`` as they are
-    logged, as Python's last-resort handler does outside the tests, so that
-    their order among the command's own stderr lines shows."""
-
-    class Stderr(logging.Handler):
-        def emit(self, record):
-            print(self.format(record), file=sys.stderr)
-
-    logger, handler = logging.getLogger("ajparse.treebank"), Stderr()
-    logger.addHandler(handler)
-    yield
-    logger.removeHandler(handler)
 
 
 def load_error(path, **options):
@@ -112,7 +95,7 @@ def test_strict_load_error_leaves_output_file_untouched(capsys, tmp_path, comman
     assert sorted(os.listdir(tmp_path)) == ["bad.mrg", "out.txt"]
 
 
-def test_lenient_skip_warnings_precede_entry_errors(capsys, tmp_path, warnings_to_stderr):
+def test_lenient_skip_warnings_precede_entry_errors(capsys, tmp_path):
     # Entry 0 has a unary chain, which the oracle refuses without
     # normalization; entry 1 is malformed and skipped.
     p = tmp_path / "mixed.mrg"
@@ -125,7 +108,7 @@ def test_lenient_skip_warnings_precede_entry_errors(capsys, tmp_path, warnings_t
     ]
 
 
-def test_lenient_entries_keep_their_file_numbers(capsys, tmp_path, warnings_to_stderr):
+def test_lenient_entries_keep_their_file_numbers(capsys, tmp_path):
     # Entry 1 is malformed and skipped, entry 2 has a unary chain; the
     # warning, the entry error and the output ids all count file entries.
     p, out_path = tmp_path / "mixed.mrg", tmp_path / "out.tsv"
@@ -617,7 +600,7 @@ def test_score_reports_the_gold_load_error_before_the_predicted_one(capsys, tmp_
     assert err.startswith("multiple tokens in one preterminal (entry 1)")
 
 
-def test_score_lenient_warnings_name_gold_skips_first(capsys, tmp_path, warnings_to_stderr):
+def test_score_lenient_warnings_name_gold_skips_first(capsys, tmp_path):
     # The gold file's malformed entry comes last, the predicted file's first.
     _, _, (code, out, err) = _score(capsys, tmp_path, [*_GOLD[:2], "(S (NN a b))"],
                                     ["()", *_GOLD[:2]], "--lenient")
@@ -628,9 +611,24 @@ def test_score_lenient_warnings_name_gold_skips_first(capsys, tmp_path, warnings
     ]
 
 
+def test_score_lenient_predicted_skips_before_and_after_gold_ends_precede_the_count(
+        capsys, tmp_path):
+    # The predicted file's entry 0 is read while gold is still open, its
+    # entry 2 only after gold's end; both lines wait for that end, and the
+    # count mismatch follows them.
+    _, _, (code, out, err) = _score(capsys, tmp_path, ["(S (NN a))"],
+                                    ["()", "(S (NN a))", "(S (NN b) ())", "(S (NN c))"],
+                                    "--lenient")
+    assert (code, out) == (1, "RESULT ok=0 fail=1\n")
+    assert err.splitlines() == [
+        "skipping malformed entry 0: empty constituent (offset 0)",
+        "skipping malformed entry 2: empty constituent (offset 10)",
+        "gold has 1 sentences but predicted has 2",
+    ]
+
+
 @pytest.mark.parametrize("flags", [(), ("--lenient",)])
-def test_score_gold_load_error_hides_an_earlier_predicted_one(capsys, tmp_path, flags,
-                                                             warnings_to_stderr):
+def test_score_gold_load_error_hides_an_earlier_predicted_one(capsys, tmp_path, flags):
     # The predicted file's skipped entry and its cut one are both read before
     # gold's stray text; neither its warning nor its error may show.
     gold, _, (code, out, err) = _score(capsys, tmp_path, [*_GOLD[:2], "x"],
@@ -801,6 +799,22 @@ def test_train_refuses_label_spelled_like_no_label(capsys, tmp_path):
     assert (code, result_line(out)) == (1, "RESULT ok=0 fail=1")
     assert "spelled '<none>'" in err
     assert "epoch" not in err  # refused before the first epoch
+    assert not model.exists()
+
+
+@pytest.mark.parametrize("text, flags, skipped", [
+    ("", (), []),
+    ("(S (NN a) ())\n(S (NN b c))\n", ("--lenient",), [
+        "skipping malformed entry 0: empty constituent (offset 10)",
+        "skipping malformed entry 1: multiple tokens in one preterminal (offset 9)",
+    ]),
+], ids=["empty", "all-skipped"])
+def test_train_on_no_entries_names_the_empty_corpus(capsys, tmp_path, text, flags, skipped):
+    gold, model = tmp_path / "gold.mrg", tmp_path / "m.model"
+    gold.write_text(text)
+    code, out, err = run(capsys, "train", str(gold), "--model", str(model), *flags)
+    assert (code, out) == (1, "RESULT ok=0 fail=1\n")
+    assert err.splitlines() == [*skipped, "cannot train on an empty corpus"]
     assert not model.exists()
 
 

@@ -3,8 +3,9 @@
 number and offset, and the same lenient warnings, on generated treebanks
 and on cut or mangled ones."""
 
+import contextlib
+import io
 import itertools
-import logging
 
 from hypothesis import given, settings
 
@@ -21,18 +22,14 @@ from ajparse.treebank import (
 
 
 def _outcome(read, *args, **kwargs):
-    """The result or the error of ``read``, and the warnings it logged."""
-    warnings = []
-    handler = logging.Handler(logging.WARNING)
-    handler.emit = lambda record: warnings.append(record.getMessage())
-    logger = logging.getLogger("ajparse.treebank")
-    logger.addHandler(handler)
-    try:
-        return ("ok", read(*args, **kwargs)), warnings
-    except Exception as err:
-        return (type(err), str(err)), warnings
-    finally:
-        logger.removeHandler(handler)
+    """The result or the error of ``read``, and the lines it wrote to stderr."""
+    stderr = io.StringIO()
+    with contextlib.redirect_stderr(stderr):
+        try:
+            result = ("ok", read(*args, **kwargs))
+        except Exception as err:
+            result = (type(err), str(err))
+    return result, stderr.getvalue().splitlines()
 
 
 def _same_reads(path, text):

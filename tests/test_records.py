@@ -133,7 +133,7 @@ def test_action_scorer_record():
     _roundtrip(scorer)
 
 
-def test_importing_the_cli_leaves_out_dataclasses_and_inspect():
+def test_importing_the_cli_leaves_out_dataclasses_inspect_and_logging():
     # The difference is taken inside the child, so modules that site hooks
     # import at start-up do not count.
     code = ("import sys; before = set(sys.modules); import ajparse.cli; "
@@ -144,4 +144,4 @@ def test_importing_the_cli_leaves_out_dataclasses_and_inspect():
     added = set(subprocess.run([sys.executable, "-c", code], env=env, check=True,
                                capture_output=True, text=True).stdout.split())
     assert "ajparse.cli" in added
-    assert not added & {"dataclasses", "inspect"}
+    assert not added & {"dataclasses", "inspect", "logging", "traceback", "linecache", "tokenize"}
