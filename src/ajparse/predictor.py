@@ -432,17 +432,27 @@ def decode_beam(scorer: ActionScorer, tokens, beam: int) -> ConstituencyTree:
     its ``legal_actions`` index, and subtracts their log-sum-exp so that path
     scores are comparable across items; without it, raw perceptron margins
     accumulate incomparably across alternative prefixes and wide beams
-    degrade. The step carries the beam-th best total over the items scored
-    so far as a running cut; while fewer are known it is the lowest, which
-    keeps them all. Each item keeps only the candidates that reach the cut
-    and drops its other totals before the next item is scored, so the step
-    never holds every item's depth x (L+1)**2 totals. Once ``beam`` totals
-    are known the cut only rises, so the kept candidates include all that
-    reach the final cut, and only those are sorted; float rounding is
-    monotone, so they include the whole beam. Only the beam's members become actions. Ties break on
-    ``(k % W != 0, k)`` for the index k of width W: attach before
-    juxtapose, then target depth, then parent and new label order (None
-    first); then on item rank.
+    degrade. An item builds one list over its joint scores: it sums the
+    target and parent factors per (depth, parent) pair, takes the exact
+    maximum as the sum of the two maxima (float ``+`` is monotone in each
+    operand), and lists every joint score less that maximum in index order,
+    which the log-sum-exp reads. Ties break on ``(k % W != 0, k)`` for the
+    index k of width W: attach before juxtapose, then target depth, then
+    parent and new label order (None first); then on item rank.
+
+    The step carries the beam-th best total over the items scored so far as
+    a running cut; while fewer are known it is the lowest, which keeps them
+    all. An item computes totals only for its candidates: the indices whose
+    shifted score reaches ``low``, the (beam + 1)-th largest. Every other
+    index has a strictly smaller joint score, since rounding is monotone, so
+    its total is at most the smallest candidate total. If that smallest
+    total still reaches the cut, ties or rounding may hide more equal totals
+    outside, and the item doubles its candidate count and scores again, up
+    to every index; otherwise nothing outside can reach the cut. Each item
+    keeps only the candidates that reach the cut, so the step never holds
+    every item's depth x (L+1)**2 totals. Once ``beam`` totals are known the
+    cut only rises, so the kept candidates include all that reach the final
+    cut, and only those are sorted. Only the beam's members become actions.
     Items are open chains: a successor copies the frames that ``step``
     edits, from the action's target down, and shares those above.
     """
@@ -461,22 +471,33 @@ def decode_beam(scorer: ActionScorer, tokens, beam: int) -> ConstituencyTree:
                 scorer.target_weights, scorer.label_weights,
                 featurize(chain, token, context, prev_kind), chain, token, width,
             )
+            # Index k scores tps[k // w] + n[k % w]: on a chain, k = d*W**2 +
+            # i*W + j scores (t[d] + p[i]) + n[j]; on the empty tree, k is
+            # attach(0, choices[k + 1]), whose new slot is None.
             if chain:
-                # (t[d] + p[i]) + n[j] at index d*(L+1)**2 + i*(L+1) + j.
-                scores = [tp + nj for tp in [td + pi for td in t for pi in p] for nj in n]
+                tps = [td + pi for td in t for pi in p]
             else:
-                scores = [t[0] + pi + n[0] for pi in p[1:]]
-            m = max(scores)
-            lse = m + math.log(sum(map(math.exp, [s - m for s in scores])))
+                tps, n = [t[0] + pi for pi in p[1:]], n[:1]
+            w = len(n)
+            m = max(tps) + max(n)
+            shifted = [tp + nj - m for tp in tps for nj in n]
+            lse = m + math.log(sum(map(math.exp, shifted)))
             if not math.isfinite(lse):
                 # The cut needs a total order; a sum of finite weights can
                 # still overflow to inf, and inf - inf is nan.
                 raise ValueError("step scores overflow the float range")
-            totals = [score + (s - lse) for s in scores]
-            best = heapq.nlargest(beam, itertools.chain(best, totals))
-            cut = best[-1]
-            for k in itertools.compress(range(len(totals)), map(cut.__le__, totals)):
-                kept.append((-totals[k], k % width != 0, k, rank, chain))
+            prior, r = best, beam + 1
+            while True:
+                low = heapq.nlargest(r, shifted)[-1]
+                ks = [k for k, v in enumerate(shifted) if v >= low]
+                totals = [score + (tps[k // w] + n[k % w] - lse) for k in ks]
+                best = heapq.nlargest(beam, itertools.chain(prior, totals))
+                cut = best[-1]
+                if min(totals) < cut or len(ks) == len(shifted):
+                    break
+                r *= 2
+            kept += [(-total, k % width != 0, k, rank, chain)
+                     for k, total in zip(ks, totals) if total >= cut]
         candidates = [c for c in kept if -c[0] >= cut]
         candidates.sort()  # (k, rank) is unique, so no two chains are compared
         items = []

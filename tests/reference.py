@@ -683,23 +683,27 @@ def reference_model_text(labels, target, parent, new) -> str:
     return "".join(line + "\n" for line in lines)
 
 
-def _step_candidates(weights, labels, state, token, context, prev_kind):
-    """Every legal action with its summed factor score, in ``legal_actions``
-    order, over ``(target, parent, new)`` dict weights."""
+def scorer_weights(scorer) -> tuple:
+    """An ``ActionScorer``'s weights as ``(target, parent, new)`` dicts."""
+    return (
+        {f: row[0] for f, row in scorer.target_weights.items()},
+        *label_dict(scorer.label_weights, scorer.labels),
+    )
+
+
+def step_scores(weights, labels, state, token, context, prev_kind) -> list:
+    """``(joint, normalized, action)`` for every legal action of one step,
+    in ``legal_actions`` order, over ``scorer_weights`` dicts: the summed
+    factor score, and that score less the step's log-sum-exp."""
     chain = rightmost_chain(state)
     t, p, n = _factor_scores(
         *weights, featurize(chain, token, context, prev_kind), chain, token, [None] + labels,
     )
-    return [
-        (t[d] + p[parent] + n[new], (d, parent, new))
-        for d, parent, new in reference_legal_actions(state, labels)
-    ]
-
-
-def _log_softmax(scores):
-    m = max(scores)
-    lse = m + math.log(sum(math.exp(s - m) for s in scores))
-    return [s - lse for s in scores]
+    actions = reference_legal_actions(state, labels)
+    joint = [t[d] + p[parent] + n[new] for d, parent, new in actions]
+    m = max(joint)
+    lse = m + math.log(sum(math.exp(s - m) for s in joint))
+    return [(s, s - lse, action) for s, action in zip(joint, actions)]
 
 
 def _label_sort_key(label: Optional[str]):
@@ -722,18 +726,14 @@ def reference_decode_beam(scorer, tokens, beam: int):
         raise ValueError("cannot decode an empty sentence")
     if beam < 1:
         raise ValueError("beam must be >= 1")
-    weights = (
-        {f: row[0] for f, row in scorer.target_weights.items()},
-        *label_dict(scorer.label_weights, scorer.labels),
-    )
+    weights = scorer_weights(scorer)
     items = [(0.0, 0, INITIAL_STATE, "none")]  # (score, rank, state, prev_kind)
     for i, token in enumerate(tokens):
         context = tuple(tokens[max(0, i - 2) : i])
         candidates = []
         for score, rank, state, prev_kind in items:
-            cands = _step_candidates(weights, scorer.labels, state, token, context, prev_kind)
-            normed = _log_softmax([s for s, _ in cands])
-            for s, (_, action) in zip(normed, cands):
+            for _, s, action in step_scores(weights, scorer.labels, state, token, context,
+                                            prev_kind):
                 candidates.append((score + s, _action_sort_key(action), rank, state, action))
         candidates.sort(key=lambda c: (-c[0], c[1], c[2]))
         items = [

@@ -888,17 +888,27 @@ def test_parse_rejects_non_finite_weights(capsys, tmp_path, corpus_file):
     assert "Traceback" not in err
 
 
-def test_parse_fails_sentences_whose_scores_overflow(capsys, tmp_path):
+_OVERFLOWING_MODELS = {
     # Each weight is finite, but their sum at target depth 0 is inf.
+    "inf": "[target]\nt.d=0\t1e308\nt.dist=0\t1e308\nt.lab=S\t1e308\n[parent]\n[new]\n",
+    # The same sum is -inf, so every joint score of the step is -inf.
+    "minus-inf": "[target]\nt.d=0\t-1e308\nt.dist=0\t-1e308\n[parent]\n[new]\n",
+    # Target depth 0 sums to inf and new label NP to -inf after a noun, so
+    # the step holds inf and nan joint scores.
+    "mixed": "[target]\nt.d=0\t1e308\nt.dist=0\t1e308\n[parent]\n"
+             "[new]\np=NN\tNP\t-1e308\nw|p=b|NN\tNP\t-1e308\n",
+}
+
+
+@pytest.mark.parametrize("weights", sorted(_OVERFLOWING_MODELS))
+@pytest.mark.parametrize("beam", [1, 3, 10])
+def test_parse_fails_sentences_whose_scores_overflow(capsys, tmp_path, beam, weights):
     model = tmp_path / "m.model"
-    model.write_text(
-        "ajparse-model\t1\nlabels\tNP\tS\n[target]\nt.d=0\t1e308\n"
-        "t.dist=0\t1e308\nt.lab=S\t1e308\n[parent]\n[new]\n[end]\n"
-    )
+    model.write_text(f"ajparse-model\t1\nlabels\tNP\tS\n{_OVERFLOWING_MODELS[weights]}[end]\n")
     sents = tmp_path / "sents.txt"
     sents.write_text("a_DT b_NN c_NN d_NN e_VB\na_DT\n")
     code, out, err = run(capsys, "parse", str(sents), str(tmp_path / "o.mrg"),
-                         "--model", str(model))
+                         "--model", str(model), "--beam", str(beam))
     assert code == 1
     assert result_line(out) == "RESULT ok=1 fail=1"
     assert "sentence 0: step scores overflow" in err
