@@ -16,9 +16,7 @@ import sys
 from collections import Counter
 
 from . import exhaustive, predictor, scoring
-from .isr import (
-    EMPTY_STACK, SHIFT, format_isr_actions, is_legal_stack, isr_apply, translate_sequence,
-)
+from .isr import REDUCE, SHIFT, format_isr_actions, is_legal_stack, isr_apply, translate_sequence
 from .oracle import oracle_action_sequence
 from .transition import action_kind, apply_sequence, format_actions
 from .tree import Internal, Token, iter_nodes, node_equal, tree_equal
@@ -150,15 +148,25 @@ def cmd_translate_isr(args) -> int:
     return _result(*_each_entry(args, work, args.output))
 
 
-def _replay_checked(isr_actions, tokens):
-    stack = EMPTY_STACK
+def _replay_checked(isr_actions, tokens) -> tuple:
+    """Run ISR actions from the empty stack, shifting ``tokens`` in order;
+    ValueError on the first illegal stack. A move passes ``isr_apply`` only
+    the suffix it reads, which the result replaces, so a replay is linear."""
+    stack = []
+    projections = []  # the index of each projection on the stack
     it = iter(tokens)
     for action in isr_actions:
-        token = next(it) if action == SHIFT else None
-        stack = isr_apply(stack, action, token)
+        if action == SHIFT:
+            stack += isr_apply((stack.pop(),) if stack else (), action, next(it))
+        elif action == REDUCE:
+            start = projections.pop() if projections else 0
+            stack[start:] = isr_apply(tuple(stack[start:]), action)
+        else:
+            stack += isr_apply((stack.pop(),) if stack else (), action)
+            projections.append(len(stack) - 2)
         if not is_legal_stack(stack):
             raise ValueError("illegal intermediate stack during replay")
-    return stack
+    return tuple(stack)
 
 
 def cmd_enumerate_check(args) -> int:

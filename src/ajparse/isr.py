@@ -202,12 +202,3 @@ def translate_sequence(tokens, actions) -> list:
     out.extend([REDUCE] * depth)
     return out
 
-
-def replay(actions, tokens) -> tuple:
-    """Run ISR actions from the empty stack, shifting ``tokens`` in order."""
-    stack = EMPTY_STACK
-    it = iter(tokens)
-    for action in actions:
-        token = next(it) if action == SHIFT else None
-        stack = isr_apply(stack, action, token)
-    return stack

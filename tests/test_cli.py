@@ -11,8 +11,10 @@ import tracemalloc
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ajparse import cli
+from ajparse import cli, exhaustive
 from ajparse.cli import main
+from ajparse.exhaustive import enumerate_trees
+from ajparse.isr import SHIFT
 from ajparse.predictor import ActionScorer, ModelFormatError
 from ajparse.synth import generate_corpus
 from ajparse.tree import rightmost_chain, tree_equal
@@ -238,6 +240,31 @@ def test_output_to_a_pipe_is_written_in_place(capsys, tmp_path, sample_path):
     assert sorted(os.listdir(tmp_path)) == ["fresh.txt", "pipe"]
 
 
+def test_output_over_a_directory_is_refused(capsys, tmp_path, sample_path):
+    output = tmp_path / "out"
+    output.mkdir()
+    (output / "kept.txt").write_bytes(b"earlier output\n")
+    code, out, err = run(capsys, "oracle", sample_path, str(output))
+    assert (code, out) == (1, "RESULT ok=0 fail=1\n")
+    assert err == f"[Errno 21] Is a directory: {str(output)!r}\n"
+    assert os.listdir(output) == ["kept.txt"]
+    assert (output / "kept.txt").read_bytes() == b"earlier output\n"
+    assert os.listdir(tmp_path) == ["out"]
+
+
+def test_output_beside_a_temporary_file_of_the_first_name(capsys, tmp_path, sample_path):
+    clean = tmp_path / "clean"
+    clean.mkdir()
+    run(capsys, "oracle", sample_path, str(clean / "out.txt"))
+    taken = tmp_path / f".ajparse-{os.getpid()}-0.tmp"
+    taken.write_bytes(b"another writer's lines\n")
+    code, out, _ = run(capsys, "oracle", sample_path, str(tmp_path / "out.txt"))
+    assert (code, result_line(out)) == (0, "RESULT ok=3 fail=0")
+    assert (tmp_path / "out.txt").read_bytes() == (clean / "out.txt").read_bytes()
+    assert taken.read_bytes() == b"another writer's lines\n"
+    assert sorted(os.listdir(tmp_path)) == [taken.name, "clean", "out.txt"]
+
+
 @pytest.mark.parametrize(
     "command, name",
     [("oracle", "format_actions"), ("translate-isr", "format_isr_actions"),
@@ -424,6 +451,80 @@ def test_enumerate_check_counts(capsys):
         "translated steps checked: 848",
         "RESULT ok=49854 fail=0",
     ]
+
+
+def _second_result_changed(real, change):
+    """``real`` with ``change`` applied to what its second call returns,
+    the call for entry 1 of a three-entry file."""
+    calls = []
+
+    def changed(*args):
+        calls.append(args)
+        result = real(*args)
+        return change(result) if len(calls) == 2 else result
+
+    return changed
+
+
+def _second_shift_moved_up(actions):
+    """The second shift moved to follow the first, which leaves two subtrees
+    with no projection beneath them."""
+    actions = list(actions)
+    actions.insert(1, actions.pop(actions.index(SHIFT, 1)))
+    return actions
+
+
+@pytest.mark.parametrize("change, message", [
+    (_second_shift_moved_up, "illegal intermediate stack during replay"),
+    (lambda actions: actions[:-1], "replayed stack does not hold the gold tree"),
+], ids=["illegal-order", "no-final-reduce"])
+def test_translate_isr_reports_a_broken_translation(capsys, tmp_path, monkeypatch, sample_path,
+                                                    change, message):
+    clean, output = tmp_path / "clean.txt", tmp_path / "out.txt"
+    run(capsys, "translate-isr", sample_path, str(clean))
+    monkeypatch.setattr(cli, "translate_sequence",
+                        _second_result_changed(cli.translate_sequence, change))
+    output.write_bytes(b"earlier output\n")
+    code, out, err = run(capsys, "translate-isr", sample_path, str(output))
+    assert (code, out, err) == (1, "RESULT ok=2 fail=1\n", f"entry 1: {message}\n")
+    # The output holds the other entries' lines, as a clean run writes them.
+    lines = clean.read_text().splitlines(keepends=True)
+    assert output.read_text() == lines[0] + lines[2]
+    assert sorted(os.listdir(tmp_path)) == ["clean.txt", "out.txt"]
+
+
+def test_verify_reports_a_tree_rebuilt_wrong(capsys, monkeypatch, sample_path):
+    wrong = parse_bracketed("(X (T x))")
+    monkeypatch.setattr(cli, "apply_sequence",
+                        _second_result_changed(cli.apply_sequence, lambda tree: wrong))
+    code, out, err = run(capsys, "verify", sample_path)
+    assert (code, out, err) == (1, "RESULT ok=2 fail=1\n", "entry 1: rebuilt tree differs\n")
+
+
+def test_enumerate_check_reports_a_broken_oracle(capsys, monkeypatch):
+    real = exhaustive.oracle_action_sequence
+
+    def drops_the_second_action(tree, **kwargs):
+        return real(tree, **kwargs)[:1]
+
+    monkeypatch.setattr(exhaustive, "oracle_action_sequence", drops_the_second_action)
+    code, out, err = run(capsys, "enumerate-check", "--n-max", "2", "--vocab-size", "1")
+    assert code == 1
+    # Each two-leaf tree fails to rebuild and translates one step fewer.
+    assert out.splitlines() == [
+        "trees checked: 5",
+        "action sequences enumerated: 5",
+        "case tally: 1-1=0 1-2=1 1-3=1 2-1=5 2-2=1 2-3=1",
+        "augmented trees checked: 48",
+        "legal stacks checked: 92",
+        "reduce-lemma states checked: 31",
+        "translated steps checked: 5",
+        "RESULT ok=150 fail=4",
+    ]
+    assert err == "".join(
+        f"COUNTEREXAMPLE: oracle failed to rebuild {tree!r}\n"
+        for tree in enumerate_trees(2, ["A"])
+    )
 
 
 def test_enumerate_check_bounds(capsys):

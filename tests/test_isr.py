@@ -1,6 +1,8 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from ajparse import cli
+from ajparse.cli import _replay_checked
 from ajparse.isr import (
     EMPTY_STACK,
     REDUCE,
@@ -12,7 +14,6 @@ from ajparse.isr import (
     isr_apply,
     phi,
     project,
-    replay,
     translate_action,
     translate_sequence,
     xi,
@@ -243,7 +244,7 @@ def test_full_translation_replays_to_gold(fig_tree):
     tokens = tokens_of(fig_tree)
     acts = translate_sequence(tokens, oracle_action_sequence(fig_tree))
     assert len(acts) == 6 + 2 * 7  # n + 2m
-    stack = replay(acts, tokens)
+    stack = _replay_checked(acts, tokens)
     assert len(stack) == 1
     assert node_equal(stack[0], fig_tree.root)
 
@@ -254,7 +255,7 @@ def test_length_law_on_corpus():
         acts = translate_sequence(tokens, oracle_action_sequence(t))
         m = _count_internal(t.root)
         assert len(acts) == len(tokens) + 2 * m
-        stack = replay(acts, tokens)
+        stack = _replay_checked(acts, tokens)
         assert len(stack) == 1
         assert node_equal(stack[0], t.root)
 
@@ -369,3 +370,72 @@ def test_gamma_consumed_is_the_leaf_count(stack):
         marked = (root, mark)
         rebuilt = gamma(marked)
         assert (rebuilt, len(stack_words(rebuilt))) == reference_gamma(marked)
+
+
+def _fold_checked(moves, tokens):
+    """The replay as a fold of ``isr_apply`` over whole stacks, with the
+    legality check after each step."""
+    stack, it = EMPTY_STACK, iter(tokens)
+    for move in moves:
+        stack = isr_apply(stack, move, next(it) if move == SHIFT else None)
+        if not is_legal_stack(stack):
+            raise ValueError("illegal intermediate stack during replay")
+    return stack
+
+
+def _outcome(replay, moves, tokens):
+    try:
+        stack = replay(moves, tokens)
+    except ValueError as err:
+        return type(err), str(err)
+    assert type(stack) is tuple
+    return stack
+
+
+@st.composite
+def replay_moves(draw):
+    """The moves of an unrestricted walk, then a few more that need not be
+    ones ``isr_apply`` accepts, with a token for every shift."""
+    moves = [move for move, _ in draw(isr_walk_steps(keep_legal=False))]
+    moves += draw(st.lists(
+        st.sampled_from([SHIFT, REDUCE, project("A"), project("B"), "pj:", "noop"]),
+        max_size=4,
+    ))
+    return moves, [tok(f"w{i}") for i in range(moves.count(SHIFT))]
+
+
+@settings(max_examples=300)
+@given(replay_moves())
+def test_replay_is_the_checked_isr_apply_fold(case):
+    # Every prefix agrees, so a failure is the same one at the same step.
+    moves, tokens = case
+    for i in range(len(moves) + 1):
+        assert _outcome(_replay_checked, moves[:i], tokens) == _outcome(
+            _fold_checked, moves[:i], tokens
+        )
+
+
+def test_replay_passes_isr_apply_only_the_suffix_each_move_reads(monkeypatch):
+    levels = 2000
+    text = "".join(f"(S (T w{i}) " for i in range(levels - 1))
+    tree = parse_bracketed(text + f"(S (T w{levels - 1}))" + ")" * (levels - 1))
+    tokens = tokens_of(tree)
+    acts = translate_sequence(tokens, oracle_action_sequence(tree))
+    received, legal_calls = [], []
+
+    def counting_isr_apply(stack, action, next_token=None):
+        received.append(len(stack))
+        return isr_apply(stack, action, next_token)
+
+    def counting_is_legal_stack(stack):
+        legal_calls.append(1)
+        return is_legal_stack(stack)
+
+    monkeypatch.setattr(cli, "isr_apply", counting_isr_apply)
+    monkeypatch.setattr(cli, "is_legal_stack", counting_is_legal_stack)
+    stack = _replay_checked(acts, tokens)
+    assert len(stack) == 1 and node_equal(stack[0], tree.root)
+    # One call of each per action, as a tracer of ajparse.cli counts them.
+    assert len(received) == len(legal_calls) == len(acts) == 3 * levels
+    # Whole stacks would sum to about 3 * levels**2 elements.
+    assert sum(received) <= 3 * len(acts)
